@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 from repro.host_x86 import isa as x86_isa
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg
-from repro.minic.backend.mach import MachineFunction, TargetInfo, is_vreg
+from repro.minic.backend.mach import (
+    MachineFunction,
+    TargetInfo,
+    is_vreg,
+    rewrite_registers,
+)
 from repro.minic.backend.regalloc import allocate
 from repro.dbt.tcg import TcgBlock, TcgCond, TcgOp
 
@@ -51,28 +56,27 @@ def env_mem(offset: int) -> Mem:
     return Mem(base=None, disp=ENV_BASE + offset, var="env")
 
 
-def dbt_target_info() -> TargetInfo:
-    # esi/edi first: they cannot serve setcc/movb byte operands, so
-    # keeping unconstrained values there leaves the low8-capable
-    # registers free for flag materialization.
-    return TargetInfo(
-        name="dbt-x86",
-        alloc_order=("esi", "edi", "eax", "ecx", "edx", "ebx"),
-        callee_saved=(),
-        caller_saved=(),
-        low8_regs=("eax", "ecx", "edx", "ebx"),
-        defs=x86_isa.defined_registers,
-        uses=x86_isa.used_registers,
-        is_branch=x86_isa.is_branch,
-        branch_condition=x86_isa.branch_condition,
-        is_call=x86_isa.is_call,
-        spill_load=lambda reg, off: Instruction(
-            "movl", (env_mem(SPILL_BASE + off), Reg(reg))
-        ),
-        spill_store=lambda reg, off: Instruction(
-            "movl", (Reg(reg), env_mem(SPILL_BASE + off))
-        ),
-    )
+# esi/edi first: they cannot serve setcc/movb byte operands, so keeping
+# unconstrained values there leaves the low8-capable registers free for
+# flag materialization.
+DBT_TARGET = TargetInfo(
+    name="dbt-x86",
+    alloc_order=("esi", "edi", "eax", "ecx", "edx", "ebx"),
+    callee_saved=(),
+    caller_saved=(),
+    low8_regs=("eax", "ecx", "edx", "ebx"),
+    defs=x86_isa.defined_registers,
+    uses=x86_isa.used_registers,
+    is_branch=x86_isa.is_branch,
+    branch_condition=x86_isa.branch_condition,
+    is_call=x86_isa.is_call,
+    spill_load=lambda reg, off: Instruction(
+        "movl", (env_mem(SPILL_BASE + off), Reg(reg))
+    ),
+    spill_store=lambda reg, off: Instruction(
+        "movl", (Reg(reg), env_mem(SPILL_BASE + off))
+    ),
+)
 
 
 @dataclass
@@ -345,8 +349,6 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
             if base in replacement and base not in written:
                 mapping[base] = replacement[base]
         if mapping:
-            from repro.minic.backend.mach import rewrite_registers
-
             instr = rewrite_registers(instr, mapping)
             if instr.meta and "needs_low8" in instr.meta:
                 instr.meta["needs_low8"] = tuple(
@@ -405,7 +407,7 @@ def finalize_block(assembler: BlockAssembler, guest_start: int
     """Peephole + register allocation for an assembled block."""
     code = peephole(assembler.instrs)
     func = MachineFunction(f"tb_{guest_start:#x}", instrs=code)
-    allocate(func, dbt_target_info())
+    allocate(func, DBT_TARGET)
     return TranslatedBlock(guest_start, func.instrs)
 
 

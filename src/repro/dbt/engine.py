@@ -55,6 +55,7 @@ from repro.dbt.codegen import (
     REG_OFFSET,
     TranslatedBlock,
 )
+from repro.dbt.fastexec import FastExecError, FusedBlock, fuse_block
 from repro.dbt.frontend import translate_block
 from repro.dbt.guard import GuardPolicy, GuardStats, copy_state, states_agree
 from repro.dbt.llvmjit import optimize_tcg
@@ -67,6 +68,10 @@ _ALU = ConcreteALU()
 MODES = ("qemu", "rules", "llvmjit")
 
 _ENGINE_IDS = itertools.count()
+
+#: Dispatch count at which a block's closures are fused into one
+#: generated function (see DESIGN.md, "Execution tiers").
+HOT_BLOCK_THRESHOLD = 64
 
 
 class DBTError(Exception):
@@ -256,6 +261,9 @@ class DBTEngine:
         self._cache: dict[int, TranslatedBlock] = {}
         self._cycles_cache: dict[int, list[float]] = {}
         self._steps_cache: dict[int, list] = {}
+        #: Hot blocks fused into one function; an entry lives and dies
+        #: with the block's ``_steps_cache`` entry.
+        self._fused_cache: dict[int, FusedBlock] = {}
         #: TCG-only reference translations (guard comparisons).
         self._ref_cache: dict[int, tuple] = {}
         #: Blocks invalidated mid-run after executing: their dynamic
@@ -380,6 +388,7 @@ class DBTEngine:
             from repro.dbt.fastexec import compile_block
 
             self._steps_cache[guest_addr] = compile_block(tb.host_instrs)
+            self._fused_cache.pop(guest_addr, None)
         covered = sum(tb.rule_covered)
         for view in self._translation_views():
             view.translated_blocks += 1
@@ -544,10 +553,25 @@ class DBTEngine:
         )
 
     def _run_block_fast(self, tb: TranslatedBlock, state: ConcreteState) -> int:
-        steps = self._steps_cache[tb.guest_start]
-        cycles = self._cycles_cache[tb.guest_start]
+        fused = self._fused_cache.get(tb.guest_start)
+        if fused is None and tb.exec_count == HOT_BLOCK_THRESHOLD:
+            fused = self._fuse(tb)
         active = self._active
         regs, flags, mem = state.regs, state.flags, state.memory
+        if fused is not None:
+            run, exit_cycles = fused
+            next_pc, exit_index = run(regs, flags, mem)
+            if next_pc is None:
+                raise DBTError(
+                    f"translated block {tb.guest_start:#x} fell off its end"
+                )
+            active.dynamic_host_instructions += exit_index + 1
+            cycle_sum = exit_cycles[exit_index]
+            active.perf.exec_cycles += cycle_sum
+            tb.exec_cycles += cycle_sum
+            return next_pc
+        steps = self._steps_cache[tb.guest_start]
+        cycles = self._cycles_cache[tb.guest_start]
         index = 0
         count = 0
         cycle_sum = 0.0
@@ -570,6 +594,18 @@ class DBTEngine:
         raise DBTError(
             f"translated block {tb.guest_start:#x} fell off its end"
         )
+
+    def _fuse(self, tb: TranslatedBlock) -> FusedBlock | None:
+        """Promote a hot block to the fused tier (None if it cannot be
+        fused; it then stays on its closures)."""
+        addr = tb.guest_start
+        try:
+            fused = fuse_block(tb.host_instrs, self._steps_cache[addr],
+                               self._cycles_cache[addr])
+        except FastExecError:
+            return None
+        self._fused_cache[addr] = fused
+        return fused
 
     # -- differential guard ------------------------------------------------------
 
@@ -704,6 +740,7 @@ class DBTEngine:
             tb = self._cache.pop(addr)
             self._cycles_cache.pop(addr, None)
             self._steps_cache.pop(addr, None)
+            self._fused_cache.pop(addr, None)
             if tb.exec_count:
                 self._retired_blocks.append(tb)
         return len(doomed)

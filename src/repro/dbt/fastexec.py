@@ -11,13 +11,26 @@ instruction.
 
 Each step closure returns ``None`` to fall through or a branch-target
 token (the ``Label`` name) when a (taken) control transfer occurs.
+
+Blocks the engine finds hot are then *fused* (:func:`fuse_block`): the
+whole block becomes one generated Python function, compiled once, that
+keeps registers and flags in locals, writes them back at each exit, and
+returns ``(next guest pc, exit index)``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from repro.host_x86.isa import CMOV_OPS, CONDITION_FLAGS, JCC_OPS, SETCC_OPS
+from repro.dbt.codegen import ENV_BASE, EXIT_LABEL, NEXT_PC_OFFSET
+from repro.host_x86.isa import (
+    CMOV_OPS,
+    CONDITION_FLAGS,
+    JCC_OPS,
+    SETCC_OPS,
+    defined_flags,
+    used_flags,
+)
 from repro.host_x86.registers import is_low8, parent_of
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg
@@ -435,3 +448,372 @@ def _compile_shift(name: str, ops) -> Step:
 def compile_block(instrs: list[Instruction]) -> list[Step]:
     """Compile a translated block's host code into step closures."""
     return [compile_instruction(instr) for instr in instrs]
+
+
+# -- fused blocks ---------------------------------------------------------------
+
+_FLAGS = ("OF", "SF", "ZF", "CF")
+
+#: Python source of each condition code over the flag locals; the same
+#: comparisons as :func:`_cond_fn`.
+_COND_SOURCE = {
+    "o": "f_OF == 1",
+    "no": "f_OF == 0",
+    "e": "f_ZF == 1",
+    "ne": "f_ZF == 0",
+    "s": "f_SF == 1",
+    "ns": "f_SF == 0",
+    "b": "f_CF == 1",
+    "ae": "f_CF == 0",
+    "a": "f_CF == 0 and f_ZF == 0",
+    "be": "f_CF == 1 or f_ZF == 1",
+    "l": "f_SF != f_OF",
+    "ge": "f_SF == f_OF",
+    "g": "f_ZF == 0 and f_SF == f_OF",
+    "le": "f_ZF == 1 or f_SF != f_OF",
+}
+
+_LOGIC_SOURCE = {"andl": "&", "orl": "|", "xorl": "^", "testl": "&"}
+
+
+class FusedBlock(NamedTuple):
+    """One hot block compiled into a single function.
+
+    ``run(regs, flags, mem)`` executes the block and returns ``(next
+    guest pc, exit index)``, or ``(None, len - 1)`` if control falls
+    off the end.  ``exit_cycles[i]`` is the cycle cost of a pass that
+    leaves at instruction ``i``, summed in instruction order exactly as
+    the per-instruction loop sums it.
+    """
+
+    run: Callable[[dict, dict, dict], tuple[int | None, int]]
+    exit_cycles: list[float]
+
+
+def fuse_block(instrs: list[Instruction], steps: list[Step],
+               cycles: list[float]) -> FusedBlock:
+    """Fuse a block's host code into one generated function.
+
+    ``steps`` are the block's closures from :func:`compile_block`;
+    the forms the generator does not inline (``idivl``, shifts by
+    ``%cl``) call theirs.  Raises
+    :class:`FastExecError` for a branch to anything but the exit stub
+    or another translated block.
+    """
+    fuser = _Fuser(steps)
+    live = _live_flags(instrs)
+    for index, instr in enumerate(instrs):
+        fuser.instruction(index, instr, live[index])
+    if not instrs or instrs[-1].mnemonic != "jmp":
+        fuser.exit(f"(None, {len(instrs) - 1})")
+    namespace = fuser.namespace
+    exec(compile("\n".join(fuser.lines), "<fused block>", "exec"), namespace)
+    exit_cycles = []
+    cycle_sum = 0.0
+    for cost in cycles:
+        cycle_sum += cost
+        exit_cycles.append(cycle_sum)
+    return FusedBlock(namespace["fused"], exit_cycles)
+
+
+def _always_set_flags(instr: Instruction) -> tuple[str, ...]:
+    """Flags an instruction sets on every execution."""
+    if instr.mnemonic in ("shll", "shrl", "sarl"):
+        count = instr.operands[0]
+        if not isinstance(count, Imm) or not count.value & 31:
+            return ()  # a zero count sets nothing
+    return defined_flags(instr)
+
+
+def _live_flags(instrs: list[Instruction]) -> list[frozenset]:
+    """Flags live after each instruction: all of them at every exit,
+    and none that a later instruction always sets before any read."""
+    every = frozenset(_FLAGS)
+    live = every
+    out = []
+    for instr in reversed(instrs):
+        out.append(live)
+        if instr.mnemonic in JCC_OPS or instr.mnemonic == "jmp":
+            live = every
+        else:
+            live = live.difference(_always_set_flags(instr)).union(
+                used_flags(instr))
+    out.reverse()
+    return out
+
+
+class _Fuser:
+    """Emits one block's Python source, instruction by instruction.
+
+    Registers live in locals ``r_<name>`` and flags in ``f_<name>``.  A
+    local is loaded from its dict on first read (``valid``); a written
+    local is *dirty* until every exit writes it back.  Temporaries
+    (``x``, ``t<n>``) never collide with either.
+    """
+
+    def __init__(self, steps: list[Step]) -> None:
+        self.steps = steps
+        self.lines = ["def fused(regs, flags, mem):"]
+        self.namespace: dict = {}
+        self.valid: set[str] = set()
+        #: local -> (dict name, key) for locals newer than their dict.
+        self.dirty: dict[str, tuple[str, str]] = {}
+        self.temps = 0
+
+    def emit(self, line: str, depth: int = 1) -> None:
+        self.lines.append("    " * depth + line)
+
+    # -- state ----------------------------------------------------------------
+
+    def _load(self, local: str, store: str, key: str) -> str:
+        if local not in self.valid:
+            self.emit(f"{local} = {store}.get({key!r}, 0)")
+            self.valid.add(local)
+        return local
+
+    def reg(self, name: str) -> str:
+        if not name.isidentifier():
+            raise FastExecError(f"cannot fuse register {name!r}")
+        return self._load(f"r_{name}", "regs", name)
+
+    def flag(self, name: str) -> str:
+        return self._load(f"f_{name}", "flags", name)
+
+    def _set(self, local: str, store: str, key: str, expr: str) -> None:
+        self.emit(f"{local} = {expr}")
+        self.valid.add(local)
+        self.dirty[local] = (store, key)
+
+    def set_reg(self, name: str, expr: str) -> None:
+        self._set(f"r_{name}", "regs", name, expr)
+
+    def set_flags(self, live: frozenset, **exprs: str) -> None:
+        """Set the flags in ``live``; the rest are dead here."""
+        for name, expr in exprs.items():
+            if name in live:
+                self._set(f"f_{name}", "flags", name, expr)
+
+    def cond(self, cc: str) -> str:
+        for name in CONDITION_FLAGS[cc]:
+            self.flag(name)
+        return _COND_SOURCE[cc]
+
+    def flush(self, depth: int = 1) -> None:
+        """Write every dirty local back to its dict."""
+        for local, (store, key) in self.dirty.items():
+            self.emit(f"{store}[{key!r}] = {local}", depth)
+
+    def exit(self, result: str, depth: int = 1) -> None:
+        self.flush(depth)
+        self.emit(f"return {result}", depth)
+
+    def bind(self, expr: str) -> str:
+        """A name or literal for ``expr``, so it can be used twice."""
+        if expr.isidentifier() or expr.isdigit():
+            return expr
+        self.temps += 1
+        temp = f"t{self.temps}"
+        self.emit(f"{temp} = {expr}")
+        return temp
+
+    # -- operands -------------------------------------------------------------
+
+    def addr(self, op: Mem) -> str:
+        """Address source: a literal when static, else a bound temp."""
+        disp = op.disp & _MASK
+        base = op.base.name if op.base else None
+        index = op.index.name if op.index else None
+        if base is None and index is None:
+            return str(disp)
+        terms = []
+        if base:
+            terms.append(self.reg(base))
+        if index:
+            terms.append(f"{self.reg(index)} * {op.scale}")
+        terms.append(str(disp))
+        return self.bind(f"({' + '.join(terms)}) & {_MASK}")
+
+    def value(self, op) -> str:
+        """A 32-bit source operand, as in :func:`_reader`."""
+        if isinstance(op, Imm):
+            return str(op.value & _MASK)
+        if isinstance(op, Reg):
+            if is_low8(op.name):
+                return f"({self.reg(parent_of(op.name))} & 255)"
+            return self.reg(op.name)
+        if isinstance(op, Mem):
+            a = self.addr(op)
+            return " | ".join(
+                [f"(mem.get({_offset(a, 0)}, 0)"]
+                + [f"mem.get({_offset(a, k)}, 0) << {8 * k}"
+                   for k in (1, 2, 3)]
+            ) + ")"
+        raise FastExecError(f"unreadable operand {op!r}")
+
+    def byte(self, op) -> str:
+        """An 8-bit source operand, as in :func:`_byte_reader`."""
+        if isinstance(op, Imm):
+            return str(op.value & 0xFF)
+        if isinstance(op, Reg):
+            return f"({self.reg(parent_of(op.name))} & 255)"
+        if isinstance(op, Mem):
+            return f"mem.get({self.addr(op)}, 0)"
+        raise FastExecError(f"unreadable byte operand {op!r}")
+
+    def store(self, op, expr: str) -> None:
+        """Write a 32-bit value, as in :func:`_writer`."""
+        if isinstance(op, Reg):
+            if is_low8(op.name):
+                self.store_byte(op, expr)
+            else:
+                self.set_reg(op.name, expr)
+            return
+        if isinstance(op, Mem):
+            value = self.bind(expr)
+            a = self.addr(op)
+            self.emit(f"mem[{a}] = {value} & 255")
+            for k in (1, 2, 3):
+                self.emit(f"mem[{_offset(a, k)}] = {value} >> {8 * k} & 255")
+            return
+        raise FastExecError(f"unwritable operand {op!r}")
+
+    def store_byte(self, op, expr: str) -> None:
+        """Write the low byte of a value, as in :func:`_byte_writer`."""
+        if isinstance(op, Reg):
+            parent = parent_of(op.name)
+            self.set_reg(parent,
+                         f"{self.reg(parent)} & 4294967040 | ({expr}) & 255")
+            return
+        if isinstance(op, Mem):
+            self.emit(f"mem[{self.addr(op)}] = ({expr}) & 255")
+            return
+        raise FastExecError(f"unwritable byte operand {op!r}")
+
+    # -- instructions ---------------------------------------------------------
+
+    def call_step(self, index: int) -> None:
+        """Run an instruction through its closure, which works on the
+        dicts: flush first, and reload every local read afterwards."""
+        self.flush()
+        self.dirty.clear()
+        self.valid.clear()
+        self.namespace[f"s{index}"] = self.steps[index]
+        self.emit(f"s{index}(regs, flags, mem)")
+
+    def target(self, label) -> str:
+        if not isinstance(label, Label):
+            raise FastExecError(f"cannot fuse a branch to {label!r}")
+        if label.name == EXIT_LABEL:
+            return self.value(Mem(base=None, disp=ENV_BASE + NEXT_PC_OFFSET))
+        if label.name.startswith("TB@"):
+            return str(int(label.name[3:], 16))
+        raise FastExecError(f"unexpected host branch target {label.name!r}")
+
+    def instruction(self, index: int, instr: Instruction,
+                    live: frozenset) -> None:
+        name = instr.mnemonic
+        ops = instr.operands
+
+        if name == "movl":
+            self.store(ops[1], self.value(ops[0]))
+        elif name in ("addl", "subl", "cmpl", "andl", "orl", "xorl",
+                      "testl"):
+            src = self.bind(self.value(ops[0]))
+            dst = self.bind(self.value(ops[1]))
+            if name in ("addl", "subl", "cmpl"):
+                sign = "+" if name == "addl" else "-"
+                self.emit(f"x = ({dst} {sign} {src}) & {_MASK}")
+                if name == "addl":
+                    carry = f"1 if x < {dst} else 0"
+                    overflow = f"(({dst} ^ x) & ~({dst} ^ {src})) >> 31 & 1"
+                else:
+                    carry = f"1 if {dst} < {src} else 0"
+                    overflow = f"(({dst} ^ {src}) & ({dst} ^ x)) >> 31 & 1"
+            else:
+                self.emit(f"x = {dst} {_LOGIC_SOURCE[name]} {src}")
+                carry = overflow = "0"
+            self.set_flags(live, SF="x >> 31", ZF="1 if x == 0 else 0",
+                           CF=carry, OF=overflow)
+            if name not in ("cmpl", "testl"):
+                self.store(ops[1], "x")
+        elif name == "imull":
+            src = self.bind(self.value(ops[0]))
+            dst = self.bind(self.value(ops[1]))
+            self.emit(
+                f"x = ({dst} - 4294967296 if {dst} >> 31 else {dst})"
+                f" * ({src} - 4294967296 if {src} >> 31 else {src})"
+            )
+            overflow = "0 if -2147483648 <= x < 2147483648 else 1"
+            self.set_flags(live, OF=overflow, CF=overflow)
+            self.store(ops[1], f"x & {_MASK}")
+        elif name == "leal":
+            self.store(ops[1], self.addr(ops[0]))
+        elif name in ("movzbl", "movsbl"):
+            value = self.byte(ops[0])
+            if name == "movsbl":
+                value = self.bind(value)
+                value = f"{value} | 4294967040 if {value} & 128 else {value}"
+            self.store(ops[1], value)
+        elif name == "movb":
+            self.store_byte(ops[1], self.byte(ops[0]))
+        elif name == "negl":
+            value = self.bind(self.value(ops[0]))
+            self.emit(f"x = -{value} & {_MASK}")
+            self.set_flags(live, SF="x >> 31", ZF="1 if x == 0 else 0",
+                           CF=f"1 if 0 < {value} else 0",
+                           OF=f"({value} & x) >> 31 & 1")
+            self.store(ops[0], "x")
+        elif name == "notl":
+            self.store(ops[0], f"~{self.value(ops[0])} & {_MASK}")
+        elif name in ("incl", "decl"):
+            value = self.bind(self.value(ops[0]))
+            delta, edge = (1, 0x7FFFFFFF) if name == "incl" else \
+                (-1, 0x80000000)
+            self.emit(f"x = ({value} + {delta}) & {_MASK}")
+            self.set_flags(live, SF="x >> 31", ZF="1 if x == 0 else 0",
+                           OF=f"1 if {value} == {edge} else 0")
+            self.store(ops[0], "x")
+        elif name in ("shll", "shrl", "sarl") and isinstance(ops[0], Imm):
+            count = ops[0].value & 31
+            if count:
+                value = self.bind(self.value(ops[1]))
+                if name == "shll":
+                    self.emit(f"x = ({value} << {count}) & {_MASK}")
+                    carry = f"({value} >> {32 - count}) & 1"
+                elif name == "shrl":
+                    self.emit(f"x = {value} >> {count}")
+                    carry = f"({value} >> {count - 1}) & 1"
+                else:
+                    signed = self.bind(
+                        f"{value} - 4294967296 if {value} >> 31 else {value}"
+                    )
+                    self.emit(f"x = ({signed} >> {count}) & {_MASK}")
+                    carry = f"({signed} >> {count - 1}) & 1"
+                self.set_flags(live, SF="x >> 31",
+                               ZF="1 if x == 0 else 0", CF=carry)
+                self.store(ops[1], "x")
+        elif name in SETCC_OPS:
+            self.store_byte(ops[0], f"1 if {self.cond(name[3:])} else 0")
+        elif name in CMOV_OPS:
+            value = self.bind(self.value(ops[0]))
+            old = self.value(ops[1])
+            self.store(ops[1],
+                       f"{value} if {self.cond(name[4:])} else {old}")
+        elif name in JCC_OPS:
+            target = self.target(ops[0])
+            self.emit(f"if {self.cond(name[1:])}:")
+            self.exit(f"({target}, {index})", 2)
+        elif name == "jmp":
+            self.exit(f"({self.target(ops[0])}, {index})")
+        elif name == "cltd":
+            self.set_reg("edx",
+                         f"{_MASK} if {self.reg('eax')} >> 31 else 0")
+        else:
+            self.call_step(index)
+
+
+def _offset(addr: str, k: int) -> str:
+    """Source for ``addr + k`` (folded when ``addr`` is a literal)."""
+    if addr.isdigit():
+        return str(int(addr) + k)
+    return f"{addr} + {k}" if k else addr

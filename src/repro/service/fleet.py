@@ -676,9 +676,15 @@ class FleetCoordinator:
 
     async def close(self) -> None:
         if self._reconnect_task is not None:
-            self._reconnect_task.cancel()
+            # Re-cancel until the loop stops: on Python 3.11 a cancel
+            # that lands as a ping's ``wait_for`` completes is
+            # swallowed, and the loop would keep running forever.
+            task = self._reconnect_task
+            while not task.done():
+                task.cancel()
+                await asyncio.wait([task], timeout=0.1)
             with contextlib.suppress(asyncio.CancelledError):
-                await self._reconnect_task
+                await task
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

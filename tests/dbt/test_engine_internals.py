@@ -1,7 +1,15 @@
-"""Engine internals: caching, indirect exits, env isolation, spills."""
+"""Engine internals: caching, indirect exits, env isolation, spills,
+execution tiers."""
+
+import pytest
 
 from repro.dbt.codegen import ENV_BASE, SPILL_BASE
-from repro.dbt.engine import DBTEngine
+from repro.dbt.direct import run_arm_program
+from repro.dbt.engine import HOT_BLOCK_THRESHOLD, DBTEngine
+from repro.dbt.guard import GuardPolicy
+from repro.faults.plan import corrupt_rule
+from repro.learning import learn_rules
+from repro.learning.store import RuleStore
 from repro.minic import compile_source
 
 
@@ -193,3 +201,152 @@ class TestEnvIsolation:
         expected = 1*2 + 3*4 + 5*6 + 7*8 + (1+2+3+4)*(5+6+7+8)
         assert result.return_value == expected
         assert SPILL_BASE > 0x60  # spill area clear of regs/flags
+
+
+HOT_LOOP = """
+int data[64];
+int work(int *p, int n, int bias) {
+  int acc = 0;
+  int i = 0;
+  while (i < n) {
+    int v = p[i & 63];
+    acc = acc + v - 1;
+    acc = acc ^ (v << 2);
+    if (acc > 10000) {
+      acc -= 10000;
+    }
+    p[i & 63] = acc & 255;
+    i += 1;
+  }
+  return acc + bias;
+}
+int main(void) {
+  int i = 0;
+  while (i < 64) {
+    data[i] = i * 13 + 7;
+    i += 1;
+  }
+  return work(data, 300, 5);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def hot_guest():
+    return build(HOT_LOOP)
+
+
+@pytest.fixture(scope="module")
+def hot_rules(hot_guest):
+    host = compile_source(HOT_LOOP, "x86", 2, "llvm")
+    rules = learn_rules(hot_guest, host).rules
+    assert rules, "the hot loop must yield rules"
+    return rules
+
+
+def watch_fused(engine, calls):
+    """Wrap every not-yet-wrapped fused block so that running it checks
+    it was fused from the block the cache holds now (never a stale
+    one), and logs its address in ``calls``."""
+    for addr, fused in list(engine._fused_cache.items()):
+        if getattr(fused.run, "watched", False):
+            continue
+        origin = engine._cache[addr]
+
+        def run(regs, flags, mem, _run=fused.run, _addr=addr,
+                _origin=origin):
+            assert engine._cache.get(_addr) is _origin, \
+                f"stale fused block {_addr:#x} ran"
+            calls.append(_addr)
+            return _run(regs, flags, mem)
+
+        run.watched = True
+        engine._fused_cache[addr] = fused._replace(run=run)
+
+
+class TestFusedTier:
+    def test_fused_run_matches_oracle_exactly(self, hot_guest):
+        fused = DBTEngine(hot_guest, "qemu")
+        oracle = DBTEngine(hot_guest, "qemu", fast=False)
+        result = fused.run()
+        expected = oracle.run()
+        assert fused._fused_cache, "no block crossed the hot threshold"
+        assert result.return_value == expected.return_value == \
+            run_arm_program(hot_guest).return_value
+        assert fused.last_run.dynamic_host_instructions == \
+            oracle.last_run.dynamic_host_instructions
+        assert fused.last_run.perf.exec_cycles == \
+            oracle.last_run.perf.exec_cycles
+        for addr, tb in fused._cache.items():
+            assert tb.exec_cycles == oracle._cache[addr].exec_cycles
+
+    def test_only_hot_blocks_fuse_and_stay_fused(self, hot_guest):
+        engine = DBTEngine(hot_guest, "qemu")
+        engine.run()
+        for addr, tb in engine._cache.items():
+            assert (addr in engine._fused_cache) == \
+                (tb.exec_count >= HOT_BLOCK_THRESHOLD)
+        fused = dict(engine._fused_cache)
+        engine.run()  # a warm run reuses the fused functions
+        assert engine._fused_cache == fused
+
+    def test_hot_install_drops_fused_blocks(self, hot_guest, hot_rules):
+        live = DBTEngine(hot_guest, "rules")
+        baseline = live.run()
+        calls = []
+        watch_fused(live, calls)
+        fused_before = set(live._fused_cache)
+        _, invalidated = live.hot_install(list(hot_rules))
+        assert invalidated
+        dropped = fused_before - set(live._cache)
+        assert dropped, "hot-install invalidated no fused block"
+        assert not dropped & set(live._fused_cache)
+        live.tick = lambda engine: watch_fused(engine, calls)
+        rerun = live.run()
+        assert rerun.return_value == baseline.return_value
+        assert calls
+        prebuilt = DBTEngine(hot_guest, "rules",
+                             RuleStore.from_rules(list(hot_rules)))
+        prebuilt.run()
+        # The retranslated, rule-covered code is what ran.
+        assert live.last_run.dynamic_coverage == \
+            prebuilt.last_run.dynamic_coverage > 0
+        assert live.last_run.dynamic_host_instructions == \
+            prebuilt.last_run.dynamic_host_instructions
+
+    def test_guard_quarantine_drops_fused_blocks(self, hot_guest,
+                                                 hot_rules):
+        clean = DBTEngine(hot_guest, "rules",
+                          RuleStore.from_rules(list(hot_rules)))
+        expected = clean.run().return_value
+        # Corrupt a rule that a fused block uses, and check each block
+        # only once it has been fused.
+        for tb in clean._cache.values():
+            if tb.guest_start not in clean._fused_cache:
+                continue
+            for rule, _ in tb.hit_rules:
+                try:
+                    bad = corrupt_rule(rule)
+                except ValueError:
+                    continue
+                bad_addr = tb.guest_start
+                break
+            else:
+                continue
+            break
+        else:
+            pytest.skip("no corruptible rule in a fused block")
+        rules = [bad if r == rule else r for r in hot_rules]
+        policy = GuardPolicy(check_first=0,
+                             check_interval=HOT_BLOCK_THRESHOLD + 8)
+        engine = DBTEngine(hot_guest, "rules", RuleStore.from_rules(rules),
+                           guard=policy)
+        calls = []
+        engine.tick = lambda eng: watch_fused(eng, calls)
+        engine.run()  # the unchecked dispatches before the catch miscompute
+        assert bad in engine.quarantined_rules
+        assert bad_addr in calls, "the corrupted block never ran fused"
+        assert all(rule != bad for rule, _ in engine._cache[bad_addr].hit_rules)
+        calls.clear()
+        assert engine.run().return_value == expected
+        assert bad_addr in calls  # fused again, from the clean translation

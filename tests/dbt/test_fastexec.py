@@ -1,11 +1,18 @@
-"""Differential test: closure-compiled fast path vs. oracle semantics."""
+"""Differential tests: closure-compiled and fused fast paths vs. the
+oracle semantics."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dbt.fastexec import FastExecError, compile_instruction
+from repro.dbt.codegen import ENV_BASE, EXIT_LABEL, NEXT_PC_OFFSET
+from repro.dbt.fastexec import (
+    FastExecError,
+    compile_block,
+    compile_instruction,
+    fuse_block,
+)
 from repro.dbt.machine import ConcreteState
 from repro.host_x86 import execute, parse_instruction as parse
 from repro.isa.alu import ConcreteALU
@@ -58,10 +65,18 @@ INSTRUCTIONS = [
 ]
 
 
+# Values at the edges of the signed/unsigned ranges, where overflow,
+# carry and sign flags change.
+EDGE_VALUES = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+
+
 def random_state(rng) -> ConcreteState:
     state = ConcreteState()
     for reg in ("eax", "ecx", "edx", "ebx", "esi", "edi"):
-        state.set_reg(reg, rng.getrandbits(32))
+        if rng.random() < 0.5:
+            state.set_reg(reg, rng.choice(EDGE_VALUES))
+        else:
+            state.set_reg(reg, rng.getrandbits(32))
     # keep addresses inside a small window for mem ops
     state.set_reg("esi", 0x2000 + rng.randrange(0, 64, 4))
     state.set_reg("edi", rng.randrange(0, 8))
@@ -92,13 +107,7 @@ def test_fast_path_matches_semantics(seed):
         result = step(fast.regs, fast.flags, fast.memory)
         assert fast.regs == slow.regs, text
         assert fast.memory == slow.memory, text
-        # Flags the semantics wrote must agree (the fast path may skip
-        # writing flags an instruction leaves undefined/unchanged).
-        for flag, value in slow.flags.items():
-            if text.startswith(("movl", "movb", "movzbl", "movsbl", "leal",
-                                "notl", "cltd", "set", "cmov", "idivl")):
-                continue  # flag-preserving forms: initial random values
-            assert fast.flags.get(flag, 0) == value, (text, flag)
+        assert fast.flags == slow.flags, text
         assert result is None or isinstance(result, str)
 
 
@@ -118,3 +127,114 @@ def test_branches_return_targets():
 def test_uncompilable_raises():
     with pytest.raises(FastExecError):
         compile_instruction(parse("pushl %eax"))  # engine never emits it
+
+
+# -- fused blocks -----------------------------------------------------------
+
+NEXT_PC = ENV_BASE + NEXT_PC_OFFSET
+
+# More forms for the fused tests: zero-count shifts (no flag or register
+# effect), a zeroed divisor for ``idivl %ebx`` and a cmov from memory.
+EXTRA_FORMS = [
+    "shll $0, %eax",
+    "sarl $32, %edx",
+    "movl $0, %ebx",
+    "movl %ecx, %ebx",
+    "cmovl 0x1000(%esi), %ecx",
+]
+
+EXITS = ["jmp TB@0x8010", f"jmp {EXIT_LABEL}"] + [
+    f"j{cc} {target}"
+    for cc in ("e", "ne", "l", "ge", "g", "le", "b", "ae", "a", "be",
+               "s", "ns", "o", "no")
+    for target in ("TB@0x8020", EXIT_LABEL)
+]
+
+
+def oracle_block(instrs, state):
+    """Run ``instrs`` through the semantics: ``(next pc, exit index)``,
+    or ``(None, len - 1)`` when control falls off the end."""
+    for index, instr in enumerate(instrs):
+        state.regs["pc"] = 0
+        outcome = execute(instr, state, ALU)
+        state.regs.pop("pc", None)
+        branch = outcome.branch
+        if branch is not None and branch.cond:
+            name = branch.target.name
+            if name == EXIT_LABEL:
+                return state.load(NEXT_PC, 4), index
+            return int(name[3:], 16), index
+    return None, len(instrs) - 1
+
+
+def assert_fused_matches(instrs, rng):
+    fused = fuse_block(instrs, compile_block(instrs), [1.0] * len(instrs))
+    slow = random_state(rng)
+    slow.store(NEXT_PC, rng.getrandbits(32), 4)
+    fast = clone(slow)
+    expected = oracle_block(instrs, slow)
+    label = "; ".join(str(instr) for instr in instrs)
+    assert fused.run(fast.regs, fast.flags, fast.memory) == expected, label
+    assert fast.regs == slow.regs, label
+    assert fast.memory == slow.memory, label
+    assert fast.flags == slow.flags, label
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fused_single_instructions_match_semantics(seed):
+    rng = random.Random(seed)
+    for text in INSTRUCTIONS + EXTRA_FORMS + EXITS:
+        assert_fused_matches([parse(text)], rng)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       body=st.lists(st.sampled_from(INSTRUCTIONS + EXTRA_FORMS + EXITS),
+                     min_size=8, max_size=24),
+       tail=st.sampled_from(EXITS))
+def test_fused_blocks_match_semantics(seed, body, tail):
+    instrs = [parse(text) for text in body + [tail]]
+    assert_fused_matches(instrs, random.Random(seed))
+
+
+# Blocks where a flag or register result must survive an instruction
+# that may leave it alone: zero-count shifts, an untaken cmov, and the
+# closures (shift by %cl, idivl) that the fused code calls.
+EDGE_BLOCKS = [
+    ("cmpl %ecx, %eax", "shll $0, %eax", "jmp TB@0x10"),
+    ("cmpl %ebx, %eax", "movl $0, %ecx", "shll %cl, %eax", "jmp TB@0x10"),
+    ("cmpl %ebx, %eax", "movl $32, %ecx", "sarl %cl, %eax", "jl TB@0x10",
+     "jmp TB@0x20"),
+    ("addl %ecx, %eax", "movl $0, %ebx", "idivl %ebx", "addl %eax, %edx",
+     f"jmp {EXIT_LABEL}"),
+    ("testl %eax, %eax", "cmove 0x1000(%esi), %ebx", "setne %al",
+     "jmp TB@0x10"),
+    ("cmpl %ecx, %eax", "cmovl %ebx, 0x1000(%esi)", "jmp TB@0x10"),
+]
+
+
+@pytest.mark.parametrize("block", EDGE_BLOCKS, ids="; ".join)
+def test_fused_edge_blocks_match_semantics(block):
+    rng = random.Random(0)
+    for _ in range(20):
+        assert_fused_matches([parse(text) for text in block], rng)
+
+
+def test_fused_exit_cycles_sum_in_loop_order():
+    instrs = [parse(text) for text in
+              ("addl %ecx, %eax", "cmpl $0, %eax", "je TB@0x10",
+               "jmp TB@0x20")]
+    cycles = [0.1, 0.7, 0.2, 1.3]
+    fused = fuse_block(instrs, compile_block(instrs), cycles)
+    expected, total = [], 0.0
+    for cost in cycles:
+        total += cost
+        expected.append(total)
+    assert fused.exit_cycles == expected
+
+
+def test_fuse_rejects_unknown_branch_targets():
+    instrs = [parse("jne .L1"), parse("jmp TB@0x20")]
+    with pytest.raises(FastExecError):
+        fuse_block(instrs, compile_block(instrs), [1.0, 1.0])
