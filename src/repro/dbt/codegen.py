@@ -331,35 +331,35 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
     jcc/setcc consumes.
     """
     replacement: dict[str, str] = {}
+    copies_of: dict[str, set[str]] = {}  # reverse index of replacement
 
     def invalidate(name: str) -> None:
-        replacement.pop(name, None)
-        for key in [k for k, v in replacement.items() if v == name]:
-            del replacement[key]
+        source = replacement.pop(name, None)
+        if source is not None:
+            copies_of[source].discard(name)
+        for copy in copies_of.pop(name, ()):
+            del replacement[copy]
 
     rewritten: list[Instruction] = []
     for instr in instrs:
-        # Never substitute a register the instruction *writes* — on
-        # two-address x86 the destination is read-modify-write, and
-        # redirecting it would move the result into the wrong register.
-        written = set(x86_isa.defined_registers(instr))
-        mapping = {}
-        for reg in instr.registers():
-            base = reg.name[:-2] if reg.name.endswith(".b") else reg.name
-            if base in replacement and base not in written:
-                mapping[base] = replacement[base]
-        if mapping:
-            instr = rewrite_registers(instr, mapping)
-            if instr.meta and "needs_low8" in instr.meta:
-                instr.meta["needs_low8"] = tuple(
-                    mapping.get(name, name)
-                    for name in instr.meta["needs_low8"]
-                )
+        defs = x86_isa.defined_registers(instr)
+        if replacement:
+            # Never substitute a register the instruction *writes* — on
+            # two-address x86 the destination is read-modify-write, and
+            # redirecting it would move the result into the wrong
+            # register.
+            mapping = {}
+            for reg in instr.registers():
+                base = reg.name[:-2] if reg.name.endswith(".b") else reg.name
+                if base in replacement and base not in defs:
+                    mapping[base] = replacement[base]
+            if mapping:
+                instr = rewrite_registers(instr, mapping)
         if x86_isa.is_branch(instr):
             rewritten.append(instr)
             replacement.clear()
+            copies_of.clear()
             continue
-        defs = x86_isa.defined_registers(instr)
         if (
             instr.mnemonic == "movl"
             and isinstance(instr.operands[0], Reg)
@@ -371,6 +371,7 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
             invalidate(dst)
             if is_vreg(dst):
                 replacement[dst] = src
+                copies_of.setdefault(src, set()).add(dst)
             rewritten.append(instr)
             continue
         for reg in defs:
@@ -380,26 +381,31 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
 
 
 def _drop_dead_movs(instrs: list[Instruction]) -> list[Instruction]:
-    while True:
-        used: set[str] = set()
-        for instr in instrs:
-            for reg in x86_isa.used_registers(instr):
-                used.add(reg)
-        kept: list[Instruction] = []
-        dropped = False
-        for instr in instrs:
-            if (
-                instr.mnemonic == "movl"
-                and isinstance(instr.operands[1], Reg)
-                and is_vreg(instr.operands[1].name)
-                and instr.operands[1].name not in used
-            ):
-                dropped = True
-                continue
-            kept.append(instr)
-        instrs = kept
-        if not dropped:
-            return instrs
+    """Drop every ``movl`` into a vreg nothing reads, including those
+    whose only readers are themselves dropped."""
+    uses = [x86_isa.used_registers(instr) for instr in instrs]
+    readers: dict[str, int] = {}
+    for names in uses:
+        for name in names:
+            readers[name] = readers.get(name, 0) + 1
+    movs_into: dict[str, list[int]] = {}
+    for index, instr in enumerate(instrs):
+        if (
+            instr.mnemonic == "movl"
+            and isinstance(instr.operands[1], Reg)
+            and is_vreg(instr.operands[1].name)
+        ):
+            movs_into.setdefault(instr.operands[1].name, []).append(index)
+    worklist = [name for name in movs_into if name not in readers]
+    dead: set[int] = set()
+    while worklist:
+        for index in movs_into.pop(worklist.pop()):
+            dead.add(index)
+            for name in uses[index]:
+                readers[name] -= 1
+                if not readers[name] and name in movs_into:
+                    worklist.append(name)
+    return [instr for index, instr in enumerate(instrs) if index not in dead]
 
 
 def finalize_block(assembler: BlockAssembler, guest_start: int

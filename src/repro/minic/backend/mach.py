@@ -7,7 +7,7 @@ objects whose register operands may be *virtual* (names starting with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.isa.instruction import Instruction
@@ -86,7 +86,9 @@ def rewrite_registers(instr: Instruction,
     """Return ``instr`` with virtual register names replaced.
 
     A virtual low-byte reference ``%t5.b`` follows its parent: when
-    ``%t5`` maps to ``eax`` the reference becomes ``al``.
+    ``%t5`` maps to ``eax`` the reference becomes ``al``.  The
+    ``needs_low8`` meta hint is renamed the same way, in a fresh meta
+    dict: ``instr`` itself is never modified.
     """
 
     def sub_name(name: str) -> str:
@@ -100,34 +102,30 @@ def rewrite_registers(instr: Instruction,
     def sub_reg(reg: Reg | None) -> Reg | None:
         if reg is None:
             return None
-        return Reg(sub_name(reg.name))
+        name = sub_name(reg.name)
+        return reg if name == reg.name else Reg(name)
 
     changed = False
     new_ops = []
     for op in instr.operands:
-        if isinstance(op, Reg) and sub_name(op.name) != op.name:
-            new_ops.append(sub_reg(op))
-            changed = True
-        elif isinstance(op, ShiftedReg) and sub_name(op.reg.name) != op.reg.name:
-            new_ops.append(ShiftedReg(sub_reg(op.reg), op.shift, op.amount))
-            changed = True
-        elif isinstance(op, Mem) and (
-            (op.base and sub_name(op.base.name) != op.base.name)
-            or (op.index and sub_name(op.index.name) != op.index.name)
-        ):
-            new_ops.append(
-                Mem(
-                    sub_reg(op.base),
-                    sub_reg(op.index),
-                    op.scale,
-                    op.disp,
-                    op.var,
-                    op.disp_param,
-                )
-            )
-            changed = True
+        if isinstance(op, Reg):
+            new = sub_reg(op)
+        elif isinstance(op, ShiftedReg):
+            reg = sub_reg(op.reg)
+            new = op if reg is op.reg else ShiftedReg(reg, op.shift, op.amount)
+        elif isinstance(op, Mem) and (op.base or op.index):
+            base, index = sub_reg(op.base), sub_reg(op.index)
+            new = op if base is op.base and index is op.index else Mem(
+                base, index, op.scale, op.disp, op.var, op.disp_param)
         else:
-            new_ops.append(op)
+            new = op
+        changed = changed or new is not op
+        new_ops.append(new)
     if not changed:
         return instr
-    return replace(instr, operands=tuple(new_ops))
+    meta = instr.meta
+    if meta and "needs_low8" in meta:
+        meta = {**meta, "needs_low8": tuple(
+            mapping.get(name, name) for name in meta["needs_low8"])}
+    return Instruction(instr.mnemonic, tuple(new_ops), instr.line,
+                       instr.block, meta)

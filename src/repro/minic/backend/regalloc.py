@@ -36,18 +36,17 @@ class RegisterAllocationError(Exception):
     """Could not allocate registers even after spilling."""
 
 
-def _effective_uses(instr: Instruction, target: TargetInfo) -> tuple[str, ...]:
-    uses = list(target.uses(instr))
-    if instr.meta:
-        uses.extend(instr.meta.get("uses_regs", ()))
-    return tuple(uses)
+#: (effective uses, effective defs) of one instruction.
+_Footprint = tuple[tuple[str, ...], tuple[str, ...]]
 
 
-def _effective_defs(instr: Instruction, target: TargetInfo) -> tuple[str, ...]:
-    defs = list(target.defs(instr))
+def _footprint(instr: Instruction, target: TargetInfo) -> _Footprint:
+    uses = target.uses(instr)
+    defs = target.defs(instr)
     if instr.meta:
-        defs.extend(instr.meta.get("clobbers", ()))
-    return tuple(defs)
+        uses = (*uses, *instr.meta.get("uses_regs", ()))
+        defs = (*defs, *instr.meta.get("clobbers", ()))
+    return uses, defs
 
 
 def _blocks(func: MachineFunction, target: TargetInfo) -> list[tuple[int, int]]:
@@ -91,38 +90,49 @@ def _successors(func: MachineFunction, target: TargetInfo,
     return succ
 
 
-def _liveness(func: MachineFunction, target: TargetInfo
-              ) -> list[set[str]]:
-    """live-in set per instruction position."""
+def _liveness(func: MachineFunction, target: TargetInfo,
+              footprints: list[_Footprint]
+              ) -> tuple[list[tuple[int, int]], list[set[str]], list[set[str]]]:
+    """Basic blocks with the live-in and live-out set of each.
+
+    When no CFG edge goes backward (true of every DBT block) one pass
+    over the blocks in reverse order settles every set; otherwise the
+    passes repeat until nothing changes.
+    """
     blocks = _blocks(func, target)
     succ = _successors(func, target, blocks)
-    n = len(func.instrs)
-    uses_cache = [set(_effective_uses(i, target)) for i in func.instrs]
-    defs_cache = [set(_effective_defs(i, target)) for i in func.instrs]
-    live_in_block: dict[int, set[str]] = {start: set() for start, _ in blocks}
+    block_of = {start: b for b, (start, _) in enumerate(blocks)}
+    succ_blocks = [
+        [block_of[s] for s in succ[start] if s in block_of]
+        for start, _ in blocks
+    ]
+    gen: list[set[str]] = []  # upward-exposed uses
+    kill: list[set[str]] = []  # everything defined
+    for start, end in blocks:
+        uses_before: set[str] = set()
+        defined: set[str] = set()
+        for index in range(end - 1, start - 1, -1):
+            uses, defs = footprints[index]
+            uses_before.difference_update(defs)
+            uses_before.update(uses)
+            defined.update(defs)
+        gen.append(uses_before)
+        kill.append(defined)
+    cyclic = any(t <= b for b, succs in enumerate(succ_blocks) for t in succs)
+    live_in: list[set[str]] = [set() for _ in blocks]
+    live_out: list[set[str]] = [set() for _ in blocks]
     changed = True
     while changed:
         changed = False
-        for start, end in reversed(blocks):
-            live: set[str] = set()
-            for next_start in succ[start]:
-                live |= live_in_block.get(next_start, set())
-            for index in range(end - 1, start - 1, -1):
-                live -= defs_cache[index]
-                live |= uses_cache[index]
-            if live != live_in_block[start]:
-                live_in_block[start] = live
+        for b in range(len(blocks) - 1, -1, -1):
+            out = set().union(*(live_in[t] for t in succ_blocks[b]))
+            live_out[b] = out
+            new_in = gen[b] | (out - kill[b])
+            if new_in != live_in[b]:
+                live_in[b] = new_in
                 changed = True
-    live_in: list[set[str]] = [set() for _ in range(n)]
-    for start, end in blocks:
-        live: set[str] = set()
-        for next_start in succ[start]:
-            live |= live_in_block.get(next_start, set())
-        for index in range(end - 1, start - 1, -1):
-            live -= defs_cache[index]
-            live |= uses_cache[index]
-            live_in[index] = set(live)
-    return live_in
+        changed = changed and cyclic
+    return blocks, live_in, live_out
 
 
 @dataclass
@@ -133,22 +143,48 @@ class _Interval:
     needs_low8: bool = False
 
 
-def _build_intervals(func: MachineFunction, target: TargetInfo
+def _build_intervals(func: MachineFunction, target: TargetInfo,
+                     footprints: list[_Footprint]
                      ) -> tuple[list[_Interval], dict[str, list[int]]]:
-    live_in = _liveness(func, target)
-    vreg_positions: dict[str, list[int]] = {}
+    """Each vreg's interval spans every position where it is live,
+    defined or used; ``phys_busy`` lists those positions for every
+    allocatable physical register."""
+    blocks, live_in, live_out = _liveness(func, target, footprints)
+    tracked = frozenset(target.alloc_order)
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
+    phys_touched: list[int] = []  # ascending
+    for index, (uses, defs) in enumerate(footprints):
+        for name in uses + defs:
+            if is_vreg(name):
+                if name not in first:
+                    first[name] = index
+                last[name] = index
+            elif name in tracked:
+                phys_touched.append(index)
     phys_busy: dict[str, list[int]] = {}
-    for index, instr in enumerate(func.instrs):
-        touched = set(live_in[index])
-        touched.update(_effective_defs(instr, target))
-        touched.update(_effective_uses(instr, target))
-        for name in touched:
-            bucket = vreg_positions if is_vreg(name) else phys_busy
-            bucket.setdefault(name, []).append(index)
+    for (start, end), block_in, block_out in zip(blocks, live_in, live_out):
+        # Liveness across a block boundary stretches an interval to it.
+        for name in block_in:
+            if first.get(name, start) > start:
+                first[name] = start
+        for name in block_out:
+            if last.get(name, end - 1) < end - 1:
+                last[name] = end - 1
+        live = block_out & tracked
+        if not live and not _conflicts(phys_touched, start, end - 1):
+            continue  # no allocatable register is live or touched here
+        for index in range(end - 1, start - 1, -1):
+            uses, defs = footprints[index]
+            for name in live.union(defs, uses):
+                if name in tracked:
+                    phys_busy.setdefault(name, []).append(index)
+            live.difference_update(defs)
+            live.update(name for name in uses if name in tracked)
     low8 = _low8_requirements(func, target)
     intervals = [
-        _Interval(name, positions[0], positions[-1], name in low8)
-        for name, positions in vreg_positions.items()
+        _Interval(name, start, last[name], name in low8)
+        for name, start in first.items()
     ]
     intervals.sort(key=lambda iv: (iv.start, iv.end))
     for positions in phys_busy.values():
@@ -176,14 +212,15 @@ def _conflicts(busy: list[int], start: int, end: int) -> bool:
 def allocate(func: MachineFunction, target: TargetInfo) -> dict[str, str]:
     """Assign physical registers; mutates ``func`` (spill code, operand
     rewriting) and returns the final vreg -> phys mapping."""
+    footprints = [_footprint(instr, target) for instr in func.instrs]
     for _ in range(_MAX_ROUNDS):
-        intervals, phys_busy = _build_intervals(func, target)
+        intervals, phys_busy = _build_intervals(func, target, footprints)
         mapping, failed = _linear_scan(intervals, phys_busy, target)
         if failed is None:
             _apply(func, target, mapping)
             return mapping
         victim = _choose_victim(intervals, mapping, failed, target)
-        _spill(func, target, victim)
+        footprints = _spill(func, target, victim, footprints)
     raise RegisterAllocationError(
         f"{func.name}: allocation did not converge after {_MAX_ROUNDS} rounds"
     )
@@ -246,28 +283,24 @@ def _linear_scan(
     target: TargetInfo,
 ) -> tuple[dict[str, str], _Interval | None]:
     mapping: dict[str, str] = {}
-    active: list[_Interval] = []
-    assigned_end: dict[str, list[_Interval]] = {}
+    # A register's intervals never overlap, so the last one assigned
+    # to it ends last.
+    reg_end: dict[str, int] = {}
     for interval in intervals:
-        active = [iv for iv in active if iv.end >= interval.start]
         candidates = target.low8_regs if interval.needs_low8 else \
             target.alloc_order
         chosen = None
         for reg in candidates:
-            if _conflicts(phys_busy.get(reg, []), interval.start, interval.end):
+            if reg_end.get(reg, -1) >= interval.start:
                 continue
-            conflict = any(
-                mapping[iv.name] == reg and iv.end >= interval.start
-                for iv in active
-            )
-            if conflict:
+            if _conflicts(phys_busy.get(reg, []), interval.start, interval.end):
                 continue
             chosen = reg
             break
         if chosen is None:
             return mapping, interval
         mapping[interval.name] = chosen
-        active.append(interval)
+        reg_end[chosen] = interval.end
     return mapping, None
 
 
@@ -287,40 +320,41 @@ def _apply(func: MachineFunction, target: TargetInfo,
     )
 
 
-def _spill(func: MachineFunction, target: TargetInfo,
-           interval: _Interval) -> None:
-    """Spill ``interval``'s vreg to the frame and rewrite its accesses."""
+def _spill(func: MachineFunction, target: TargetInfo, interval: _Interval,
+           footprints: list[_Footprint]) -> list[_Footprint]:
+    """Spill ``interval``'s vreg to the frame and rewrite its accesses;
+    returns the footprints of the new instruction list."""
     victim = interval.name
     offset = func.frame_slots + func.spill_bytes
     func.spill_bytes += target.word_size
     new_instrs: list[Instruction] = []
+    new_footprints: list[_Footprint] = []
     moved: list[tuple[int, int]] = []  # (old position, new position)
     counter = 0
-    for old_pos, instr in enumerate(func.instrs):
-        uses = victim in _effective_uses(instr, target)
-        defines = victim in _effective_defs(instr, target)
-        new_pos = len(new_instrs)
+    for old_pos, (instr, footprint) in enumerate(zip(func.instrs, footprints)):
+        uses = victim in footprint[0]
+        defines = victim in footprint[1]
+        moved.append((old_pos, len(new_instrs)))
         if not uses and not defines:
             new_instrs.append(instr)
-            moved.append((old_pos, new_pos))
+            new_footprints.append(footprint)
             continue
         counter += 1
         temp = f"%spill{offset}_{counter}"
         rewritten = rewrite_registers(instr, {victim: temp})
-        if rewritten.meta and victim in rewritten.meta.get("needs_low8", ()):
-            rewritten.meta["needs_low8"] = tuple(
-                temp if name == victim else name
-                for name in rewritten.meta["needs_low8"]
-            )
         if uses:
             new_instrs.append(target.spill_load(temp, offset))
         new_instrs.append(rewritten)
         if defines:
             new_instrs.append(target.spill_store(temp, offset))
-        moved.append((old_pos, new_pos))
+        new_footprints.extend(
+            _footprint(new, target)
+            for new in new_instrs[len(new_footprints):]
+        )
     position_map = dict(moved)
     func.labels = {
         name: position_map.get(pos, len(new_instrs))
         for name, pos in func.labels.items()
     }
     func.instrs = new_instrs
+    return new_footprints

@@ -1,11 +1,22 @@
-"""TCG lowering, peephole, env caching, llvmjit TCG optimizer."""
+"""TCG lowering, peephole, env caching, llvmjit TCG optimizer, and the
+golden digests of emitted code."""
 
+import hashlib
+
+import pytest
+
+from repro.benchsuite import benchmark_source
 from repro.dbt import codegen
 from repro.dbt.codegen import BlockAssembler, env_mem, peephole, tb_label
+from repro.dbt.engine import DBTEngine
 from repro.dbt.llvmjit import optimize_tcg
 from repro.dbt.tcg import TcgBlock, TcgCond, TcgOp
+from repro.experiments.common import ExperimentContext
 from repro.host_x86 import parse_instruction as parse
+from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Mem, Reg
+from repro.minic.backend import regalloc
+from repro.minic.compile import compile_source
 
 
 class TestAssembler:
@@ -129,6 +140,46 @@ class TestPeephole:
         ]
         assert peephole(instrs) == []
 
+    def test_redefined_source_keeps_reading_copy(self):
+        copy = Instruction("movl", (Reg("%v1"), Reg("%v2")))
+        store = Instruction("movl", (Reg("%v2"), Mem(base=None, disp=0x1000)))
+        for redefine in (
+            Instruction("movl", (Imm(5), Reg("%v1"))),
+            Instruction("addl", (Imm(5), Reg("%v1"))),
+            Instruction("movl", (Reg("%v3"), Reg("%v1"))),
+        ):
+            keep_v1 = Instruction(
+                "movl", (Reg("%v1"), Mem(base=None, disp=0x1004)))
+            result = peephole([copy, redefine, store, keep_v1])
+            # %v2 no longer equals %v1 once %v1 changes: the copy stays
+            # and the store keeps reading %v2.
+            assert result[:3] == [copy, redefine, store]
+
+    def test_chained_dead_movs_all_dropped(self):
+        instrs = [
+            Instruction("movl", (Imm(0x1000), Reg("%v1"))),
+            Instruction("movl", (Mem(base=Reg("%v1")), Reg("%v2"))),
+            Instruction("movl", (Mem(base=Reg("%v2")), Reg("%v3"))),
+            Instruction("movl", (Mem(base=Reg("%v3")), Reg("%v4"))),
+            Instruction("movl", (Imm(7), Reg("%v5"))),
+            Instruction("movl", (Reg("%v5"), Mem(base=None, disp=0x2000))),
+        ]
+        # Each load is read only by the next dead one.
+        assert peephole(instrs) == instrs[4:]
+
+    def test_needs_low8_follows_copy_propagation(self):
+        meta = {"needs_low8": ("%v2",)}
+        byte_store = Instruction(
+            "movb", (Reg("%v2.b"), Mem(base=None, disp=0x1000)), meta=meta)
+        result = peephole([
+            Instruction("movl", (Reg("%v1"), Reg("%v2"))),
+            byte_store,
+        ])
+        assert len(result) == 1
+        assert result[0].operands[0] == Reg("%v1.b")
+        assert result[0].meta == {"needs_low8": ("%v1",)}
+        assert byte_store.meta == {"needs_low8": ("%v2",)}
+
 
 class TestLlvmJitOptimizer:
     def test_redundant_reg_load_eliminated(self):
@@ -170,3 +221,78 @@ class TestLlvmJitOptimizer:
         block.emit(op="st_reg", reg="r0", a="%t1")
         ops = optimize_tcg(block.ops)
         assert not any(op.out == "%t2" for op in ops)
+
+
+# -- golden output ---------------------------------------------------------------
+
+GOLDEN_BENCHMARKS = ("bzip2", "mcf", "sjeng", "libquantum")
+GOLDEN_STYLES = ("llvm", "gcc")
+#: sha256 of every block's host code the DBT emits for the golden slice
+#: (test inputs, qemu and rules mode, leave-one-out rule stores).
+DBT_HOST_CODE_SHA256 = (
+    "50ebaa61f42951756b13a2582d43a988fea8a9ed00c89d0238ae50beb709723e"
+)
+#: sha256 of every MiniC ``allocate`` result (code, labels, spill bytes,
+#: callee-saved registers) when compiling the golden slice for both
+#: targets.
+MINIC_ALLOCATE_SHA256 = (
+    "f7fe5e9f5fbd9971e88622fe55383dec67a681aa8648d49337db025a591cdfd3"
+)
+
+
+def _code_text(instrs) -> bytes:
+    return "".join(f"{instr}\n" for instr in instrs).encode()
+
+
+@pytest.fixture(scope="module")
+def leave_one_out_stores():
+    context = ExperimentContext()
+    return {name: context.rule_store_excluding(name)
+            for name in GOLDEN_BENCHMARKS}
+
+
+class TestGoldenOutput:
+    """The emitted code is pinned: a change that alters it must update
+    these digests on purpose."""
+
+    def test_dbt_host_code(self, monkeypatch, leave_one_out_stores):
+        digest = hashlib.sha256()
+        finalize = codegen.finalize_block
+
+        def recording(assembler, guest_start):
+            block = finalize(assembler, guest_start)
+            digest.update(f"TB {guest_start:#x}\n".encode())
+            digest.update(_code_text(block.host_instrs))
+            return block
+
+        monkeypatch.setattr(codegen, "finalize_block", recording)
+        for name in GOLDEN_BENCHMARKS:
+            for style in GOLDEN_STYLES:
+                for mode in ("qemu", "rules"):
+                    program = compile_source(
+                        benchmark_source(name, "test"), "arm", 2, style)
+                    store = (leave_one_out_stores[name]
+                             if mode == "rules" else None)
+                    DBTEngine(program, mode, store).run()
+        assert digest.hexdigest() == DBT_HOST_CODE_SHA256
+
+    def test_minic_allocate(self, monkeypatch):
+        digest = hashlib.sha256()
+        allocate = regalloc.allocate
+
+        def recording(func, target):
+            mapping = allocate(func, target)
+            digest.update(repr((
+                target.name, func.name, sorted(func.labels.items()),
+                func.spill_bytes, func.used_callee_saved,
+            )).encode())
+            digest.update(_code_text(func.instrs))
+            return mapping
+
+        monkeypatch.setattr(regalloc, "allocate", recording)
+        for name in GOLDEN_BENCHMARKS:
+            for style in GOLDEN_STYLES:
+                for target in ("arm", "x86"):
+                    compile_source(benchmark_source(name, "test"), target, 2,
+                                   style)
+        assert digest.hexdigest() == MINIC_ALLOCATE_SHA256

@@ -1,10 +1,24 @@
-"""Register allocator unit tests on hand-built machine code."""
+"""Register allocator unit tests on hand-built machine code, plus a
+differential oracle for liveness over random machine functions."""
+
+from hypothesis import given, settings, strategies as st
 
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.minic.backend.arm_backend import arm_imm_ok, target_info as arm_ti
-from repro.minic.backend.mach import MachineFunction, rewrite_registers
-from repro.minic.backend.regalloc import allocate
+from repro.minic.backend.mach import (
+    MachineFunction,
+    is_vreg,
+    rewrite_registers,
+)
+from repro.minic.backend.regalloc import (
+    _blocks,
+    _build_intervals,
+    _footprint,
+    _liveness,
+    _successors,
+    allocate,
+)
 from repro.minic.backend.x86_backend import target_info as x86_ti
 
 
@@ -45,6 +59,15 @@ class TestRewriteRegisters:
     def test_untouched_instruction_identical(self):
         original = instr("movl", Reg("eax"), Reg("edx"))
         assert rewrite_registers(original, {"%x": "ecx"}) is original
+
+    def test_needs_low8_renamed_in_fresh_meta(self):
+        meta = {"needs_low8": ("%t",), "clobbers": ("eax",)}
+        original = instr("sete", Reg("%t.b"), meta=meta)
+        rewritten = rewrite_registers(original, {"%t": "%u"})
+        assert rewritten.operands == (Reg("%u.b"),)
+        assert rewritten.meta == {"needs_low8": ("%u",), "clobbers": ("eax",)}
+        assert original.meta is meta
+        assert meta == {"needs_low8": ("%t",), "clobbers": ("eax",)}
 
 
 class TestAllocation:
@@ -121,3 +144,133 @@ class TestAllocation:
         func = MachineFunction("f", instrs=instrs, labels={"end": len(instrs) - 1})
         allocate(func, target)
         assert func.instrs[func.labels["end"]].mnemonic == "ret"
+
+
+# -- liveness oracle ---------------------------------------------------------------
+
+X86 = x86_ti("llvm")
+_REGS = ("%a", "%b", "%c", "%d", "eax", "ecx", "edx")
+
+
+@st.composite
+def machine_functions(draw, loops: bool) -> MachineFunction:
+    """Random x86 machine code: straight-line ALU and memory ops, byte
+    setcc, calls with ABI meta, side exits to unknown labels and
+    forward branches; with ``loops`` a final backward jump as well."""
+    length = draw(st.integers(1, 20))
+    positions = draw(st.lists(st.integers(0, length), min_size=1,
+                              max_size=4))
+    labels = {f"L{i}": pos for i, pos in enumerate(positions)}
+
+    def reg() -> Reg:
+        return Reg(draw(st.sampled_from(_REGS)))
+
+    instrs = []
+    for index in range(length):
+        kind = draw(st.sampled_from(
+            ("movi", "mov", "add", "cmp", "store", "setcc", "call", "exit",
+             "branch")))
+        if kind == "movi":
+            instrs.append(instr("movl", Imm(index), reg()))
+        elif kind in ("mov", "add", "cmp"):
+            mnemonic = {"mov": "movl", "add": "addl", "cmp": "cmpl"}[kind]
+            instrs.append(instr(mnemonic, reg(), reg()))
+        elif kind == "store":
+            instrs.append(instr("movl", reg(), Mem(base=reg(), disp=4)))
+        elif kind == "setcc":
+            vreg = draw(st.sampled_from(_REGS[:4]))
+            instrs.append(instr("sete", Reg(f"{vreg}.b"),
+                                meta={"needs_low8": (vreg,)}))
+        elif kind == "call":
+            instrs.append(instr("call", Label("callee"), meta={
+                "uses_regs": ("eax",), "clobbers": ("eax", "ecx", "edx")}))
+        else:
+            forward = sorted(name for name, pos in labels.items()
+                             if pos > index)
+            target = (draw(st.sampled_from(forward))
+                      if kind == "branch" and forward else "unknown")
+            instrs.append(instr(draw(st.sampled_from(("jne", "jmp"))),
+                                Label(target)))
+    if loops:
+        instrs.append(instr(draw(st.sampled_from(("jne", "jmp"))),
+                            Label(draw(st.sampled_from(sorted(labels))))))
+    return MachineFunction("f", instrs=instrs, labels=labels)
+
+
+def _oracle(func: MachineFunction):
+    """Per-instruction live-in/live-out by round-robin iteration."""
+    n = len(func.instrs)
+    uses, defs, succ = [], [], []
+    for index, ins in enumerate(func.instrs):
+        meta = ins.meta or {}
+        uses.append(set(X86.uses(ins)) | set(meta.get("uses_regs", ())))
+        defs.append(set(X86.defs(ins)) | set(meta.get("clobbers", ())))
+        nexts = []
+        if X86.is_branch(ins) and not X86.is_call(ins):
+            nexts += [func.labels[op.name] for op in ins.operands
+                      if isinstance(op, Label) and op.name in func.labels]
+            falls = X86.branch_condition(ins) is not None
+        else:
+            falls = True
+        if falls:
+            nexts.append(index + 1)
+        succ.append([s for s in nexts if s < n])
+    live_in = [set() for _ in range(n)]
+    live_out = [set() for _ in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for index in range(n):
+            out = set().union(*(live_in[s] for s in succ[index]))
+            new_in = uses[index] | (out - defs[index])
+            if (out, new_in) != (live_out[index], live_in[index]):
+                live_out[index], live_in[index] = out, new_in
+                changed = True
+    return live_in, live_out, uses, defs
+
+
+def _has_back_edge(func: MachineFunction) -> bool:
+    blocks = _blocks(func, X86)
+    succ = _successors(func, X86, blocks)
+    return any(t <= start for start, targets in succ.items() for t in targets)
+
+
+def _check_against_oracle(func: MachineFunction) -> None:
+    footprints = [_footprint(ins, X86) for ins in func.instrs]
+    live_in, live_out, uses, defs = _oracle(func)
+    blocks, block_in, block_out = _liveness(func, X86, footprints)
+    for (start, end), got_in, got_out in zip(blocks, block_in, block_out):
+        assert got_in == live_in[start]
+        assert got_out == live_out[end - 1]
+    spans: dict[str, list[int]] = {}
+    busy: dict[str, list[int]] = {}
+    for index in range(len(func.instrs)):
+        for name in live_in[index] | uses[index] | defs[index]:
+            if is_vreg(name):
+                spans.setdefault(name, []).append(index)
+            elif name in X86.alloc_order:
+                busy.setdefault(name, []).append(index)
+    low8 = {name for ins in func.instrs if ins.meta
+            for name in ins.meta.get("needs_low8", ())}
+    intervals, phys_busy = _build_intervals(func, X86, footprints)
+    assert {iv.name: (iv.start, iv.end, iv.needs_low8)
+            for iv in intervals} == {
+        name: (positions[0], positions[-1], name in low8)
+        for name, positions in spans.items()}
+    assert [(iv.start, iv.end) for iv in intervals] == sorted(
+        (iv.start, iv.end) for iv in intervals)
+    assert phys_busy == busy
+
+
+class TestLivenessOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(machine_functions(loops=False))
+    def test_acyclic_single_pass(self, func):
+        assert not _has_back_edge(func)
+        _check_against_oracle(func)
+
+    @settings(max_examples=150, deadline=None)
+    @given(machine_functions(loops=True))
+    def test_cyclic_fixed_point(self, func):
+        assert _has_back_edge(func)
+        _check_against_oracle(func)
