@@ -21,9 +21,11 @@ failure; tracing is off by default.
 
 import contextlib
 import os
-import sys
 import tempfile
+from functools import partial
 from pathlib import Path
+
+import gate_harness
 
 from repro.obs.trace import tracing
 
@@ -40,10 +42,7 @@ from repro.learning.store import RuleStore
 
 GATE_BENCHMARKS = BENCHMARK_NAMES[:3]
 
-
-def fail(message: str) -> None:
-    print(f"chaos_gate: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
+fail = partial(gate_harness.fail, "chaos_gate")
 
 
 def rule_strings(outcomes):

@@ -35,29 +35,28 @@ known path for CI artifact upload.
 """
 
 import json
-import os
-import signal
 import subprocess
 import sys
-import tempfile
 import threading
 import time
+from functools import partial
 from pathlib import Path
+
+import gate_harness
+from gate_harness import offline_coverage, stop_process
 
 from repro.benchsuite import build_learning_pair
 from repro.dbt.engine import DBTEngine
 from repro.faults import KillSchedule
-from repro.learning.pipeline import learn_rules
-from repro.learning.store import RuleStore
 from repro.obs.report import aggregate, reconcile, stitch
 from repro.obs.trace import TraceError, read_trace, tracing
 from repro.service.client import RuleServiceClient
 
+GATE = "fleet_gate"
 SHARD_IDS = ("a", "b", "c")
 GATE_BENCHMARKS = ("mcf", "libquantum")
 CLIENTS = 12
 COVERAGE_TOLERANCE = 0.01
-STARTUP_SECONDS = 30
 PHASE_TIMEOUT = 600
 #: Two staggered kills while clients run; shard a returns with an
 #: empty repository (full catch-up), shard b keeps its directory.
@@ -65,10 +64,7 @@ KILL_SCHEDULE = KillSchedule.staggered(("a", "b"), first=1.0,
                                        spacing=2.5, downtime=1.0)
 FRESH_RESTART_SHARDS = {"a"}
 
-
-def fail(message: str) -> None:
-    print(f"fleet_gate: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
+fail = partial(gate_harness.fail, GATE)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -143,14 +139,7 @@ class ShardProc:
 
     def stop(self) -> None:
         """Graceful stop (SIGINT) so the trace tail flushes."""
-        if self.proc is None or self.proc.poll() is not None:
-            return
-        self.proc.send_signal(signal.SIGINT)
-        try:
-            self.proc.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
+        stop_process(self.proc, timeout=15)
 
 
 class ChaosThread(threading.Thread):
@@ -318,26 +307,6 @@ class ConvergedRun(threading.Thread):
             client.close()
 
 
-def offline_coverage(name: str) -> float:
-    guest, host = build_learning_pair(name)
-    rules = learn_rules(guest, host, benchmark=name).rules
-    engine = DBTEngine(guest, "rules", RuleStore.from_rules(rules))
-    engine.run()
-    return engine.last_run.dynamic_coverage
-
-
-def wait_for_socket(path: Path, proc: subprocess.Popen,
-                    what: str) -> None:
-    deadline = time.monotonic() + STARTUP_SECONDS
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            fail(f"{what} exited early with status {proc.returncode}")
-        if path.exists():
-            return
-        time.sleep(0.1)
-    fail(f"{what} socket {path} never appeared")
-
-
 def wait_for_fleet_ready(socket_path: str, want_shards: int,
                          timeout: float = 120.0) -> dict:
     deadline = time.monotonic() + timeout
@@ -359,12 +328,7 @@ def wait_for_fleet_ready(socket_path: str, want_shards: int,
 
 
 def main() -> None:
-    artifact_dir = os.environ.get("REPRO_GATE_ARTIFACT_DIR")
-    if artifact_dir:
-        tmp = Path(artifact_dir)
-        tmp.mkdir(parents=True, exist_ok=True)
-    else:
-        tmp = Path(tempfile.mkdtemp(prefix="fleet-gate-"))
+    tmp = gate_harness.work_dir(GATE)
 
     shards = {sid: ShardProc(tmp, sid) for sid in SHARD_IDS}
     for shard in shards.values():
@@ -376,8 +340,9 @@ def main() -> None:
     chaos = ChaosThread(shards, KILL_SCHEDULE)
     try:
         for shard in shards.values():
-            wait_for_socket(shard.socket_path, shard.proc,
-                            f"shard {shard.shard_id}")
+            gate_harness.wait_for_socket(GATE, shard.socket_path,
+                                         shard.proc,
+                                         f"shard {shard.shard_id}")
         coordinator = subprocess.Popen([
             sys.executable, "-m", "repro.service.fleet",
             "--dir", str(tmp / "journal"),
@@ -389,7 +354,8 @@ def main() -> None:
               for part in ("--shard",
                            f"{shard.shard_id}={shard.socket_path}")),
         ])
-        wait_for_socket(fleet_socket, coordinator, "coordinator")
+        gate_harness.wait_for_socket(GATE, fleet_socket, coordinator,
+                                     "coordinator")
         wait_for_fleet_ready(str(fleet_socket), len(SHARD_IDS))
 
         # -- churn phase: concurrent clients + scheduled kills --------
@@ -487,13 +453,7 @@ def main() -> None:
         # -- stitched latency + throughput ----------------------------
         for shard in shards.values():
             shard.stop()
-        if coordinator.poll() is None:
-            coordinator.send_signal(signal.SIGINT)
-            try:
-                coordinator.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                coordinator.kill()
-                coordinator.wait()
+        stop_process(coordinator, timeout=15)
 
         sources = [(str(clients_trace), client_records)]
         for shard in shards.values():
@@ -569,13 +529,7 @@ def main() -> None:
         for shard in shards.values():
             shard.stop()
             shard.kill()
-        if coordinator is not None and coordinator.poll() is None:
-            coordinator.send_signal(signal.SIGINT)
-            try:
-                coordinator.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                coordinator.kill()
-                coordinator.wait()
+        stop_process(coordinator)
 
     print("fleet_gate: PASS")
 

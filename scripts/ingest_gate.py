@@ -30,11 +30,11 @@ artifact upload.
 """
 
 import json
-import os
-import sys
-import tempfile
 import time
+from functools import partial
 from pathlib import Path
+
+import gate_harness
 
 from repro.benchsuite import BENCHMARKS, build_learning_pair
 from repro.corpus.cli import run_ingest
@@ -52,10 +52,7 @@ MIN_NOVEL_RULES = 15
 MIN_WARM_SKIP_RATE = 0.30
 SLO_TOML = Path("slo.toml")
 
-
-def fail(message: str) -> None:
-    print(f"ingest_gate: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
+fail = partial(gate_harness.fail, "ingest_gate")
 
 
 def benchsuite_baseline():
@@ -111,12 +108,7 @@ def check_reconciliation(trace_path: Path, summary) -> int:
 
 
 def main() -> None:
-    artifact_dir = os.environ.get("REPRO_GATE_ARTIFACT_DIR")
-    if artifact_dir:
-        tmp = Path(artifact_dir)
-        tmp.mkdir(parents=True, exist_ok=True)
-    else:
-        tmp = Path(tempfile.mkdtemp(prefix="ingest-gate-"))
+    tmp = gate_harness.work_dir("ingest_gate")
 
     started = time.perf_counter()
     baseline = benchsuite_baseline()

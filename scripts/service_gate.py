@@ -28,42 +28,25 @@ files included) at a known path for CI artifact upload; by default a
 throwaway temp dir is used.
 """
 
-import os
-import signal
 import subprocess
 import sys
-import tempfile
 import threading
-import time
-from pathlib import Path
+from functools import partial
+
+import gate_harness
+from gate_harness import offline_coverage, stop_process
 
 from repro.benchsuite import build_learning_pair
 from repro.dbt.engine import DBTEngine
-from repro.learning.pipeline import learn_rules
-from repro.learning.store import RuleStore
 from repro.obs.report import aggregate, reconcile, stitch
 from repro.obs.trace import TraceError, read_trace, tracing
 from repro.service.client import RuleServiceClient
 
+GATE = "service_gate"
 GATE_BENCHMARKS = ("mcf", "libquantum")
 COVERAGE_TOLERANCE = 0.01
-SERVER_STARTUP_SECONDS = 30
 
-
-def fail(message: str) -> None:
-    print(f"service_gate: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
-def wait_for_socket(path: Path, process: subprocess.Popen) -> None:
-    deadline = time.monotonic() + SERVER_STARTUP_SECONDS
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            fail(f"server exited early with status {process.returncode}")
-        if path.exists():
-            return
-        time.sleep(0.1)
-    fail(f"server socket {path} never appeared")
+fail = partial(gate_harness.fail, GATE)
 
 
 class ClientRun(threading.Thread):
@@ -107,42 +90,8 @@ class ClientRun(threading.Thread):
         self.online_coverage = self.engine.last_run.dynamic_coverage
 
 
-def offline_coverage(name: str) -> float:
-    guest, host = build_learning_pair(name)
-    rules = learn_rules(guest, host, benchmark=name).rules
-    engine = DBTEngine(guest, "rules", RuleStore.from_rules(rules))
-    engine.run()
-    return engine.last_run.dynamic_coverage
-
-
-def stop_server(server: subprocess.Popen) -> None:
-    """Shut the server down gracefully so its trace sink flushes.
-
-    SIGINT unwinds the server's ``tracing`` context manager (the
-    asyncio loop surfaces it as KeyboardInterrupt); SIGTERM would kill
-    the process with the trace tail still buffered.
-    """
-    if server.poll() is not None:
-        return
-    server.send_signal(signal.SIGINT)
-    try:
-        server.wait(timeout=10)
-    except subprocess.TimeoutExpired:
-        server.terminate()
-        try:
-            server.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            server.wait()
-
-
 def main() -> None:
-    artifact_dir = os.environ.get("REPRO_GATE_ARTIFACT_DIR")
-    if artifact_dir:
-        tmp = Path(artifact_dir)
-        tmp.mkdir(parents=True, exist_ok=True)
-    else:
-        tmp = Path(tempfile.mkdtemp(prefix="service-gate-"))
+    tmp = gate_harness.work_dir(GATE)
     socket_path = tmp / "rules.sock"
     trace_path = tmp / "clients.jsonl"
     server_trace_path = tmp / "server.jsonl"
@@ -158,7 +107,7 @@ def main() -> None:
         ],
     )
     try:
-        wait_for_socket(socket_path, server)
+        gate_harness.wait_for_socket(GATE, socket_path, server)
 
         with tracing(str(trace_path)):
             clients = [
@@ -208,7 +157,7 @@ def main() -> None:
         print("service_gate: trace reconciliation OK")
 
         # The stitched-timeline check needs the server's flushed trace.
-        stop_server(server)
+        stop_process(server)
         try:
             stitched = stitch([
                 (str(trace_path), client_records),
@@ -229,7 +178,7 @@ def main() -> None:
             f"p95 {summary['p95']:.1f}ms"
         )
     finally:
-        stop_server(server)
+        stop_process(server)
 
     print("service_gate: PASS")
 

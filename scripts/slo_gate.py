@@ -26,13 +26,13 @@ known path; the gate writes ``slo_report.json``, ``profile.json`` and
 """
 
 import json
-import os
-import signal
 import subprocess
 import sys
-import tempfile
-import time
+from functools import partial
 from pathlib import Path
+
+import gate_harness
+from gate_harness import stop_process
 
 from repro.benchsuite import build_learning_pair
 from repro.dbt.engine import DBTEngine
@@ -46,42 +46,12 @@ from repro.obs.trace import TraceError, read_trace, tracing
 from repro.obs.slo import SloEngine, slo_report_lines
 from repro.service.client import RuleServiceClient
 
+GATE = "slo_gate"
 GATE_BENCHMARK = "mcf"
 SLO_TOML = Path("slo.toml")
-SERVER_STARTUP_SECONDS = 30
 PROFILE_HZ = 97
 
-
-def fail(message: str) -> None:
-    print(f"slo_gate: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
-def wait_for_socket(path: Path, process: subprocess.Popen) -> None:
-    deadline = time.monotonic() + SERVER_STARTUP_SECONDS
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            fail(f"server exited early with status {process.returncode}")
-        if path.exists():
-            return
-        time.sleep(0.1)
-    fail(f"server socket {path} never appeared")
-
-
-def stop_server(server: subprocess.Popen) -> None:
-    """SIGINT so the server's trace sink flushes before exit."""
-    if server.poll() is not None:
-        return
-    server.send_signal(signal.SIGINT)
-    try:
-        server.wait(timeout=10)
-    except subprocess.TimeoutExpired:
-        server.terminate()
-        try:
-            server.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            server.wait()
+fail = partial(gate_harness.fail, GATE)
 
 
 def drive_workload(socket_path: Path) -> None:
@@ -119,12 +89,7 @@ def throughput_gauges(frame: dict) -> dict:
 
 
 def main() -> None:
-    artifact_dir = os.environ.get("REPRO_GATE_ARTIFACT_DIR")
-    if artifact_dir:
-        tmp = Path(artifact_dir)
-        tmp.mkdir(parents=True, exist_ok=True)
-    else:
-        tmp = Path(tempfile.mkdtemp(prefix="slo-gate-"))
+    tmp = gate_harness.work_dir(GATE)
     if not SLO_TOML.exists():
         fail(f"{SLO_TOML} not found (run from the repo root)")
     socket_path = tmp / "rules.sock"
@@ -144,12 +109,12 @@ def main() -> None:
         ],
     )
     try:
-        wait_for_socket(socket_path, server)
+        gate_harness.wait_for_socket(GATE, socket_path, server)
         with tracing(str(trace_path)):
             drive_workload(socket_path)
             frame = fetch_frame(socket_path)
     finally:
-        stop_server(server)
+        stop_process(server)
 
     # -- the frame must carry the whole observability surface ------------
     for key in ("metrics", "telemetry", "slo", "profile"):

@@ -5,11 +5,11 @@ O(log(max/min)) space with a **guaranteed relative error**: for every
 quantile ``q``, the reported value ``est`` satisfies
 ``|est - true| <= relative_error * true`` (the true value being the
 nearest-rank sample quantile of everything observed).  That guarantee
-is what the ad-hoc sparse histograms (:class:`~repro.obs.timeseries.
-LatencyRecorder`, :func:`~repro.obs.metrics.histogram_quantiles`)
-could not give: their memory grew with the number of *distinct*
-values, and under a long-running server a latency distribution has
-unboundedly many of those.
+is what sparse exact-value histograms
+(:func:`~repro.obs.metrics.histogram_quantiles`) cannot give: their
+memory grows with the number of *distinct* values, and under a
+long-running server a latency distribution has unboundedly many of
+those.
 
 Mechanics: values map to geometric buckets ``key = ceil(log_gamma v)``
 with ``gamma = (1 + a) / (1 - a)``, so every value in a bucket is

@@ -17,10 +17,7 @@ clocks.
 
 :class:`SketchLatency` is the duration recorder: a bounded-error
 :class:`~repro.obs.sketch.QuantileSketch` underneath, summarised with
-guaranteed-accuracy p50/p95/p99.  :class:`LatencyRecorder` — the old
-sparse exact-millisecond histogram — remains as a deprecated compat
-shim for one release; it now bounds its bucket dict (collapsing the
-lowest keys) so long-running servers no longer leak memory through it.
+guaranteed-accuracy p50/p95/p99.
 
 :class:`ServiceTelemetry` bundles the series and recorders the rule
 server exposes through its ``stats`` op; ``repro.obs.top`` renders the
@@ -37,13 +34,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.obs.metrics import histogram_quantiles
 from repro.obs.sketch import QuantileSketch
-
-#: Cap on the compat LatencyRecorder's sparse histogram.  Small
-#: histograms stay exact; beyond this the lowest millisecond keys
-#: collapse together, preserving tail quantiles.
-MAX_SPARSE_BUCKETS = 512
 
 
 class TimeSeries:
@@ -118,54 +109,6 @@ class TimeSeries:
             "total": self.total(),
             "rate_per_sec": self.rate(),
             "lifetime": self.lifetime,
-        }
-
-
-class LatencyRecorder:
-    """Sparse millisecond histogram with count/sum and quantiles.
-
-    .. deprecated:: PR7
-        Compat shim for one release — new callers should use
-        :class:`SketchLatency`, whose quantiles carry a guaranteed
-        error bound in constant memory.  The shim now caps its bucket
-        dict at :data:`MAX_SPARSE_BUCKETS` (lowest keys collapse), so
-        it no longer grows without limit under long-running servers.
-    """
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, int] = {}
-        self._count = 0
-        self._sum = 0.0
-        self._lock = threading.Lock()
-
-    def observe(self, seconds: float) -> None:
-        ms = int(round(seconds * 1000))
-        with self._lock:
-            self._buckets[ms] = self._buckets.get(ms, 0) + 1
-            self._count += 1
-            self._sum += seconds
-            if len(self._buckets) > MAX_SPARSE_BUCKETS:
-                self._collapse_locked()
-
-    def _collapse_locked(self) -> None:
-        # Fold the lowest millisecond keys together; tail quantiles
-        # (the ones anyone alerts on) keep full resolution.
-        keys = sorted(self._buckets)
-        overflow = len(keys) - MAX_SPARSE_BUCKETS
-        sink = keys[overflow]
-        for key in keys[:overflow]:
-            self._buckets[sink] += self._buckets.pop(key)
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            buckets = dict(self._buckets)
-            count = self._count
-            total = self._sum
-        return {
-            "count": count,
-            "mean_ms": (total / count * 1000) if count else 0.0,
-            "histogram_ms": buckets,
-            "quantiles_ms": histogram_quantiles(buckets),
         }
 
 

@@ -15,13 +15,17 @@ restarted mid-run:
   ``repro-serve`` shard: lazy connect, per-link request serialization,
   a queue for gap reports that arrive while the shard is down, and the
   alive/catching-up/ready state machine;
-* :class:`FleetCoordinator` — an asyncio router speaking the *same*
-  length-prefixed wire protocol the single server speaks, so an
-  unmodified :class:`~repro.service.client.RuleServiceClient` talks to
-  a fleet exactly as it talks to one server.  ``report_gaps`` fans
-  gaps out by ring position; ``delta``/``manifest`` serve a single
-  generation-monotone merged view; ``flush`` forwards to every ready
-  shard and folds the resulting bundles back in;
+* :class:`FleetCoordinator` — an asyncio router on the single
+  server's own transport, op envelope and run loop
+  (:mod:`repro.service.server`), so an unmodified
+  :class:`~repro.service.client.RuleServiceClient` talks to a fleet
+  exactly as it talks to one server.  ``report_gaps`` fans gaps out
+  by ring position and ``ingest_source`` goes to the ring owner of the
+  program's origin; ``flush`` forwards to every ready shard and folds
+  the resulting bundles back in.  Everything else — ``ping``,
+  ``bundle``, ``metrics``, and the single generation-monotone merged
+  view ``delta``/``manifest`` serve — is answered by a
+  :class:`JournalService` over the coordinator's journal;
 * **catch-up** — the coordinator journals every published bundle into
   its own signed :class:`~repro.service.repo.RuleRepository`.  A
   restarted or freshly added shard replays that journal (digest-
@@ -47,23 +51,25 @@ import asyncio
 import bisect
 import contextlib
 import hashlib
-import signal
 import sys
-import time
 
 from repro.obs.metrics import get_metrics, set_metrics
 from repro.obs.slo import SloEngine
-from repro.obs.timeseries import ServiceTelemetry
-from repro.obs.trace import get_tracer, tracing
+from repro.obs.trace import get_tracer
 from repro.service.protocol import (
     ProtocolError,
     error_response,
-    extract_trace,
     ok_response,
     read_message,
     write_message,
 )
 from repro.service.repo import BundleError, RuleRepository, verify_bundle
+from repro.service.server import (
+    AsyncEndpoint,
+    RuleService,
+    ingest_origin,
+    serve_until_signal,
+)
 
 DEFAULT_VNODES = 256
 #: Fast ops (ping, delta, report_gaps) forwarded to a shard.
@@ -264,37 +270,72 @@ class ShardLink:
         }
 
 
-class FleetCoordinator:
+class JournalService(RuleService):
+    """The coordinator's :class:`RuleService` over its journal.
+
+    It answers ``ping`` (announcing the fleet), ``bundle``, ``metrics``
+    and, once the coordinator has refreshed the journal, ``manifest``
+    and ``delta``.  Its spans and phases are ``fleet.op.<op>``, its
+    queue depth is the gaps waiting for down shards, and its SLO report
+    carries the ``fleet_ready_fraction`` gauge.
+    """
+
+    prefix = "fleet"
+    # Only folded shard bundles enter the journal, and readiness is per
+    # shard: clients may neither publish into it nor flip it ready.
+    _op_install_bundle = _op_catchup_done = None
+
+    def __init__(self, repo: RuleRepository, links: dict,
+                 slo: SloEngine | None) -> None:
+        super().__init__(repo, slo=slo)
+        self.links = links
+
+    def queue_depth(self) -> int:
+        return sum(len(link.queued_gaps) for link in self.links.values())
+
+    def ready_shards(self) -> int:
+        return sum(1 for link in self.links.values() if link.ready)
+
+    def _op_ping(self, request: dict) -> dict:
+        return dict(super()._op_ping(request), fleet=True,
+                    shards=len(self.links))
+
+    def slo_report(self) -> dict:
+        return super().slo_report({
+            "gauge:fleet_ready_fraction":
+                self.ready_shards() / len(self.links),
+        })
+
+
+class FleetCoordinator(AsyncEndpoint):
     """Routes fleet traffic; owns the merged generation-monotone view.
 
     The coordinator is itself a wire-protocol server: clients attach to
     it exactly as they would to a single ``repro-serve``.  Internally
-    it fans ``report_gaps`` out across the ring, forwards ``flush`` to
-    every ready shard, folds shard deltas into its own journal
-    repository (whose generation is the *fleet* generation clients
-    sync against), and replays that journal into shards that come back
-    empty — replica catch-up.
+    it fans ``report_gaps`` out across the ring, forwards
+    ``ingest_source`` to the ring owner of the program's origin and
+    ``flush`` to every ready shard, folds shard deltas into its own
+    journal repository (whose generation is the *fleet* generation
+    clients sync against), and replays that journal into shards that
+    come back empty — replica catch-up.  A :class:`JournalService`
+    over the journal answers every op the coordinator does not route.
     """
 
     def __init__(self, repo_dir: str, links: list[ShardLink],
-                 vnodes: int = DEFAULT_VNODES,
                  slo: SloEngine | None = None) -> None:
         if not links:
             raise ValueError("a fleet needs at least one shard")
-        self.repo = RuleRepository(repo_dir)
+        super().__init__()
         self.links = {link.shard_id: link for link in links}
         if len(self.links) != len(links):
             raise ValueError("duplicate shard ids")
-        self.ring = HashRing(self.links, vnodes=vnodes)
-        self.slo = slo
-        self.telemetry = ServiceTelemetry()
-        self.direction: str | None = None
-        self.semantics: int | None = None
+        self.repo = RuleRepository(repo_dir)
+        self.service = JournalService(self.repo, self.links, slo)
+        self.ring = HashRing(self.links)
         self.gaps_routed = 0
         self.gaps_queued_total = 0
         self.catchups = 0
         self._refresh_lock = asyncio.Lock()
-        self._server: asyncio.AbstractServer | None = None
         self._reconnect_task: asyncio.Task | None = None
 
     # -- shard lifecycle -----------------------------------------------------
@@ -327,15 +368,12 @@ class FleetCoordinator:
             return False
 
     def _check_identity(self, link: ShardLink, info: dict) -> None:
-        direction = info.get("direction")
-        semantics = info.get("semantics")
-        if self.direction is None:
-            self.direction = direction
-            self.semantics = semantics
-        elif (direction, semantics) != (self.direction, self.semantics):
+        shard = (info.get("direction"), info.get("semantics"))
+        fleet = (self.service.direction, self.repo.semantics_version)
+        if shard != fleet:
             raise BundleError(
-                f"shard {link.shard_id} serves {direction}/{semantics}, "
-                f"fleet is {self.direction}/{self.semantics}"
+                f"shard {link.shard_id} serves {shard[0]}/{shard[1]}, "
+                f"fleet is {fleet[0]}/{fleet[1]}"
             )
 
     async def _catch_up(self, link: ShardLink) -> None:
@@ -417,11 +455,11 @@ class FleetCoordinator:
                         break
                     rules = verify_bundle(body.get("bundle"), digest)
                     ref = self.repo.publish(
-                        rules, entry.get("direction", self.direction)
+                        rules, entry.get("direction", self.service.direction)
                     )
                     if ref is not None:
                         published += 1
-                        self.telemetry.rules.add(ref.rules)
+                        self.service.telemetry.rules.add(ref.rules)
                         await self._replicate(ref, exclude=link.shard_id)
                 else:
                     link.last_generation = max(
@@ -445,61 +483,30 @@ class FleetCoordinator:
 
     # -- request handling ----------------------------------------------------
 
-    async def handle(self, request: dict) -> dict:
-        op = request.get("op")
-        context = extract_trace(request)
-        handler = getattr(self, f"_op_{op}", None)
+    async def respond(self, request: dict) -> dict:
+        """Run one of the coordinator's own ops inside the journal
+        service's envelope, or hand the frame to the journal service
+        (``ping``, ``bundle``, ``metrics`` and unknown ops)."""
+        handler = getattr(self, f"_op_{request.get('op')}", None)
         if handler is None:
-            return error_response(f"unknown op {op!r}")
-        tracer = get_tracer()
-        start = time.perf_counter()
-        try:
-            if tracer.enabled:
-                with tracer.span(f"fleet.op.{op}", context=context):
-                    return await handler(request)
-            return await handler(request)
-        except (BundleError, KeyError, TypeError, ValueError) as exc:
-            return error_response(f"{type(exc).__name__}: {exc}")
-        finally:
-            elapsed = time.perf_counter() - start
-            self.telemetry.observe_op(str(op), elapsed)
-            if self.slo is not None:
-                self.slo.record(f"op:{op}", elapsed * 1000.0)
+            return self.service.handle(request)
+        with self.service.envelope(request) as reply:
+            reply.response = await handler(request)
+        return reply.response
 
-    async def _op_ping(self, request: dict) -> dict:
-        return ok_response(
-            direction=self.direction or "arm-x86",
-            semantics=self.semantics
-            if self.semantics is not None
-            else self.repo.semantics_version,
-            generation=self.repo.generation,
-            fleet=True,
-            shards=len(self.links),
-        )
-
-    async def _op_manifest(self, request: dict) -> dict:
+    async def _refreshed(self, request: dict) -> dict:
+        """``manifest``/``delta``: the journal service answers once
+        every ready shard's new bundles are folded in."""
         await self.refresh()
-        return ok_response(manifest=self.repo.manifest())
+        return getattr(self.service, f"_op_{request['op']}")(request)
 
-    async def _op_delta(self, request: dict) -> dict:
-        await self.refresh()
-        since = int(request.get("since", 0))
-        return ok_response(
-            generation=self.repo.generation,
-            entries=[ref.to_json()
-                     for ref in self.repo.delta_since(since)],
-        )
-
-    async def _op_bundle(self, request: dict) -> dict:
-        digest = request["digest"]
-        return ok_response(digest=digest,
-                           bundle=self.repo.load_bundle(digest))
+    _op_manifest = _op_delta = _refreshed
 
     async def _op_report_gaps(self, request: dict) -> dict:
         report = request.get("gaps", [])
         if not isinstance(report, list):
             return error_response("gaps must be a list")
-        self.telemetry.gaps.add(len(report))
+        self.service.telemetry.gaps.add(len(report))
         by_shard: dict[str, list[dict]] = {}
         for gap in report:
             digest = gap.get("digest")
@@ -532,6 +539,22 @@ class FleetCoordinator:
         return ok_response(accepted=accepted, new=new,
                            pending=pending, queued=queued)
 
+    async def _op_ingest_source(self, request: dict) -> dict:
+        """Forward one corpus program to the ring owner of its origin,
+        which stages and learns it like a single server would."""
+        origin = ingest_origin(request)
+        link = self.links[self.ring.shard_for(origin)]
+        if not link.ready:
+            return error_response(
+                f"shard {link.shard_id} (owner of {origin}) is not ready"
+            )
+        fields = dict(request, origin=origin)
+        del fields["op"]
+        try:
+            return await link.request("ingest_source", **fields)
+        except ConnectionError as exc:
+            return error_response(str(exc))
+
     async def _op_flush(self, request: dict) -> dict:
         """Forward flush to every ready shard, then fold the resulting
         bundles into the journal.  Shards that are down keep their
@@ -561,7 +584,7 @@ class FleetCoordinator:
             shard_id: link.status()
             for shard_id, link in self.links.items()
         }
-        ready = sum(1 for link in self.links.values() if link.ready)
+        ready = self.service.ready_shards()
         return ok_response(
             alive=True,
             ready=ready > 0,
@@ -571,12 +594,11 @@ class FleetCoordinator:
         )
 
     async def _op_stats(self, request: dict) -> dict:
-        ready = sum(1 for link in self.links.values() if link.ready)
-        queued = sum(len(link.queued_gaps)
-                     for link in self.links.values())
+        ready = self.service.ready_shards()
+        queued = self.service.queue_depth()
         extras = {}
-        if self.slo is not None:
-            extras["slo"] = self._slo_report()
+        if self.service.slo is not None:
+            extras["slo"] = self.service.slo_report()
         shard_stats = {}
         for shard_id, link in self.links.items():
             if not link.ready:
@@ -602,56 +624,11 @@ class FleetCoordinator:
                 "catchups": self.catchups,
             },
             shard_stats=shard_stats,
-            telemetry=self.telemetry.snapshot(queue_depth=queued),
+            telemetry=self.service.telemetry.snapshot(queue_depth=queued),
             **extras,
         )
 
-    async def _op_metrics(self, request: dict) -> dict:
-        payload = {
-            "metrics": get_metrics().snapshot(),
-            "telemetry": self.telemetry.snapshot(
-                queue_depth=sum(len(link.queued_gaps)
-                                for link in self.links.values()),
-            ),
-        }
-        if self.slo is not None:
-            payload["slo"] = self._slo_report()
-        return ok_response(**payload)
-
-    def _slo_report(self) -> dict:
-        assert self.slo is not None
-        ready = sum(1 for link in self.links.values() if link.ready)
-        sketches = {
-            f"op:{name}": sketch
-            for name, sketch in self.telemetry.op_sketches().items()
-        }
-        gauges = {
-            "gauge:fleet_ready_fraction": ready / len(self.links),
-        }
-        return self.slo.evaluate(sketches=sketches, gauges=gauges)
-
     # -- transport -----------------------------------------------------------
-
-    async def handle_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_message(reader)
-                except ProtocolError as exc:
-                    await write_message(writer, error_response(str(exc)))
-                    break
-                if request is None:
-                    break
-                await write_message(writer, await self.handle(request))
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # loop shutdown with the connection still open
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
 
     async def start(self, socket_path: str | None = None,
                     port: int | None = None,
@@ -662,17 +639,7 @@ class FleetCoordinator:
         self._reconnect_task = asyncio.ensure_future(
             self._reconnect_loop(reconnect_interval)
         )
-        if socket_path is not None:
-            from repro.service.server import remove_stale_socket
-
-            remove_stale_socket(socket_path)
-            self._server = await asyncio.start_unix_server(
-                self.handle_connection, path=socket_path
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self.handle_connection, host="127.0.0.1", port=port
-            )
+        await super().start(socket_path, port)
 
     async def close(self) -> None:
         if self._reconnect_task is not None:
@@ -685,9 +652,7 @@ class FleetCoordinator:
                 await asyncio.wait([task], timeout=0.1)
             with contextlib.suppress(asyncio.CancelledError):
                 await task
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await super().close()
         for link in self.links.values():
             link._teardown()
 
@@ -724,9 +689,6 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="ID=ADDR", dest="shards",
                         help="one shard as id=socket-path or "
                              "id=host:port (repeat per shard)")
-    parser.add_argument("--vnodes", type=int, default=DEFAULT_VNODES,
-                        metavar="N",
-                        help="virtual nodes per shard on the hash ring")
     parser.add_argument("--reconnect-interval", type=float, default=0.5,
                         metavar="SECONDS",
                         help="down-shard reattach probe interval")
@@ -742,37 +704,13 @@ def main(argv: list[str] | None = None) -> int:
     set_metrics(None)
     links = [parse_shard(spec) for spec in args.shards]
     slo = SloEngine.from_toml(args.slo) if args.slo else None
-    coordinator = FleetCoordinator(args.dir, links, vnodes=args.vnodes,
-                                   slo=slo)
-
-    async def run() -> None:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(signum, stop.set)
-        await coordinator.start(
-            socket_path=args.socket, port=args.port,
-            reconnect_interval=args.reconnect_interval,
-        )
-        where = args.socket or f"127.0.0.1:{args.port}"
-        ready = sum(1 for link in links if link.ready)
-        print(f"repro-fleet: listening on {where} "
-              f"({ready}/{len(links)} shard(s) ready, "
-              f"generation {coordinator.repo.generation})",
-              file=sys.stderr)
-        try:
-            await stop.wait()
-        finally:
-            await coordinator.close()
-
-    trace_scope = tracing(args.trace) if args.trace \
-        else contextlib.nullcontext()
-    with trace_scope:
-        try:
-            asyncio.run(run())
-        except KeyboardInterrupt:
-            pass
+    coordinator = FleetCoordinator(args.dir, links, slo=slo)
+    serve_until_signal(
+        "repro-fleet", coordinator, args,
+        lambda: f"{coordinator.service.ready_shards()}/{len(links)} "
+                f"shard(s) ready, generation {coordinator.repo.generation}",
+        reconnect_interval=args.reconnect_interval,
+    )
     return 0
 
 

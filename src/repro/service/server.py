@@ -2,9 +2,14 @@
 
 :class:`RuleService` is the transport-independent request handler —
 every operation is a pure ``dict -> dict`` call, which is what the
-unit tests exercise.  :func:`serve` wraps it in an asyncio
-length-prefixed JSON server over a unix socket (or TCP), and
-``repro-serve`` (:func:`main`) is the CLI entry point.
+unit tests exercise.  :class:`AsyncRuleServer` serves it over the
+asyncio length-prefixed JSON transport (:class:`AsyncEndpoint`, unix
+socket or TCP), and ``repro-serve`` (:func:`main`) is the CLI entry
+point.  The fleet coordinator (:mod:`repro.service.fleet`) reuses all
+three layers: a :class:`RuleService` over its journal answers the ops
+it does not route, its own async ops run inside the same
+:meth:`RuleService.envelope`, and it listens on the same transport and
+run loop (:func:`serve_until_signal`).
 
 Operations (requests are ``{"op": ...}``; responses ``{"ok": true}``
 envelopes, see :mod:`repro.service.protocol`):
@@ -67,8 +72,9 @@ import contextlib
 import signal
 import sys
 import time
+from types import SimpleNamespace
 
-from repro.learning.cache import SEMANTICS_VERSION, VerificationCache
+from repro.learning.cache import VerificationCache
 from repro.obs.metrics import format_metrics, get_metrics, set_metrics
 from repro.obs.profiler import (
     SamplingProfiler,
@@ -113,8 +119,25 @@ def remove_stale_socket(path: str) -> None:
         probe.close()
 
 
+def ingest_origin(request: dict) -> str:
+    """The origin an ``ingest_source`` request stages under: the
+    client's ``origin``, else ``corpus:<digest>`` of the source text.
+    The fleet routes the request by this key, so both endpoints must
+    derive it the same way."""
+    from repro.corpus.pipeline import corpus_origin, program_digest
+
+    source = request.get("source")
+    if not isinstance(source, str) or not source.strip():
+        raise ValueError("ingest_source needs MiniC source text")
+    return request.get("origin") or corpus_origin(program_digest(source))
+
+
 class RuleService:
     """Transport-independent request handling + learning scheduling."""
+
+    #: Namespace of the per-op spans and profiler phases
+    #: (``service.op.<op>``); the fleet journal's service uses ``fleet``.
+    prefix = "service"
 
     def __init__(
         self,
@@ -147,31 +170,48 @@ class RuleService:
     def handle(self, request: dict) -> dict:
         if not isinstance(request, dict):
             return error_response("request must be a JSON object")
-        op = request.get("op")
-        context = extract_trace(request)
-        handler = getattr(self, f"_op_{op}", None)
+        handler = getattr(self, f"_op_{request.get('op')}", None)
         if handler is None:
-            return error_response(f"unknown op {op!r}")
+            return error_response(f"unknown op {request.get('op')!r}")
+        with self.envelope(request) as reply:
+            reply.response = handler(request)
+        return reply.response
+
+    @contextlib.contextmanager
+    def envelope(self, request: dict):
+        """The one per-op envelope, around the sync handlers here and
+        the fleet coordinator's async ones alike.
+
+        The body runs in a profiler phase and (when tracing) a span
+        named ``<prefix>.op.<op>``, the span parented on the client's
+        span when the request carried one.  The op's latency feeds the
+        telemetry and, per frame, the burn-rate counters of any SLO
+        objective on source ``op:<op>``.  A ``BundleError``,
+        ``KeyError``, ``TypeError`` or ``ValueError`` becomes an error
+        envelope.  The body stores its answer in ``reply.response``.
+        """
+        op = request.get("op")
+        name = f"{self.prefix}.op.{op}"
+        context = extract_trace(request)
         tracer = get_tracer()
+        span = tracer.span(name, context=context) if tracer.enabled \
+            else contextlib.nullcontext()
+        reply = SimpleNamespace(response=None)
         start = time.perf_counter()
         try:
-            with phase(f"service.op.{op}"):
-                if tracer.enabled:
-                    # Parent the handling span on the requesting
-                    # client's span when the envelope carried one.
-                    with tracer.span(f"service.op.{op}",
-                                     context=context):
-                        return handler(request)
-                return handler(request)
+            with phase(name), span:
+                yield reply
         except (BundleError, KeyError, TypeError, ValueError) as exc:
-            return error_response(f"{type(exc).__name__}: {exc}")
+            reply.response = error_response(f"{type(exc).__name__}: {exc}")
         finally:
             elapsed = time.perf_counter() - start
             self.telemetry.observe_op(str(op), elapsed)
             if self.slo is not None:
-                # Per-frame SLO accounting: each op feeds the burn-rate
-                # counters of any latency objective on source "op:<op>".
                 self.slo.record(f"op:{op}", elapsed * 1000.0)
+
+    def queue_depth(self) -> int:
+        """Gaps waiting for a learning round (the telemetry's queue)."""
+        return self.gaps.pending
 
     def _op_ping(self, request: dict) -> dict:
         return ok_response(
@@ -267,15 +307,11 @@ class RuleService:
             return error_response(
                 "server has no online learner (started without --corpus)"
             )
-        from repro.corpus.pipeline import corpus_origin, program_digest
         from repro.minic.compile import compile_source
         from repro.service.gaps import canonical_gap
 
-        source = request.get("source")
-        if not isinstance(source, str) or not source.strip():
-            return error_response("ingest_source needs MiniC source text")
-        origin = request.get("origin") or \
-            corpus_origin(program_digest(source))
+        origin = ingest_origin(request)
+        source = request["source"]
         styles = request.get("styles") or ["llvm", "gcc"]
         opt_level = int(request.get("opt_level", 2))
         staged = 0
@@ -303,7 +339,11 @@ class RuleService:
         )
 
     def _op_flush(self, request: dict) -> dict:
-        published = self.run_learning_round()
+        return self.flush_response(self.run_learning_round())
+
+    def flush_response(self, published) -> dict:
+        """The ``flush`` answer for a round that published ``published``
+        (a bundle ref, or None when it yielded nothing new)."""
         return ok_response(
             generation=self.repo.generation,
             published=published is not None,
@@ -335,7 +375,7 @@ class RuleService:
             bundles_published=self.bundles_published,
             corpus=dict(self.corpus_stats),
             telemetry=self.telemetry.snapshot(
-                queue_depth=self.gaps.pending,
+                queue_depth=self.queue_depth(),
             ),
             **extras,
         )
@@ -348,7 +388,7 @@ class RuleService:
         payload = {
             "metrics": get_metrics().snapshot(),
             "telemetry": self.telemetry.snapshot(
-                queue_depth=self.gaps.pending,
+                queue_depth=self.queue_depth(),
             ),
         }
         if self.slo is not None:
@@ -368,16 +408,17 @@ class RuleService:
             return snapshot
         return None
 
-    def slo_report(self) -> dict:
+    def slo_report(self, gauges: dict | None = None) -> dict:
         """Evaluate the loaded objectives against live state: per-op
-        latency streams fed by :meth:`handle`, plus the per-op latency
-        sketches for quantile objectives on ``op:`` sources."""
+        latency streams fed by :meth:`envelope`, the per-op latency
+        sketches for quantile objectives on ``op:`` sources, and any
+        ``gauges`` the caller supplies."""
         assert self.slo is not None
         sketches = {
             f"op:{name}": sketch
             for name, sketch in self.telemetry.op_sketches().items()
         }
-        return self.slo.evaluate(sketches=sketches)
+        return self.slo.evaluate(sketches=sketches, gauges=gauges)
 
     # -- online learning scheduler -------------------------------------------
 
@@ -436,18 +477,105 @@ class RuleService:
         return ref
 
 
-class AsyncRuleServer:
+class AsyncEndpoint:
+    """The asyncio transport both endpoints listen on.
+
+    It runs the frame loop of every connection, listens on a unix
+    socket (reclaiming a stale socket file) or a TCP port, and closes
+    the listener.  Subclasses answer each decoded request frame in
+    :meth:`respond`.
+    """
+
+    def __init__(self) -> None:
+        self._server: asyncio.AbstractServer | None = None
+        self._connections: set = set()
+
+    async def respond(self, request: dict) -> dict:
+        raise NotImplementedError
+
+    async def handle_connection(self, reader, writer) -> None:
+        self._connections.add(writer)
+        try:
+            while True:
+                try:
+                    request = await read_message(reader)
+                except ProtocolError as exc:
+                    await write_message(writer, error_response(str(exc)))
+                    break
+                if request is None:
+                    break
+                await write_message(writer, await self.respond(request))
+        except (ConnectionResetError, BrokenPipeError,
+                asyncio.IncompleteReadError):
+            pass
+        except asyncio.CancelledError:
+            # Loop shutdown with the connection still open; exiting
+            # normally here keeps the streams callback from logging a
+            # spurious "Exception in callback" at teardown.
+            pass
+        finally:
+            self._connections.discard(writer)
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+
+    async def start_unix(self, path: str) -> None:
+        # A SIGKILLed predecessor leaves its socket file behind; bind
+        # would fail on it.  Only unlink when nothing answers — a stale
+        # file refuses connections, a live server accepts them.
+        remove_stale_socket(path)
+        self._server = await asyncio.start_unix_server(
+            self.handle_connection, path=path
+        )
+
+    async def start_tcp(self, host: str, port: int) -> None:
+        self._server = await asyncio.start_server(
+            self.handle_connection, host=host, port=port
+        )
+
+    async def start(self, socket_path: str | None = None,
+                    port: int | None = None) -> None:
+        """Listen on ``socket_path``, else on localhost ``port``."""
+        if socket_path is not None:
+            await self.start_unix(socket_path)
+        else:
+            await self.start_tcp("127.0.0.1", port)
+
+    async def drain(self) -> None:
+        """Finish in-flight work before :meth:`close` (nothing here)."""
+
+    async def close(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+
+
+class AsyncRuleServer(AsyncEndpoint):
     """Asyncio transport around a :class:`RuleService`."""
 
     def __init__(self, service: RuleService, auto_learn: bool = True,
                  auto_learn_delay: float = 0.2) -> None:
+        super().__init__()
         self.service = service
         self.auto_learn = auto_learn
         self.auto_learn_delay = auto_learn_delay
         self._learn_lock = asyncio.Lock()
         self._scheduled: asyncio.Task | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._connections: set = set()
+
+    async def respond(self, request: dict) -> dict:
+        op = request.get("op")
+        if op == "flush":
+            return await self._flush_async(request)
+        response = self.service.handle(request)
+        if (
+            op == "report_gaps"
+            and response.get("ok")
+            and response.get("new")
+            and self.auto_learn
+        ):
+            self._schedule_learning()
+        return response
 
     async def _flush_async(self, request: dict | None = None) -> dict:
         # Learning is CPU-bound; run it off-loop so concurrent clients
@@ -464,11 +592,7 @@ class AsyncRuleServer:
         self.service.telemetry.observe_op(
             "flush", time.perf_counter() - start
         )
-        return ok_response(
-            generation=self.service.repo.generation,
-            published=published is not None,
-            rules=published.rules if published is not None else 0,
-        )
+        return self.service.flush_response(published)
 
     def _schedule_learning(self) -> None:
         if self._scheduled is not None and not self._scheduled.done():
@@ -499,89 +623,20 @@ class AsyncRuleServer:
         print(f"repro-serve: background learning round failed: {detail}",
               file=sys.stderr)
 
-    async def handle_connection(self, reader, writer) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await read_message(reader)
-                except ProtocolError as exc:
-                    await write_message(writer, error_response(str(exc)))
-                    break
-                if request is None:
-                    break
-                op = request.get("op") if isinstance(request, dict) else None
-                if op == "flush":
-                    response = await self._flush_async(request)
-                else:
-                    response = self.service.handle(request)
-                    if (
-                        op == "report_gaps"
-                        and response.get("ok")
-                        and response.get("new")
-                        and self.auto_learn
-                    ):
-                        self._schedule_learning()
-                await write_message(writer, response)
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Loop shutdown with the connection still open; exiting
-            # normally here keeps the streams callback from logging a
-            # spurious "Exception in callback" at teardown.
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
     async def abort(self) -> None:
         """Hard stop: drop every live connection and the listener
         without draining — what a crash looks like to peers.  The
         chaos tests use this to simulate a shard kill in-process."""
-        if self._scheduled is not None:
-            self._scheduled.cancel()
-            # A round that already failed re-raises on await; the
-            # done-callback observed it, nothing more to do here.
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await self._scheduled
         for writer in list(self._connections):
             writer.close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def start_unix(self, path: str) -> None:
-        # A SIGKILLed predecessor leaves its socket file behind; bind
-        # would fail on it.  Only unlink when nothing answers — a stale
-        # file refuses connections, a live server accepts them.
-        remove_stale_socket(path)
-        self._server = await asyncio.start_unix_server(
-            self.handle_connection, path=path
-        )
-
-    async def start_tcp(self, host: str, port: int) -> None:
-        self._server = await asyncio.start_server(
-            self.handle_connection, host=host, port=port
-        )
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start_unix/start_tcp first"
-        async with self._server:
-            await self._server.serve_forever()
+        await self.close()
 
     async def drain(self) -> None:
         """Graceful shutdown: stop accepting connections, let a
         pending or in-flight learning round run to completion, release
         the learn lock.  ``close()`` afterwards is a no-op fast path.
         """
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().close()
         task = self._scheduled
         if task is not None and not task.done():
             with contextlib.suppress(Exception):
@@ -593,11 +648,11 @@ class AsyncRuleServer:
     async def close(self) -> None:
         if self._scheduled is not None:
             self._scheduled.cancel()
+            # A round that already failed re-raises on await; the
+            # done-callback observed it, nothing more to do here.
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await self._scheduled
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await super().close()
 
 
 def build_service(
@@ -619,6 +674,43 @@ def build_service(
         }
         learner = OnlineLearner(builds, cache=cache, jobs=jobs)
     return RuleService(repo, learner, slo=slo, ready=ready)
+
+
+def serve_until_signal(prog: str, endpoint: AsyncEndpoint, args, status,
+                       **start_options) -> None:
+    """The run loop of ``repro-serve`` and ``repro-fleet``.
+
+    Starts ``endpoint`` on ``args.socket`` or ``args.port`` and prints
+    a banner ending in ``status()``.  SIGTERM (what supervisors and the
+    fleet gate send) and SIGINT both drain the endpoint and close it,
+    then return so the caller can persist its state.  With
+    ``args.trace`` the whole run writes a JSON-lines trace there, and
+    the trace scope closes after the loop, flushing its tail.
+    """
+
+    async def run() -> None:
+        loop = asyncio.get_running_loop()
+        stop = asyncio.Event()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            with contextlib.suppress(NotImplementedError):
+                loop.add_signal_handler(signum, stop.set)
+        await endpoint.start(args.socket, args.port, **start_options)
+        where = args.socket or f"127.0.0.1:{args.port}"
+        print(f"{prog}: listening on {where} ({status()})",
+              file=sys.stderr)
+        try:
+            await stop.wait()
+            print(f"{prog}: draining (signal received)", file=sys.stderr)
+            await endpoint.drain()
+        except asyncio.CancelledError:
+            pass
+        finally:
+            await endpoint.close()
+
+    trace_scope = tracing(args.trace) if args.trace \
+        else contextlib.nullcontext()
+    with trace_scope, contextlib.suppress(KeyboardInterrupt):
+        asyncio.run(run())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -646,10 +738,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="learn without the persistent cache")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for online verification")
-    parser.add_argument("--learn-delay", type=float, default=0.2,
-                        metavar="SECONDS",
-                        help="coalescing delay before a gap report "
-                             "triggers a learning round (default: 0.2)")
     parser.add_argument("--no-auto-learn", action="store_true",
                         help="only learn on explicit client flush requests")
     parser.add_argument("--trace", metavar="PATH",
@@ -688,49 +776,13 @@ def main(argv: list[str] | None = None) -> int:
         profiler.start()
     service = build_service(args.repo, corpus, cache=cache, jobs=args.jobs,
                             slo=slo, ready=not args.join_fleet)
-    server = AsyncRuleServer(
-        service,
-        auto_learn=not args.no_auto_learn,
-        auto_learn_delay=args.learn_delay,
+    server = AsyncRuleServer(service, auto_learn=not args.no_auto_learn)
+    serve_until_signal(
+        "repro-serve", server, args,
+        lambda: f"generation {service.repo.generation}, "
+                f"{len(service.repo.entries())} bundle(s), "
+                f"corpus {len(corpus)}",
     )
-
-    async def run() -> None:
-        # SIGTERM (what supervisors and the fleet gate send) and
-        # SIGINT both drain: finish the in-flight learning round,
-        # close the listener, and fall through to the cache save
-        # below — a bare SIGTERM used to drop settled verdicts.
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(signum, stop.set)
-        if args.socket:
-            await server.start_unix(args.socket)
-            where = args.socket
-        else:
-            await server.start_tcp("127.0.0.1", args.port)
-            where = f"127.0.0.1:{args.port}"
-        print(f"repro-serve: listening on {where} "
-              f"(generation {service.repo.generation}, "
-              f"{len(service.repo.entries())} bundle(s), "
-              f"corpus {len(corpus)})", file=sys.stderr)
-        try:
-            await stop.wait()
-            print("repro-serve: draining (signal received)",
-                  file=sys.stderr)
-            await server.drain()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await server.close()
-
-    trace_scope = tracing(args.trace) if args.trace \
-        else contextlib.nullcontext()
-    with trace_scope:
-        try:
-            asyncio.run(run())
-        except KeyboardInterrupt:
-            pass
     if profiler is not None:
         profiler.stop()
     if cache is not None:

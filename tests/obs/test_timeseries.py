@@ -5,8 +5,6 @@ import threading
 import pytest
 
 from repro.obs.timeseries import (
-    MAX_SPARSE_BUCKETS,
-    LatencyRecorder,
     ServiceTelemetry,
     SketchLatency,
     TimeSeries,
@@ -160,37 +158,6 @@ class TestTimeSeriesStaleness:
         # full window, never garbage.
         assert series.total(window=999) == 4
         assert series.rate(window=0) == pytest.approx(4.0)
-
-
-class TestLatencyRecorder:
-    def test_empty_snapshot(self):
-        snapshot = LatencyRecorder().snapshot()
-        assert snapshot["count"] == 0
-        assert snapshot["mean_ms"] == 0.0
-        assert snapshot["quantiles_ms"] == {}
-
-    def test_observations_round_to_milliseconds(self):
-        recorder = LatencyRecorder()
-        recorder.observe(0.0101)
-        recorder.observe(0.0102)
-        recorder.observe(0.5)
-        snapshot = recorder.snapshot()
-        assert snapshot["count"] == 3
-        assert snapshot["histogram_ms"] == {10: 2, 500: 1}
-        assert snapshot["quantiles_ms"]["p50"] == 10
-        assert snapshot["quantiles_ms"]["p99"] == 500
-        assert snapshot["mean_ms"] == pytest.approx(173.43, abs=0.1)
-
-    def test_bucket_dict_is_bounded(self):
-        recorder = LatencyRecorder()
-        # One observation per distinct millisecond, far beyond the cap.
-        for ms in range(3 * MAX_SPARSE_BUCKETS):
-            recorder.observe(ms / 1000.0)
-        snapshot = recorder.snapshot()
-        assert len(snapshot["histogram_ms"]) <= MAX_SPARSE_BUCKETS
-        assert snapshot["count"] == 3 * MAX_SPARSE_BUCKETS
-        # Collapsing folds low keys; the tail stays exact.
-        assert snapshot["quantiles_ms"]["p99"] >= 1500
 
 
 class TestSketchLatency:

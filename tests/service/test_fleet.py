@@ -8,33 +8,15 @@ what a crash looks like to the coordinator).  The subprocess flavour
 of the same scenarios lives in ``scripts/fleet_gate.py``.
 """
 
-import time
-
 import pytest
 
 from repro.dbt.engine import DBTEngine
 from repro.learning.store import RuleStore
-from repro.service.client import RuleServiceClient, ServiceError
-from repro.service.fleet import (
-    FleetCoordinator,
-    HashRing,
-    ShardLink,
-    parse_shard,
-)
+from repro.service.client import ServiceError
+from repro.service.fleet import HashRing, parse_shard
 from repro.service.learner import OnlineLearner
-from repro.service.repo import RuleRepository
-from repro.service.server import AsyncRuleServer, RuleService
 
-
-def wait_until(predicate, timeout: float = 20.0,
-               interval: float = 0.05, message: str = "condition"):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        value = predicate()
-        if value:
-            return value
-        time.sleep(interval)
-    raise AssertionError(f"timed out waiting for {message}")
+from tests.service.conftest import Fleet, wait_until
 
 
 def fake_gap(index: int) -> dict:
@@ -93,78 +75,6 @@ class TestHashRing:
         assert tcp.address == ("localhost", 7000)
         with pytest.raises(ValueError):
             parse_shard("no-address")
-
-
-class Shard:
-    """One in-process shard on the shared loop."""
-
-    def __init__(self, loop_thread, tmp_path, shard_id: str,
-                 learner=None) -> None:
-        self.lt = loop_thread
-        self.base = tmp_path
-        self.shard_id = shard_id
-        self.path = str(tmp_path / f"{shard_id}.sock")
-        self.learner = learner
-        self.incarnation = 0
-        self.service: RuleService | None = None
-        self.server: AsyncRuleServer | None = None
-
-    @property
-    def repo_dir(self):
-        return self.base / f"{self.shard_id}-repo-{self.incarnation}"
-
-    def start(self, fresh: bool = False) -> None:
-        if fresh:
-            self.incarnation += 1
-        self.service = RuleService(
-            RuleRepository(self.repo_dir), self.learner
-        )
-        self.server = AsyncRuleServer(self.service, auto_learn=False)
-        self.lt.call(self.server.start_unix(self.path))
-
-    def kill(self) -> None:
-        self.lt.call(self.server.abort())
-
-    def stop(self) -> None:
-        if self.server is not None:
-            self.lt.call(self.server.close())
-            self.server = None
-
-
-class Fleet:
-    """Shards + coordinator + journal, all on one loop thread."""
-
-    def __init__(self, loop_thread, tmp_path, shard_ids,
-                 learners=None, start_shards=True) -> None:
-        self.lt = loop_thread
-        learners = learners or {}
-        self.shards = {
-            shard_id: Shard(loop_thread, tmp_path, shard_id,
-                            learner=learners.get(shard_id))
-            for shard_id in shard_ids
-        }
-        if start_shards:
-            for shard in self.shards.values():
-                shard.start()
-        links = [
-            ShardLink(shard_id, socket_path=shard.path)
-            for shard_id, shard in self.shards.items()
-        ]
-        self.coordinator = FleetCoordinator(
-            str(tmp_path / "journal"), links
-        )
-        self.path = str(tmp_path / "fleet.sock")
-        self.lt.call(self.coordinator.start(
-            socket_path=self.path, reconnect_interval=0.05,
-        ))
-
-    def client(self, **kwargs) -> RuleServiceClient:
-        return RuleServiceClient(socket_path=self.path, **kwargs)
-
-    def stop(self) -> None:
-        self.lt.call(self.coordinator.close())
-        for shard in self.shards.values():
-            shard.stop()
 
 
 class TestFleetRouting:
