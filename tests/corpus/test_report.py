@@ -1,22 +1,19 @@
 """Observability contract: corpus events reconcile against the
 embedded IngestSummary, and corpus origins never pollute Table 1."""
 
-import copy
-
 from repro.corpus.cli import run_ingest
 from repro.corpus.dedup import SeenStore
 from repro.learning.cache import VerificationCache
 from repro.obs.report import (
     aggregate,
     reconcile,
-    reconcile_corpus,
     render_report,
     table1_from_trace,
 )
 from repro.obs.trace import read_trace, tracing
 
 
-def traced_run(tmp_path, programs=4):
+def traced_records(tmp_path, programs=4):
     trace_path = tmp_path / "trace.jsonl"
     store = SeenStore.at_dir(tmp_path / "state")
     cache = VerificationCache.at_dir(tmp_path / "state" / "cache")
@@ -24,35 +21,40 @@ def traced_run(tmp_path, programs=4):
         summary = run_ingest(seed=11, programs=programs,
                              regions=("arith", "bitops"),
                              store=store, cache=cache)
-    return summary, aggregate(read_trace(trace_path))
+    return summary, read_trace(trace_path)
+
+
+def traced_run(tmp_path, programs=4):
+    summary, records = traced_records(tmp_path, programs)
+    return summary, aggregate(records)
 
 
 class TestReconciliation:
     def test_traced_ingest_reconciles_exactly(self, tmp_path):
         summary, agg = traced_run(tmp_path)
-        assert agg.corpus.active
+        assert agg.corpus is not None
         mismatches = reconcile(agg)
         assert mismatches == []
         assert agg.corpus.counts() == summary.counts()
 
     def test_tampered_counts_detected(self, tmp_path):
-        _, agg = traced_run(tmp_path)
-        tampered = copy.deepcopy(agg)
-        tampered.corpus.report_counts["novel_rules"] += 1
-        failures = reconcile_corpus(tampered)
+        _, records = traced_records(tmp_path)
+        for record in records:
+            if record.name == "corpus.report":
+                record.fields["counts"]["novel_rules"] += 1
+        failures = reconcile(aggregate(records))
         assert any("novel_rules" in line for line in failures)
 
     def test_missing_summary_record_detected(self, tmp_path):
-        _, agg = traced_run(tmp_path)
-        orphaned = copy.deepcopy(agg)
-        orphaned.corpus.report_counts = None
-        failures = reconcile_corpus(orphaned)
+        _, records = traced_records(tmp_path)
+        orphaned = [r for r in records if r.name != "corpus.report"]
+        failures = reconcile(aggregate(orphaned))
         assert failures == ["corpus: no corpus.report record in trace"]
 
     def test_inactive_corpus_is_silent(self):
         agg = aggregate([])
-        assert not agg.corpus.active
-        assert reconcile_corpus(agg) == []
+        assert agg.corpus is None
+        assert reconcile(agg) == []
 
 
 class TestTableOne:
@@ -87,6 +89,6 @@ class TestSummedReports:
             bench = agg.learning[name]
             # Two styles -> the summed report counts cover both, and
             # match the independently derived per-event tallies.
-            assert bench.report_counts is not None
-            assert bench.report_counts["total_sequences"] == \
-                bench.total_sequences
+            assert bench.summary is not None
+            assert bench.summary["total_sequences"] == \
+                bench["total_sequences"]
