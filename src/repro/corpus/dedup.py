@@ -28,7 +28,12 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.learning.cache import SEMANTICS_VERSION, VerificationCache
+from repro.learning.cache import (
+    SEMANTICS_VERSION,
+    VerificationCache,
+    atomic_write_text,
+    quarantine_corrupt,
+)
 from repro.obs.metrics import get_metrics
 
 STORE_FORMAT = "repro-corpus-seen"
@@ -176,11 +181,7 @@ class SeenStore:
         self._windows = set(document["windows"])
 
     def _quarantine_corrupt(self) -> None:
-        quarantine = self.path.with_name(self.path.name + ".corrupt")
-        try:
-            os.replace(self.path, quarantine)
-        except OSError:
-            pass
+        quarantine_corrupt(self.path)
         self.stats.corrupt += 1
         get_metrics().inc("corpus.store.corrupt")
         self._dirty = True
@@ -196,10 +197,5 @@ class SeenStore:
             "programs": self._programs,
             "windows": sorted(self._windows),
         }
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w") as fp:
-            json.dump(payload, fp)
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, self.path)
+        atomic_write_text(self.path, json.dumps(payload))
         self._dirty = False

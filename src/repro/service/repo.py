@@ -39,7 +39,7 @@ import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.learning.cache import SEMANTICS_VERSION
+from repro.learning.cache import SEMANTICS_VERSION, atomic_write_text
 from repro.learning.rule import Rule, dedup_rules
 from repro.learning.serialize import rule_from_json, rule_to_json
 from repro.obs.metrics import get_metrics
@@ -190,16 +190,8 @@ class RuleRepository:
         if key_path.exists():
             return bytes.fromhex(key_path.read_text().strip())
         key = secrets.token_bytes(32)
-        self._atomic_write(key_path, key.hex() + "\n")
+        atomic_write_text(key_path, key.hex() + "\n")
         return key
-
-    def _atomic_write(self, path: Path, text: str) -> None:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w") as fp:
-            fp.write(text)
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, path)
 
     def _load_manifest(self) -> None:
         path = self.root / MANIFEST_NAME
@@ -219,7 +211,7 @@ class RuleRepository:
             known.update(self.load_rules(ref.digest))
 
     def _save_manifest(self) -> None:
-        self._atomic_write(
+        atomic_write_text(
             self.root / MANIFEST_NAME,
             json.dumps(self.manifest(), indent=1),
         )
@@ -287,7 +279,7 @@ class RuleRepository:
         digest = bundle_digest(document)
         path = self.root / BUNDLE_DIR / f"{digest}.json"
         if not path.exists():
-            self._atomic_write(path, json.dumps(document, indent=1))
+            atomic_write_text(path, json.dumps(document, indent=1))
         self.generation += 1
         ref = BundleRef(
             digest=digest,
