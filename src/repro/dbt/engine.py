@@ -44,7 +44,6 @@ from repro.minic.compile import (
     CompiledProgram,
 )
 from repro.obs.metrics import get_metrics
-from repro.obs.profiler import phase
 from repro.obs.trace import get_tracer
 from repro.dbt import codegen, perf
 from repro.dbt.codegen import (
@@ -321,8 +320,7 @@ class DBTEngine:
         cached = self._cache.get(guest_addr)
         if cached is not None:
             return cached
-        with phase("dbt.translate"):
-            return self._translate_miss(guest_addr)
+        return self._translate_miss(guest_addr)
 
     def _translate_miss(self, guest_addr: int) -> TranslatedBlock:
         translate_t0 = time.perf_counter()
@@ -496,23 +494,22 @@ class DBTEngine:
         active = self._active
         executed_blocks = 0
         try:
-            with phase("dbt.exec"):
-                while guest_pc != HALT_ADDRESS:
-                    if executed_blocks >= block_limit:
-                        raise DBTError("block limit exceeded")
-                    executed_blocks += 1
-                    if self.tick is not None:
-                        self.tick(self)
-                    tb = self.translate(guest_pc)
-                    if (
-                        self.guard is not None
-                        and tb.hit_rules
-                        and self.guard.should_check(tb.exec_count)
-                    ):
-                        tb = self._guard_check(tb, state)
-                    tb.exec_count += 1
-                    active.perf.dispatches += 1
-                    guest_pc = self._run_block(tb, state)
+            while guest_pc != HALT_ADDRESS:
+                if executed_blocks >= block_limit:
+                    raise DBTError("block limit exceeded")
+                executed_blocks += 1
+                if self.tick is not None:
+                    self.tick(self)
+                tb = self.translate(guest_pc)
+                if (
+                    self.guard is not None
+                    and tb.hit_rules
+                    and self.guard.should_check(tb.exec_count)
+                ):
+                    tb = self._guard_check(tb, state)
+                tb.exec_count += 1
+                active.perf.dispatches += 1
+                guest_pc = self._run_block(tb, state)
         finally:
             self._finalize_run()
         return_value = self._env_read(state, REG_OFFSET["r0"])

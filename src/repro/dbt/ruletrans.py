@@ -33,7 +33,6 @@ from repro.isa.operands import Label
 from repro.learning.rule import Binding, Rule
 from repro.learning.store import RuleMatch, RuleStore
 from repro.minic.compile import CompiledProgram
-from repro.obs.profiler import phase
 from repro.dbt import codegen
 from repro.dbt.codegen import BlockAssembler, tb_label
 from repro.dbt.emitter import RuleApplicationError, get_emitter
@@ -382,62 +381,59 @@ def _translate_greedy(
 
     i = 0
     ended = False
-    # Greedy interleaves matching with emission, so the whole loop is
-    # one emit phase (the DP path separates match/cover/emit).
-    with phase("dbt.emit"):
-        while i < len(block):
-            match: RuleMatch | None = None
-            reason: str | None = None
-            if store is not None:
-                lookups += 1
-                match = store.match_at(block, i)
-                if match is None:
-                    reason = MISS_NO_MATCH
-                elif not flags_dead_after(
-                    match.rule, block, i + match.length
-                ):
-                    match, reason = None, MISS_FLAGS_LIVE
-                elif not _binding_applicable(match):
-                    match, reason = None, MISS_BINDING
-            if match is not None:
-                hit_host_start = len(assembler.instrs)
-                try:
-                    emitted, branch_cc = instantiate_host(
-                        match.rule, match.binding, assembler
-                    )
-                except RuleApplicationError:
-                    match, reason = None, MISS_APPLY_ERROR
-                    del assembler.instrs[hit_host_start:]
-                else:
-                    ended |= _commit_hit(
-                        program, block, assembler, match, i, guest_addr,
-                        emitted, branch_cc, covered, hit_rules,
-                        hit_profiles, tracer, instruction_cycles,
-                        hit_host_start,
-                    )
-                    i += match.length
-                    continue
-            if reason is not None:
-                miss_reasons[reason] = miss_reasons.get(reason, 0) + 1
-                if gap_sink is not None:
-                    gap_sink(block[i : i + MAX_GAP_LENGTH])
-                if tracer.enabled:
-                    tracer.event(
-                        "dbt.rule.miss", addr=guest_addr + 4 * i,
-                        reason=reason,
-                    )
-            ops, instr_ended = _emit_tcg_instruction(
-                program, block, assembler, i, guest_addr
-            )
-            tcg_ops_total += ops
-            ended |= instr_ended
-            i += 1
-        if not ended:
-            assembler.writeback()
-            assembler.emit(
-                "jmp", Label(tb_label(guest_addr + 4 * len(block)))
-            )
-        translated = codegen.finalize_block(assembler, guest_addr)
+    while i < len(block):
+        match: RuleMatch | None = None
+        reason: str | None = None
+        if store is not None:
+            lookups += 1
+            match = store.match_at(block, i)
+            if match is None:
+                reason = MISS_NO_MATCH
+            elif not flags_dead_after(
+                match.rule, block, i + match.length
+            ):
+                match, reason = None, MISS_FLAGS_LIVE
+            elif not _binding_applicable(match):
+                match, reason = None, MISS_BINDING
+        if match is not None:
+            hit_host_start = len(assembler.instrs)
+            try:
+                emitted, branch_cc = instantiate_host(
+                    match.rule, match.binding, assembler
+                )
+            except RuleApplicationError:
+                match, reason = None, MISS_APPLY_ERROR
+                del assembler.instrs[hit_host_start:]
+            else:
+                ended |= _commit_hit(
+                    program, block, assembler, match, i, guest_addr,
+                    emitted, branch_cc, covered, hit_rules,
+                    hit_profiles, tracer, instruction_cycles,
+                    hit_host_start,
+                )
+                i += match.length
+                continue
+        if reason is not None:
+            miss_reasons[reason] = miss_reasons.get(reason, 0) + 1
+            if gap_sink is not None:
+                gap_sink(block[i : i + MAX_GAP_LENGTH])
+            if tracer.enabled:
+                tracer.event(
+                    "dbt.rule.miss", addr=guest_addr + 4 * i,
+                    reason=reason,
+                )
+        ops, instr_ended = _emit_tcg_instruction(
+            program, block, assembler, i, guest_addr
+        )
+        tcg_ops_total += ops
+        ended |= instr_ended
+        i += 1
+    if not ended:
+        assembler.writeback()
+        assembler.emit(
+            "jmp", Label(tb_label(guest_addr + 4 * len(block)))
+        )
+    translated = codegen.finalize_block(assembler, guest_addr)
     return BlockTranslation(
         host_instrs=translated.host_instrs,
         guest_instrs=block,
@@ -468,8 +464,7 @@ def _translate_dp(
     n = len(block)
     tracer = get_tracer()
 
-    with phase("dbt.match"):
-        infos = _survey_positions(block, store)
+    infos = _survey_positions(block, store)
     lookups = n  # one indexed walk per position
 
     def tcg_cost(i: int) -> float:
@@ -479,10 +474,9 @@ def _translate_dp(
     def rule_cost(match: RuleMatch) -> float:
         return _rule_plan_cost(match, cost_hint)
 
-    with phase("dbt.cover"):
-        choice, planned, planned_greedy = _plan_cover(
-            block, infos, tcg_cost, rule_cost
-        )
+    choice, planned, planned_greedy = _plan_cover(
+        block, infos, tcg_cost, rule_cost
+    )
 
     assembler = BlockAssembler()
     covered = [False] * n
@@ -492,58 +486,57 @@ def _translate_dp(
     tcg_ops_total = 0
     ended = False
     i = 0
-    with phase("dbt.emit"):
-        while i < n:
-            match = choice[i]
-            apply_failed = False
-            if match is not None:
-                hit_host_start = len(assembler.instrs)
-                try:
-                    emitted, branch_cc = instantiate_host(
-                        match.rule, match.binding, assembler
-                    )
-                except RuleApplicationError:
-                    # Statically-valid emitters cannot fail on x86, but
-                    # keep the greedy path's per-hit safety net.
-                    del assembler.instrs[hit_host_start:]
-                    apply_failed = True
-                else:
-                    ended |= _commit_hit(
-                        program, block, assembler, match, i, guest_addr,
-                        emitted, branch_cc, covered, hit_rules,
-                        hit_profiles, tracer, instruction_cycles,
-                        hit_host_start,
-                    )
-                    i += match.length
-                    continue
-            info = infos[i]
-            if apply_failed:
-                reason = MISS_APPLY_ERROR
-            elif info.applicable:
-                # The cover chose TCG over a live rule on price:
-                # traceable, but not a learning gap — the store
-                # already has a rule.
-                reason = MISS_COST_COVER
-            else:
-                reason = info.reject_reason or MISS_NO_MATCH
-            miss_reasons[reason] = miss_reasons.get(reason, 0) + 1
-            if gap_sink is not None and reason != MISS_COST_COVER:
-                gap_sink(block[i : i + MAX_GAP_LENGTH])
-            if tracer.enabled:
-                tracer.event(
-                    "dbt.rule.miss", addr=guest_addr + 4 * i,
-                    reason=reason,
+    while i < n:
+        match = choice[i]
+        apply_failed = False
+        if match is not None:
+            hit_host_start = len(assembler.instrs)
+            try:
+                emitted, branch_cc = instantiate_host(
+                    match.rule, match.binding, assembler
                 )
-            ops, instr_ended = _emit_tcg_instruction(
-                program, block, assembler, i, guest_addr
+            except RuleApplicationError:
+                # Statically-valid emitters cannot fail on x86, but
+                # keep the greedy path's per-hit safety net.
+                del assembler.instrs[hit_host_start:]
+                apply_failed = True
+            else:
+                ended |= _commit_hit(
+                    program, block, assembler, match, i, guest_addr,
+                    emitted, branch_cc, covered, hit_rules,
+                    hit_profiles, tracer, instruction_cycles,
+                    hit_host_start,
+                )
+                i += match.length
+                continue
+        info = infos[i]
+        if apply_failed:
+            reason = MISS_APPLY_ERROR
+        elif info.applicable:
+            # The cover chose TCG over a live rule on price:
+            # traceable, but not a learning gap — the store
+            # already has a rule.
+            reason = MISS_COST_COVER
+        else:
+            reason = info.reject_reason or MISS_NO_MATCH
+        miss_reasons[reason] = miss_reasons.get(reason, 0) + 1
+        if gap_sink is not None and reason != MISS_COST_COVER:
+            gap_sink(block[i : i + MAX_GAP_LENGTH])
+        if tracer.enabled:
+            tracer.event(
+                "dbt.rule.miss", addr=guest_addr + 4 * i,
+                reason=reason,
             )
-            tcg_ops_total += ops
-            ended |= instr_ended
-            i += 1
-        if not ended:
-            assembler.writeback()
-            assembler.emit("jmp", Label(tb_label(guest_addr + 4 * n)))
-        translated = codegen.finalize_block(assembler, guest_addr)
+        ops, instr_ended = _emit_tcg_instruction(
+            program, block, assembler, i, guest_addr
+        )
+        tcg_ops_total += ops
+        ended |= instr_ended
+        i += 1
+    if not ended:
+        assembler.writeback()
+        assembler.emit("jmp", Label(tb_label(guest_addr + 4 * n)))
+    translated = codegen.finalize_block(assembler, guest_addr)
     if tracer.enabled:
         tracer.event(
             "dbt.cover",

@@ -12,9 +12,9 @@ phases (two dict operations on a ``__slots__`` context manager),
 which the profiler-overhead benchmark gates at <=3%.
 
 Phases form a per-thread stack, so nested attribution works the way
-the tracer's spans do: a sample taken inside ``dbt.match`` while a
-``dbt.translate`` phase is open counts toward ``dbt.match`` (innermost
-wins), and ``self_samples`` vs ``cumulative_samples`` distinguish time
+the tracer's spans do: a sample taken inside ``learn.verify`` while
+the server's ``service.learn`` phase is open counts toward
+``learn.verify`` (innermost wins), and ``self_samples`` vs ``cumulative_samples`` distinguish time
 in a phase proper from time including its children.  Threads with no
 declared phase attribute to ``(idle)`` — on a quiet server that is
 most samples, which is itself the signal that the server is quiet.
