@@ -18,7 +18,7 @@ from repro.host_x86 import parse_instruction as parse_x86
 from repro.learning.extract import SnippetPair
 from repro.learning.paramize import analyze_pair, generate_mappings
 from repro.learning.verify import verify_candidate
-from repro.minic import compile_source
+from repro.minic import compile_pairs
 from repro.solver import check_equal
 from repro.symexec import SharedSymbolicMemory, SymbolicState, run_snippet
 
@@ -136,8 +136,7 @@ int main(void) { return f(3, 4); }
     from repro.learning import learn_rules
 
     for level in (0, 2):
-        guest = compile_source(source, "arm", level, "llvm")
-        host = compile_source(source, "x86", level, "llvm")
+        guest, host = compile_pairs(source, level)["llvm"]
         outcome = learn_rules(guest, host)
         interesting = [r for r in outcome.rules if r.length >= 2]
         print(f"  -O{level}: {outcome.report.rules} rules, "

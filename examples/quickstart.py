@@ -16,7 +16,7 @@ from repro.dbt.engine import DBTEngine
 from repro.dbt.perf import speedup
 from repro.learning import learn_rules
 from repro.learning.store import RuleStore
-from repro.minic import compile_source
+from repro.minic import compile_pairs
 
 SOURCE = """
 int values[64];
@@ -51,8 +51,8 @@ int main(void) {
 
 def main() -> None:
     print("=== 1. dual compilation ===")
-    guest = compile_source(SOURCE, target="arm", opt_level=2, style="llvm")
-    host = compile_source(SOURCE, target="x86", opt_level=2, style="llvm")
+    # One front end, then the ARM guest and x86 host back ends.
+    guest, host = compile_pairs(SOURCE, opt_level=2, styles=["llvm"])["llvm"]
     print(f"ARM guest: {len(guest.code)} instructions, "
           f"x86 host: {len(host.code)} instructions")
 

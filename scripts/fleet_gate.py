@@ -45,7 +45,7 @@ from pathlib import Path
 import gate_harness
 from gate_harness import offline_coverage, stop_process
 
-from repro.benchsuite import build_learning_pair
+from repro.benchsuite import build_benchmark
 from repro.dbt.engine import DBTEngine
 from repro.faults import KillSchedule
 from repro.obs.report import aggregate, reconcile, stitch
@@ -226,7 +226,7 @@ class ClientRun(threading.Thread):
             self.error = f"{type(exc).__name__}: {exc}"
 
     def _drive(self) -> None:
-        guest, _ = build_learning_pair(self.benchmark)
+        guest = build_benchmark(self.benchmark)
         client = RuleServiceClient(
             socket_path=self.fleet_socket, retries=4,
             backoff_base=0.05, op_timeouts={"flush": 600.0},
@@ -280,7 +280,7 @@ class ConvergedRun(threading.Thread):
             self.error = f"{type(exc).__name__}: {exc}"
 
     def _drive(self) -> None:
-        guest, _ = build_learning_pair(self.benchmark)
+        guest = build_benchmark(self.benchmark)
         client = RuleServiceClient(
             socket_path=self.fleet_socket, retries=6,
             backoff_base=0.05, op_timeouts={"flush": 600.0},

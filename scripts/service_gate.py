@@ -36,7 +36,7 @@ from functools import partial
 import gate_harness
 from gate_harness import offline_coverage, stop_process
 
-from repro.benchsuite import build_learning_pair
+from repro.benchsuite import build_benchmark
 from repro.dbt.engine import DBTEngine
 from repro.obs.report import aggregate, reconcile, stitch
 from repro.obs.trace import TraceError, read_trace, tracing
@@ -68,7 +68,7 @@ class ClientRun(threading.Thread):
             self.error = f"{type(exc).__name__}: {exc}"
 
     def _drive(self) -> None:
-        guest, _ = build_learning_pair(self.benchmark)
+        guest = build_benchmark(self.benchmark)
         self.client = RuleServiceClient(socket_path=self.socket_path)
         self.engine = DBTEngine(guest, "rules",
                                 gap_sink=self.client.recorder)

@@ -34,7 +34,7 @@ from pathlib import Path
 import gate_harness
 from gate_harness import stop_process
 
-from repro.benchsuite import build_learning_pair
+from repro.benchsuite import build_benchmark
 from repro.dbt.engine import DBTEngine
 from repro.obs.export import (
     ExpositionError,
@@ -56,7 +56,7 @@ fail = partial(gate_harness.fail, GATE)
 
 def drive_workload(socket_path: Path) -> None:
     """One client through the whole online-learning loop."""
-    guest, _ = build_learning_pair(GATE_BENCHMARK)
+    guest = build_benchmark(GATE_BENCHMARK)
     with RuleServiceClient(socket_path=str(socket_path)) as client:
         engine = DBTEngine(guest, "rules", gap_sink=client.recorder)
         first = engine.run()

@@ -11,7 +11,7 @@ Top-level quick tour (see README.md for the full map):
 * :mod:`repro.benchsuite` — the synthetic SPEC CINT2006 programs,
 * :mod:`repro.experiments` — regeneration of every table and figure.
 
->>> from repro.minic import compile_source
+>>> from repro.minic import compile_pairs
 >>> from repro.learning import learn_rules
 >>> src = '''
 ... int main(void) {
@@ -24,8 +24,8 @@ Top-level quick tour (see README.md for the full map):
 ...   return s;
 ... }
 ... '''
->>> outcome = learn_rules(compile_source(src, "arm"),
-...                       compile_source(src, "x86"))
+>>> guest, host = compile_pairs(src)["llvm"]
+>>> outcome = learn_rules(guest, host)
 >>> outcome.report.rules > 0
 True
 """

@@ -19,7 +19,7 @@ from repro.benchsuite.programs import (
     sjeng,
     xalancbmk,
 )
-from repro.minic.compile import CompiledProgram, compile_source
+from repro.minic.compile import CompiledProgram, compile_pairs, compile_source
 
 _MODULES = (
     perlbench, bzip2, gcc, mcf, gobmk, hmmer, sjeng, libquantum, h264ref,
@@ -81,8 +81,5 @@ def build_learning_pair(
     workload: str = "ref",
 ) -> tuple[CompiledProgram, CompiledProgram]:
     """(guest ARM build, host x86 build) for rule learning."""
-    source = benchmark_source(name, workload)
-    return (
-        compile_source(source, "arm", opt_level, style),
-        compile_source(source, "x86", opt_level, style),
-    )
+    return compile_pairs(benchmark_source(name, workload), opt_level,
+                         [style])[style]

@@ -17,11 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.dbt.direct import run_arm_program, run_x86_program
-from repro.minic.compile import compile_source
+from repro.minic.compile import compile_frontend, compile_tac
 from repro.minic.interp import run_tac
-from repro.minic.lower import lower_program
-from repro.minic.parser import parse
-from repro.minic.passes import optimize_program
 
 _MASK = 0xFFFFFFFF
 FAILURE_DIR = "corpus_failures"
@@ -52,10 +49,10 @@ class DiffResult:
 
 def check_source(source: str, opt_level: int = 2,
                  styles: tuple[str, ...] = ("llvm", "gcc")) -> DiffResult:
-    """Interpreter oracle vs. guest/host execution, both styles."""
+    """Interpreter oracle vs. guest/host execution, both styles; the
+    oracle and every build share one front-end run."""
     try:
-        tac = lower_program(parse(source))
-        optimize_program(tac, opt_level)
+        tac = compile_frontend(source, opt_level)
         oracle = run_tac(tac) & _MASK
     except Exception as error:  # noqa: BLE001 - any crash is a repro
         return DiffResult(ok=False,
@@ -66,7 +63,7 @@ def check_source(source: str, opt_level: int = 2,
         for target, runner in _RUNNERS.items():
             key = f"{style}/{target}"
             try:
-                program = compile_source(source, target, opt_level, style)
+                program = compile_tac(tac, target, opt_level, style)
                 value = runner(program).return_value & _MASK
             except Exception as error:  # noqa: BLE001
                 result.ok = False

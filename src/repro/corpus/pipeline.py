@@ -4,9 +4,9 @@ One generated MiniC program flows through:
 
 1. **digest** — sha256 of the canonical source text names the program
    (``corpus:<digest12>`` becomes its learning origin);
-2. **compile** — both codegen styles (``llvm`` and ``gcc``), both
-   targets, exactly like the benchsuite's learning pairs;
-3. **stage** — the cheap pipeline stages (extract + paramize) produce
+2. **compile** — one front end, then both codegen styles (``llvm``
+   and ``gcc``) for both targets, like the benchsuite's learning pairs;
+3. **stage** — the cheap pipeline stages (``stage_candidates``) produce
    the program's canonical candidate windows;
 4. **classify** — the seen-digest store + verification cache decide
    whether any window could still yield a new verdict
@@ -25,13 +25,8 @@ from dataclasses import dataclass, field
 from repro.corpus.dedup import DedupDecision, SeenStore
 from repro.learning.cache import VerificationCache
 from repro.learning.direction import ARM_TO_X86, Direction
-from repro.learning.pipeline import (
-    Candidate,
-    LearningReport,
-    _extract_stage,
-    _paramize_stage,
-)
-from repro.minic.compile import CompiledProgram, compile_source
+from repro.learning.pipeline import Candidate, stage_candidates
+from repro.minic.compile import CompiledProgram, compile_pairs
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 
@@ -105,20 +100,11 @@ class IngestPipeline:
         tracer = get_tracer()
         with tracer.span("corpus.stage", origin=program.origin,
                          region=region):
-            for style in self.styles:
-                guest = compile_source(source, "arm", self.opt_level, style)
-                host = compile_source(source, "x86", self.opt_level, style)
-                program.builds[style] = (guest, host)
-                # Throwaway report, trace-silent: staging wants the
-                # candidate windows for dedup classification; learning
-                # accounting happens when (and only if) the program is
-                # fed, so these stages must not emit learn.* events.
-                report = LearningReport(benchmark=program.origin)
-                pairs = _extract_stage(guest, host, self.direction,
-                                       report, trace=False)
-                program.candidates[style] = _paramize_stage(
-                    pairs, self.direction, report, trace=False
-                )
+            program.builds = compile_pairs(source, self.opt_level,
+                                           self.styles)
+            for style, (guest, host) in program.builds.items():
+                program.candidates[style] = stage_candidates(
+                    guest, host, program.origin, self.direction)
         metrics = get_metrics()
         metrics.inc("corpus.programs.staged")
         metrics.inc("corpus.candidates.staged",

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.benchsuite import BENCHMARK_NAMES, benchmark_source
+from repro.benchsuite import BENCHMARK_NAMES, build_benchmark
+from repro.benchsuite import build_learning_pair
 from repro.dbt.engine import DBTEngine, DBTRunResult
 from repro.dbt.guard import GuardPolicy
 from repro.dbt.perf import speedup
@@ -23,7 +24,7 @@ from repro.learning.pipeline import (
     leave_one_out,
 )
 from repro.learning.store import RuleStore
-from repro.minic.compile import CompiledProgram, compile_source
+from repro.minic.compile import CompiledProgram
 
 LEARN_OPT_LEVEL = 2
 LEARN_STYLE = "llvm"
@@ -62,13 +63,22 @@ class ExperimentContext:
               style: str = LEARN_STYLE, workload: str = "ref"
               ) -> CompiledProgram:
         key = (name, target, opt_level, style, workload)
-        program = self._builds.get(key)
-        if program is None:
-            program = compile_source(
-                benchmark_source(name, workload), target, opt_level, style
-            )
-            self._builds[key] = program
-        return program
+        if key not in self._builds:
+            self._builds[key] = build_benchmark(name, target, opt_level,
+                                                style, workload)
+        return self._builds[key]
+
+    def build_pair(self, name: str, opt_level: int = LEARN_OPT_LEVEL,
+                   style: str = LEARN_STYLE
+                   ) -> tuple[CompiledProgram, CompiledProgram]:
+        """(ARM guest, x86 host) from one front-end run, cached with
+        the builds :meth:`run` reuses."""
+        keys = [(name, t, opt_level, style, "ref") for t in ("arm", "x86")]
+        if not all(key in self._builds for key in keys):
+            pair = build_learning_pair(name, opt_level, style)
+            for key, program in zip(keys, pair):
+                self._builds.setdefault(key, program)
+        return tuple(self._builds[key] for key in keys)
 
     # -- learning --------------------------------------------------------------
 
@@ -78,8 +88,7 @@ class ExperimentContext:
         key = (name, opt_level, style)
         outcome = self._learning.get(key)
         if outcome is None:
-            guest = self.build(name, "arm", opt_level, style)
-            host = self.build(name, "x86", opt_level, style)
+            guest, host = self.build_pair(name, opt_level, style)
             outcome = learn_rules(guest, host, benchmark=name,
                                   cache=self.cache)
             if self.cache is not None:
@@ -97,8 +106,7 @@ class ExperimentContext:
         ]
         if missing:
             builds = {
-                name: (self.build(name, "arm", opt_level, style),
-                       self.build(name, "x86", opt_level, style))
+                name: self.build_pair(name, opt_level, style)
                 for name in missing
             }
             learner = learn_corpus_parallel if self.jobs > 1 else learn_corpus

@@ -158,6 +158,12 @@ class VerificationCache:
         return decode_outcome(entry)
 
     def put(self, digest: str, outcome: CandidateOutcome) -> None:
+        """Record a settled verdict.  TO/EC verdicts are properties of
+        the run (budget, crashed worker), not of candidate semantics:
+        they are dropped, never persisted across runs."""
+        if outcome.failure in (VerifyFailure.TIMEOUT,
+                               VerifyFailure.ENGINE_CRASH):
+            return
         self._entries[digest] = encode_outcome(outcome)
         self._dirty = True
 

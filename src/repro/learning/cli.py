@@ -23,7 +23,7 @@ from repro.learning.journal import OutcomeJournal
 from repro.learning.parallel import learn_corpus_parallel
 from repro.learning.pipeline import learn_rules
 from repro.learning.serialize import dump_rules
-from repro.minic import compile_source
+from repro.minic import compile_pairs
 from repro.obs.metrics import format_metrics, get_metrics, set_metrics
 from repro.obs.profiler import (
     DEFAULT_HZ,
@@ -126,8 +126,8 @@ def main(argv: list[str] | None = None) -> int:
     trace_scope = tracing(args.trace) if args.trace \
         else contextlib.nullcontext()
     with trace_scope:
-        guest = compile_source(source, "arm", args.opt_level, args.style)
-        host = compile_source(source, "x86", args.opt_level, args.style)
+        guest, host = compile_pairs(source, args.opt_level,
+                                    [args.style])[args.style]
 
         cache = None if args.no_cache else \
             VerificationCache.at_dir(args.cache_dir)

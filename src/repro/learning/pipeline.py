@@ -168,10 +168,7 @@ def _extract_stage(
     report: LearningReport,
     trace: bool = True,
 ) -> list[SnippetPair]:
-    """``trace=False`` runs the stage observability-silent: corpus
-    staging extracts the same windows for dedup classification, and
-    emitting learning events there would double-count every program
-    that is later fed (or orphan ones that are skipped)."""
+    """``trace=False`` is :func:`stage_candidates`' silent mode."""
     tracer = get_tracer()
     start = time.perf_counter()
     span = tracer.span("learn.extract", benchmark=report.benchmark) \
@@ -246,6 +243,17 @@ def _paramize_stage(
     return candidates
 
 
+def stage_candidates(guest: CompiledProgram, host: CompiledProgram,
+                     name: str, direction: Direction = ARM_TO_X86
+                     ) -> list[Candidate]:
+    """Extract + paramize one build pair for corpus/service staging,
+    trace- and metrics-silent: learn.* events here would double-count a
+    program later fed, or orphan with no ``learn.report`` following."""
+    report = LearningReport(benchmark=name)
+    pairs = _extract_stage(guest, host, direction, report, trace=False)
+    return _paramize_stage(pairs, direction, report, trace=False)
+
+
 def _verify_stage(
     candidates: list[Candidate],
     report: LearningReport,
@@ -317,12 +325,7 @@ def _verify_stage(
                     if cache is not None:
                         report.cache_misses += 1
                         metrics.inc("learning.cache.misses")
-                        if outcome.failure not in (VerifyFailure.TIMEOUT,
-                                                   VerifyFailure.ENGINE_CRASH):
-                            # TO/EC verdicts are properties of the run
-                            # (budget, crashed worker), not of candidate
-                            # semantics: never persist them across runs.
-                            cache.put(candidate.digest, outcome)
+                        cache.put(candidate.digest, outcome)
                 memo[candidate.digest] = outcome
             report.verify_seconds += time.perf_counter() - start
             if outcome.rule is not None:

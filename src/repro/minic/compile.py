@@ -1,14 +1,18 @@
 """MiniC compilation driver: source text -> linked machine program.
 
-``compile_source`` runs the full pipeline (parse, lower, optimize,
-select, allocate, finalize, link) for one target/level/style and
-returns a :class:`CompiledProgram` whose flattened ``code`` list plus
-label/address maps are directly loadable by the DBT, the concrete
-interpreters, and the rule learner.
+The front end (:func:`compile_frontend`: parse, lower, optimize)
+depends only on the source and level; the back end (:func:`compile_tac`:
+select, allocate, finalize, link) builds one target/style from that TAC
+without mutating it.  ``compile_source`` composes the two for one
+build, :func:`compile_pairs` shares one front end across every style's
+(ARM guest, x86 host) pair.  A :class:`CompiledProgram`'s flattened
+``code`` list plus label/address maps are directly loadable by the DBT,
+the concrete interpreters, and the rule learner.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.guest_arm import parser as arm_parser
@@ -109,51 +113,63 @@ def layout_globals(tac: TacProgram) -> dict[str, int]:
     return addrs
 
 
-def compile_source(
-    source: str,
-    target: str = "arm",
-    opt_level: int = 2,
-    style: str = "llvm",
-) -> CompiledProgram:
-    """Compile MiniC source for one target; see :class:`CompileOptions`."""
-    options = CompileOptions(target, opt_level, style)
+def compile_frontend(source: str, opt_level: int = 2) -> TacProgram:
+    """Parse, lower and optimize: the target- and style-independent
+    half of compilation, shared by every build of one source."""
     tac = lower_program(parse(source))
     optimize_program(tac, opt_level)
-    global_addrs = layout_globals(tac)
+    return tac
 
+
+def compile_tac(tac: TacProgram, target: str = "arm", opt_level: int = 2,
+                style: str = "llvm") -> CompiledProgram:
+    """Back end: link one build of optimized ``tac`` (never mutated;
+    every build of it keeps a reference in ``CompiledProgram.tac``)."""
+    options = CompileOptions(target, opt_level, style)
+    global_addrs = layout_globals(tac)
+    arm = target == "arm"
+    info = arm_target(style) if arm else x86_target(style)
+    selector = ArmSelector if arm else X86Selector
     functions: dict[str, MachineFunction] = {}
-    if target == "arm":
-        info = arm_target(style)
-        for tac_func in tac.functions.values():
-            selector = ArmSelector(tac_func, style, opt_level, global_addrs)
-            mfunc = selector.select()
-            regalloc.allocate(mfunc, info)
-            has_calls = any(i.mnemonic == "bl" for i in mfunc.instrs)
-            arm_finalize(mfunc, has_calls)
-            functions[tac_func.name] = mfunc
-        runtime = _arm_runtime_functions()
-        functions.update(runtime)
-        runtime_names = tuple(runtime)
-    else:
-        info = x86_target(style)
-        for tac_func in tac.functions.values():
-            selector = X86Selector(tac_func, style, opt_level, global_addrs)
-            mfunc = selector.select()
-            regalloc.allocate(mfunc, info)
+    for tac_func in tac.functions.values():
+        mfunc = selector(tac_func, style, opt_level, global_addrs).select()
+        regalloc.allocate(mfunc, info)
+        if arm:
+            arm_finalize(mfunc, any(i.mnemonic == "bl" for i in mfunc.instrs))
+        else:
             x86_finalize(mfunc, style)
-            functions[tac_func.name] = mfunc
-        runtime_names = ()
+        functions[tac_func.name] = mfunc
+    runtime = _arm_runtime_functions() if arm else {}
+    functions.update(runtime)
 
     program = CompiledProgram(
         options=options,
         functions=functions,
         global_addrs=global_addrs,
         globals=dict(tac.globals),
-        runtime_functions=runtime_names,
+        runtime_functions=tuple(runtime),
         tac=tac,
     )
     _link(program)
     return program
+
+
+def compile_source(source: str, target: str = "arm", opt_level: int = 2,
+                   style: str = "llvm") -> CompiledProgram:
+    """Compile MiniC source for one target; see :class:`CompileOptions`."""
+    return compile_tac(compile_frontend(source, opt_level), target,
+                       opt_level, style)
+
+
+def compile_pairs(
+    source: str, opt_level: int = 2, styles: Iterable[str] = ("llvm",)
+) -> dict[str, tuple[CompiledProgram, CompiledProgram]]:
+    """style -> (ARM guest, x86 host) learning pair, all from one
+    front-end run."""
+    tac = compile_frontend(source, opt_level)
+    return {style: (compile_tac(tac, "arm", opt_level, style),
+                    compile_tac(tac, "x86", opt_level, style))
+            for style in styles}
 
 
 def _arm_runtime_functions() -> dict[str, MachineFunction]:

@@ -30,12 +30,7 @@ from repro.learning.cache import VerificationCache
 from repro.learning.canon import CandidateOutcome
 from repro.learning.direction import ARM_TO_X86
 from repro.learning.parallel import DEFAULT_CHUNK_SIZE, _resolve_chunk
-from repro.learning.pipeline import (
-    Candidate,
-    LearningReport,
-    _extract_stage,
-    _paramize_stage,
-)
+from repro.learning.pipeline import Candidate, stage_candidates
 from repro.learning.rule import Rule, dedup_rules
 from repro.minic.compile import CompiledProgram
 from repro.obs.metrics import get_metrics
@@ -99,19 +94,8 @@ class OnlineLearner:
         self, name: str,
         pair: tuple[CompiledProgram, CompiledProgram],
     ) -> list[tuple[str, Candidate]]:
-        # Throwaway report, trace-silent: staging wants candidates
-        # only; Table 1 accounting belongs to offline learning, and
-        # learn.* events here would orphan in the server trace (no
-        # learn.report ever follows them).
-        guest, host = pair
-        report = LearningReport(benchmark=name)
-        pairs = _extract_stage(guest, host, self.direction, report,
-                               trace=False)
-        return [
-            (name, candidate)
-            for candidate in _paramize_stage(pairs, self.direction,
-                                             report, trace=False)
-        ]
+        return [(name, candidate) for candidate
+                in stage_candidates(*pair, name, self.direction)]
 
     def staged_candidates(self) -> list[tuple[str, Candidate]]:
         """(benchmark, candidate) pairs, extracted + paramized lazily
@@ -246,10 +230,6 @@ class OnlineLearner:
                 round_.resolved += 1
                 round_.verify_calls += outcome.calls
                 if self.cache is not None:
-                    from repro.learning.verify import VerifyFailure
-
-                    if outcome.failure not in (VerifyFailure.TIMEOUT,
-                                               VerifyFailure.ENGINE_CRASH):
-                        self.cache.put(digest, outcome)
+                    self.cache.put(digest, outcome)
         if self.cache is not None:
             self.cache.save()

@@ -307,18 +307,22 @@ class RuleService:
             return error_response(
                 "server has no online learner (started without --corpus)"
             )
-        from repro.minic.compile import compile_source
+        from repro.minic.compile import compile_pairs
+        from repro.minic.errors import MiniCError
         from repro.service.gaps import canonical_gap
 
         origin = ingest_origin(request)
-        source = request["source"]
         styles = request.get("styles") or ["llvm", "gcc"]
-        opt_level = int(request.get("opt_level", 2))
+        if not isinstance(styles, list):
+            return error_response("styles must be a list")
+        try:
+            pairs = compile_pairs(request["source"],
+                                  int(request.get("opt_level", 2)), styles)
+        except MiniCError as exc:
+            return error_response(f"{type(exc).__name__}: {exc}")
         staged = 0
         gaps: list[dict] = []
-        for style in styles:
-            guest = compile_source(source, "arm", opt_level, style)
-            host = compile_source(source, "x86", opt_level, style)
+        for guest, host in pairs.values():
             staged += self.learner.add_build(origin, (guest, host))
             for name, function in guest.functions.items():
                 if name in guest.runtime_functions:

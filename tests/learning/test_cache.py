@@ -104,3 +104,26 @@ class TestInvalidation:
         path = tmp_path / "verification-cache.json"
         path.write_text('{"format": "something-else", "entries": {"x": 1}}')
         assert len(VerificationCache(path)) == 0
+
+
+class TestRunVerdictsAreNotPersisted:
+    """TO/EC verdicts describe the run (budget, crashed worker), not
+    the candidate: ``put`` drops them."""
+
+    def test_timeout_and_crash_leave_cache_and_file_unchanged(self,
+                                                              tmp_path):
+        cache = VerificationCache.at_dir(tmp_path)
+        cache.put("k", CandidateOutcome(failure=VerifyFailure.OTHER,
+                                        calls=1))
+        cache.save()
+        before = cache.path.read_bytes()
+        for failure in (VerifyFailure.TIMEOUT, VerifyFailure.ENGINE_CRASH):
+            for digest in ("k", "fresh"):
+                cache.put(digest, CandidateOutcome(failure=failure,
+                                                   calls=3))
+                assert cache.peek("fresh") is None
+                assert cache.peek("k").failure is VerifyFailure.OTHER
+            cache.save()
+            assert cache.path.read_bytes() == before
+        assert len(cache) == 1
+        assert VerificationCache.at_dir(tmp_path).peek("fresh") is None

@@ -7,7 +7,9 @@ every public :class:`RuleServiceClient` op.  Every op must answer
 fields both endpoints' responses share must match: present on both,
 same JSON types, and equal values wherever the answer does not depend
 on how gaps were split across shards.  Feeding one corpus program
-through ``RemoteFeed`` must publish the same rule identities on both.
+through ``RemoteFeed`` must publish the same rule identities on both,
+and a malformed ``ingest_source`` must answer an error envelope on both
+without dropping the connection.
 """
 
 import contextlib
@@ -227,3 +229,27 @@ def test_fleet_ingest_to_a_down_owner_names_the_shard(loop_thread,
                 client.ingest_source(program.source)
     finally:
         fleet.stop()
+
+
+#: Requests ``ingest_source`` must refuse with an error envelope (and
+#: keep the connection): source that fails to parse, source that fails
+#: to type-check, and ``styles`` that is not a list.
+BAD_INGESTS = (
+    ({"source": "int main(void) { return 1 + ; }\n"}, "ParseError"),
+    ({"source": "int main(void) { return missing; }\n"}, "SemanticError"),
+    ({"source": "int main(void) { return 1; }\n", "styles": "llvm"},
+     "styles must be a list"),
+)
+
+
+@pytest.mark.parametrize("kind", ENDPOINTS)
+def test_bad_ingest_source_is_an_error_envelope(loop_thread, tmp_path,
+                                                kind):
+    with endpoint(kind, loop_thread, tmp_path, {}) as path:
+        with RuleServiceClient(socket_path=path) as client:
+            for fields, error in BAD_INGESTS:
+                with pytest.raises(ServiceError, match=error):
+                    client.request("ingest_source", **fields)
+            assert client.ping()["ok"] is True
+            program = corpus_program(4)
+            assert client.ingest_source(program.source)["ok"] is True
