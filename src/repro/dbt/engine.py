@@ -491,106 +491,122 @@ class DBTEngine:
         for i, arg in enumerate(args):
             self._env_write(state, REG_OFFSET[f"r{i}"], arg)
         guest_pc = self.program.addr_of(self.program.entry)
-        active = self._active
-        executed_blocks = 0
+        dispatch = self._dispatch_fast if self.fast else \
+            self._dispatch_generic
         try:
-            while guest_pc != HALT_ADDRESS:
-                if executed_blocks >= block_limit:
-                    raise DBTError("block limit exceeded")
-                executed_blocks += 1
-                if self.tick is not None:
-                    self.tick(self)
-                tb = self.translate(guest_pc)
-                if (
-                    self.guard is not None
-                    and tb.hit_rules
-                    and self.guard.should_check(tb.exec_count)
-                ):
-                    tb = self._guard_check(tb, state)
-                tb.exec_count += 1
-                active.perf.dispatches += 1
-                guest_pc = self._run_block(tb, state)
+            dispatch(state, guest_pc, block_limit)
         finally:
             self._finalize_run()
         return_value = self._env_read(state, REG_OFFSET["r0"])
         self._emit_run_records(return_value)
         return DBTRunResult(return_value, self.stats)
 
-    def _run_block(self, tb: TranslatedBlock, state: ConcreteState) -> int:
-        if self.fast:
-            return self._run_block_fast(tb, state)
-        instrs = tb.host_instrs
-        cycles = self._cycles_cache[tb.guest_start]
+    def _dispatch_generic(self, state: ConcreteState, pc: int,
+                          block_limit: int) -> None:
+        """Run the guest from ``pc`` until it halts, every host
+        instruction through the generic semantics (the oracle)."""
         active = self._active
-        index = 0
-        count = 0
-        cycle_sum = 0.0
-        while index < len(instrs):
-            instr = instrs[index]
-            count += 1
-            cycle_sum += cycles[index]
-            outcome = execute_x86(instr, state, _ALU)
-            branch = outcome.branch
-            if branch is None or not branch.cond:
-                index += 1
-                continue
-            active.dynamic_host_instructions += count
+        while pc != HALT_ADDRESS:
+            if active.perf.dispatches >= block_limit:
+                raise DBTError("block limit exceeded")
+            if self.tick is not None:
+                self.tick(self)
+            tb = self.translate(pc)
+            if (
+                self.guard is not None
+                and tb.hit_rules
+                and self.guard.should_check(tb.exec_count)
+            ):
+                tb = self._guard_check(tb, state)
+            tb.exec_count += 1
+            active.perf.dispatches += 1
+            cycles = self._cycles_cache[pc]
+            cycle_sum = 0.0
+            for index, instr in enumerate(tb.host_instrs):
+                cycle_sum += cycles[index]
+                branch = execute_x86(instr, state, _ALU).branch
+                if branch is not None and branch.cond:
+                    break
+            else:
+                raise DBTError(f"translated block {pc:#x} fell off its end")
+            active.dynamic_host_instructions += index + 1
             active.perf.exec_cycles += cycle_sum
             tb.exec_cycles += cycle_sum
-            target = branch.target
-            if isinstance(target, Label):
-                name = target.name
-                if name == EXIT_LABEL:
-                    return self._env_read(state, NEXT_PC_OFFSET)
-                if name.startswith("TB@"):
-                    return int(name[3:], 16)
-            raise DBTError(f"unexpected host branch target {target!r}")
-        raise DBTError(
-            f"translated block {tb.guest_start:#x} fell off its end"
-        )
+            pc = self._exit_pc(branch.target, state)
 
-    def _run_block_fast(self, tb: TranslatedBlock, state: ConcreteState) -> int:
-        fused = self._fused_cache.get(tb.guest_start)
-        if fused is None and tb.exec_count == HOT_BLOCK_THRESHOLD:
-            fused = self._fuse(tb)
+    def _dispatch_fast(self, state: ConcreteState, pc: int,
+                       block_limit: int) -> None:
+        """Run the guest from ``pc`` until it halts: fused blocks and
+        closure blocks, with the hot counters in locals until the loop
+        ends.  Statistics match :meth:`_dispatch_generic` exactly."""
         active = self._active
+        cache, fused_cache = self._cache, self._fused_cache
+        steps_cache, cycles_cache = self._steps_cache, self._cycles_cache
+        guard = self.guard
         regs, flags, mem = state.regs, state.flags, state.memory
-        if fused is not None:
-            run, exit_cycles = fused
-            next_pc, exit_index = run(regs, flags, mem)
-            if next_pc is None:
-                raise DBTError(
-                    f"translated block {tb.guest_start:#x} fell off its end"
-                )
-            active.dynamic_host_instructions += exit_index + 1
-            cycle_sum = exit_cycles[exit_index]
-            active.perf.exec_cycles += cycle_sum
-            tb.exec_cycles += cycle_sum
-            return next_pc
-        steps = self._steps_cache[tb.guest_start]
-        cycles = self._cycles_cache[tb.guest_start]
-        index = 0
-        count = 0
-        cycle_sum = 0.0
-        n = len(steps)
-        while index < n:
-            count += 1
-            cycle_sum += cycles[index]
-            target = steps[index](regs, flags, mem)
-            if target is None:
-                index += 1
-                continue
-            active.dynamic_host_instructions += count
-            active.perf.exec_cycles += cycle_sum
-            tb.exec_cycles += cycle_sum
-            if target == EXIT_LABEL:
-                return self._env_read(state, NEXT_PC_OFFSET)
-            if target.startswith("TB@"):
-                return int(target[3:], 16)
-            raise DBTError(f"unexpected host branch target {target!r}")
-        raise DBTError(
-            f"translated block {tb.guest_start:#x} fell off its end"
-        )
+        dispatches = host_instrs = 0
+        exec_cycles = 0.0
+        try:
+            while pc != HALT_ADDRESS:
+                if dispatches >= block_limit:
+                    raise DBTError("block limit exceeded")
+                tick = self.tick
+                if tick is not None:
+                    tick(self)
+                tb = cache.get(pc)
+                if tb is None:
+                    tb = self.translate(pc)
+                if (
+                    guard is not None
+                    and tb.hit_rules
+                    and guard.should_check(tb.exec_count)
+                ):
+                    tb = self._guard_check(tb, state)
+                tb.exec_count += 1
+                dispatches += 1
+                fused = fused_cache.get(pc)
+                if fused is None and tb.exec_count == HOT_BLOCK_THRESHOLD:
+                    fused = self._fuse(tb)
+                if fused is not None:
+                    run, exit_cycles = fused
+                    next_pc, exit_index = run(regs, flags, mem)
+                    if next_pc is None:
+                        raise DBTError(
+                            f"translated block {pc:#x} fell off its end")
+                    host_instrs += exit_index + 1
+                    cycle_sum = exit_cycles[exit_index]
+                    exec_cycles += cycle_sum
+                    tb.exec_cycles += cycle_sum
+                    pc = next_pc
+                    continue
+                cycles = cycles_cache[pc]
+                cycle_sum = 0.0
+                for index, step in enumerate(steps_cache[pc]):
+                    cycle_sum += cycles[index]
+                    target = step(regs, flags, mem)
+                    if target is not None:
+                        break
+                else:
+                    raise DBTError(
+                        f"translated block {pc:#x} fell off its end")
+                host_instrs += index + 1
+                exec_cycles += cycle_sum
+                tb.exec_cycles += cycle_sum
+                pc = self._exit_pc(target, state)
+        finally:
+            active.perf.dispatches += dispatches
+            active.dynamic_host_instructions += host_instrs
+            active.perf.exec_cycles += exec_cycles
+
+    def _exit_pc(self, target, state: ConcreteState) -> int:
+        """The guest pc a block exit branching to ``target`` (a
+        ``Label`` or its name) continues at."""
+        name = target.name if isinstance(target, Label) else target
+        if name == EXIT_LABEL:
+            return self._env_read(state, NEXT_PC_OFFSET)
+        if isinstance(name, str) and name.startswith("TB@"):
+            return int(name[3:], 16)
+        raise DBTError(f"unexpected host branch target {target!r}")
 
     def _fuse(self, tb: TranslatedBlock) -> FusedBlock | None:
         """Promote a hot block to the fused tier (None if it cannot be
@@ -671,38 +687,15 @@ class DBTEngine:
         side effects; return the next guest pc."""
         if steps is not None:
             regs, flags, mem = state.regs, state.flags, state.memory
-            index = 0
-            n = len(steps)
-            while index < n:
-                target = steps[index](regs, flags, mem)
-                if target is None:
-                    index += 1
-                    continue
-                if target == EXIT_LABEL:
-                    return self._env_read(state, NEXT_PC_OFFSET)
-                if target.startswith("TB@"):
-                    return int(target[3:], 16)
-                raise DBTError(
-                    f"unexpected host branch target {target!r}"
-                )
+            for step in steps:
+                target = step(regs, flags, mem)
+                if target is not None:
+                    return self._exit_pc(target, state)
         else:
-            index = 0
-            while index < len(instrs):
-                outcome = execute_x86(instrs[index], state, _ALU)
-                branch = outcome.branch
-                if branch is None or not branch.cond:
-                    index += 1
-                    continue
-                target = branch.target
-                if isinstance(target, Label):
-                    name = target.name
-                    if name == EXIT_LABEL:
-                        return self._env_read(state, NEXT_PC_OFFSET)
-                    if name.startswith("TB@"):
-                        return int(name[3:], 16)
-                raise DBTError(
-                    f"unexpected host branch target {target!r}"
-                )
+            for instr in instrs:
+                branch = execute_x86(instr, state, _ALU).branch
+                if branch is not None and branch.cond:
+                    return self._exit_pc(branch.target, state)
         raise DBTError("guard trial block fell off its end")
 
     def _reference_block(self, guest_addr: int) -> tuple:

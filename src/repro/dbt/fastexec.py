@@ -14,8 +14,8 @@ token (the ``Label`` name) when a (taken) control transfer occurs.
 
 Blocks the engine finds hot are then *fused* (:func:`fuse_block`): the
 whole block becomes one generated Python function, compiled once, that
-keeps registers and flags in locals, writes them back at each exit, and
-returns ``(next guest pc, exit index)``.
+keeps registers, flags and static 4-byte memory words in locals, writes
+them back at each exit, and returns ``(next guest pc, exit index)``.
 """
 
 from __future__ import annotations
@@ -545,10 +545,16 @@ def _live_flags(instrs: list[Instruction]) -> list[frozenset]:
 class _Fuser:
     """Emits one block's Python source, instruction by instruction.
 
-    Registers live in locals ``r_<name>`` and flags in ``f_<name>``.  A
-    local is loaded from its dict on first read (``valid``); a written
-    local is *dirty* until every exit writes it back.  Temporaries
-    (``x``, ``t<n>``) never collide with either.
+    Registers live in locals ``r_<name>``, flags in ``f_<name>`` and the
+    4-byte word at each static address (env slots, spill slots,
+    ``NEXT_PC``) in ``m_<addr>``.  A local is loaded on first read
+    (``valid``); a written local is *dirty* until every exit writes it
+    back.  Temporaries (``x``, ``t<n>``) never collide with any of them.
+
+    Word locals must never disagree with memory read another way: a
+    computed-address or byte load writes the dirty words back first, a
+    computed-address or byte store also forgets every word, and a word
+    forgets any tracked word it overlaps by 1-3 bytes.
     """
 
     def __init__(self, steps: list[Step]) -> None:
@@ -556,8 +562,9 @@ class _Fuser:
         self.lines = ["def fused(regs, flags, mem):"]
         self.namespace: dict = {}
         self.valid: set[str] = set()
-        #: local -> (dict name, key) for locals newer than their dict.
-        self.dirty: dict[str, tuple[str, str]] = {}
+        #: local -> the statement writing it back, for locals newer than
+        #: their dict.
+        self.dirty: dict[str, str] = {}
         self.temps = 0
 
     def emit(self, line: str, depth: int = 1) -> None:
@@ -565,33 +572,61 @@ class _Fuser:
 
     # -- state ----------------------------------------------------------------
 
-    def _load(self, local: str, store: str, key: str) -> str:
+    def _load(self, local: str, source: str) -> str:
         if local not in self.valid:
-            self.emit(f"{local} = {store}.get({key!r}, 0)")
+            self.emit(f"{local} = {source}")
             self.valid.add(local)
         return local
 
     def reg(self, name: str) -> str:
         if not name.isidentifier():
             raise FastExecError(f"cannot fuse register {name!r}")
-        return self._load(f"r_{name}", "regs", name)
+        return self._load(f"r_{name}", f"regs.get({name!r}, 0)")
 
     def flag(self, name: str) -> str:
-        return self._load(f"f_{name}", "flags", name)
+        return self._load(f"f_{name}", f"flags.get({name!r}, 0)")
 
-    def _set(self, local: str, store: str, key: str, expr: str) -> None:
+    def word(self, addr: int) -> str:
+        return self._load(self._word_local(addr), _word_source(str(addr)))
+
+    def _set(self, local: str, writeback: str, expr: str) -> None:
         self.emit(f"{local} = {expr}")
         self.valid.add(local)
-        self.dirty[local] = (store, key)
+        self.dirty[local] = writeback
 
     def set_reg(self, name: str, expr: str) -> None:
-        self._set(f"r_{name}", "regs", name, expr)
+        self._set(f"r_{name}", f"regs[{name!r}] = r_{name}", expr)
 
     def set_flags(self, live: frozenset, **exprs: str) -> None:
         """Set the flags in ``live``; the rest are dead here."""
         for name, expr in exprs.items():
             if name in live:
-                self._set(f"f_{name}", "flags", name, expr)
+                self._set(f"f_{name}", f"flags[{name!r}] = f_{name}", expr)
+
+    def set_word(self, addr: int, expr: str) -> None:
+        local = self._word_local(addr)
+        self._set(local, "; ".join(_word_bytes(str(addr), local)), expr)
+
+    def _word_local(self, addr: int) -> str:
+        """``m_<addr>``, once no tracked word overlaps it in part."""
+        self.drop_words(near=addr)
+        return f"m_{addr}"
+
+    def flush_words(self) -> None:
+        """Write the dirty words back; they stay valid."""
+        for local in [local for local in self.dirty if local[0] == "m"]:
+            self.emit(self.dirty.pop(local))
+
+    def drop_words(self, near: int | None = None) -> None:
+        """Write back and forget every word local, or only those that
+        overlap the word at ``near`` by 1-3 bytes."""
+        for local in sorted(self.valid):
+            if local[0] != "m" or near is not None and \
+                    not 0 < abs(int(local[2:]) - near) < 4:
+                continue
+            if local in self.dirty:
+                self.emit(self.dirty.pop(local))
+            self.valid.discard(local)
 
     def cond(self, cc: str) -> str:
         for name in CONDITION_FLAGS[cc]:
@@ -600,8 +635,8 @@ class _Fuser:
 
     def flush(self, depth: int = 1) -> None:
         """Write every dirty local back to its dict."""
-        for local, (store, key) in self.dirty.items():
-            self.emit(f"{store}[{key!r}] = {local}", depth)
+        for writeback in self.dirty.values():
+            self.emit(writeback, depth)
 
     def exit(self, result: str, depth: int = 1) -> None:
         self.flush(depth)
@@ -642,12 +677,10 @@ class _Fuser:
                 return f"({self.reg(parent_of(op.name))} & 255)"
             return self.reg(op.name)
         if isinstance(op, Mem):
-            a = self.addr(op)
-            return " | ".join(
-                [f"(mem.get({_offset(a, 0)}, 0)"]
-                + [f"mem.get({_offset(a, k)}, 0) << {8 * k}"
-                   for k in (1, 2, 3)]
-            ) + ")"
+            if _static(op):
+                return self.word(op.disp & _MASK)
+            self.flush_words()
+            return _word_source(self.addr(op))
         raise FastExecError(f"unreadable operand {op!r}")
 
     def byte(self, op) -> str:
@@ -657,6 +690,7 @@ class _Fuser:
         if isinstance(op, Reg):
             return f"({self.reg(parent_of(op.name))} & 255)"
         if isinstance(op, Mem):
+            self.flush_words()
             return f"mem.get({self.addr(op)}, 0)"
         raise FastExecError(f"unreadable byte operand {op!r}")
 
@@ -669,11 +703,13 @@ class _Fuser:
                 self.set_reg(op.name, expr)
             return
         if isinstance(op, Mem):
+            if _static(op):
+                self.set_word(op.disp & _MASK, expr)
+                return
             value = self.bind(expr)
-            a = self.addr(op)
-            self.emit(f"mem[{a}] = {value} & 255")
-            for k in (1, 2, 3):
-                self.emit(f"mem[{_offset(a, k)}] = {value} >> {8 * k} & 255")
+            self.drop_words()
+            for line in _word_bytes(self.addr(op), value):
+                self.emit(line)
             return
         raise FastExecError(f"unwritable operand {op!r}")
 
@@ -685,6 +721,7 @@ class _Fuser:
                          f"{self.reg(parent)} & 4294967040 | ({expr}) & 255")
             return
         if isinstance(op, Mem):
+            self.drop_words()
             self.emit(f"mem[{self.addr(op)}] = ({expr}) & 255")
             return
         raise FastExecError(f"unwritable byte operand {op!r}")
@@ -810,6 +847,26 @@ class _Fuser:
                          f"{_MASK} if {self.reg('eax')} >> 31 else 0")
         else:
             self.call_step(index)
+
+
+def _static(op: Mem) -> bool:
+    return op.base is None and op.index is None
+
+
+def _word_source(addr: str) -> str:
+    """Source reading the 4-byte little-endian word at ``addr``."""
+    return " | ".join(
+        [f"(mem.get({addr}, 0)"]
+        + [f"mem.get({_offset(addr, k)}, 0) << {8 * k}" for k in (1, 2, 3)]
+    ) + ")"
+
+
+def _word_bytes(addr: str, value: str) -> list[str]:
+    """Statements storing the four bytes of ``value`` at ``addr``."""
+    return [f"mem[{addr}] = {value} & 255"] + [
+        f"mem[{_offset(addr, k)}] = {value} >> {8 * k} & 255"
+        for k in (1, 2, 3)
+    ]
 
 
 def _offset(addr: str, k: int) -> str:

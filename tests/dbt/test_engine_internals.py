@@ -1,12 +1,16 @@
 """Engine internals: caching, indirect exits, env isolation, spills,
 execution tiers."""
 
+import itertools
+
 import pytest
 
+from repro.benchsuite import benchmark_source
 from repro.dbt.codegen import ENV_BASE, SPILL_BASE
 from repro.dbt.direct import run_arm_program
-from repro.dbt.engine import HOT_BLOCK_THRESHOLD, DBTEngine
+from repro.dbt.engine import HOT_BLOCK_THRESHOLD, DBTEngine, DBTError
 from repro.dbt.guard import GuardPolicy
+from repro.experiments.common import ExperimentContext
 from repro.faults.plan import corrupt_rule
 from repro.learning import learn_rules
 from repro.learning.store import RuleStore
@@ -264,6 +268,37 @@ def watch_fused(engine, calls):
         engine._fused_cache[addr] = fused._replace(run=run)
 
 
+GOLDEN_SLICE = ("bzip2", "mcf", "sjeng", "libquantum")
+
+
+@pytest.fixture(scope="module")
+def golden_stores():
+    context = ExperimentContext()
+    return {name: context.rule_store_excluding(name) for name in GOLDEN_SLICE}
+
+
+def golden_program(name, style):
+    return compile_source(benchmark_source(name, "test"), "arm", 2, style)
+
+
+def assert_same_run(fast, oracle):
+    """The last runs of two engines agree on every dispatch counter,
+    per block too (blocks retired mid-run included)."""
+    assert fast.last_run.perf.dispatches == oracle.last_run.perf.dispatches
+    assert fast.last_run.dynamic_host_instructions == \
+        oracle.last_run.dynamic_host_instructions
+    assert fast.last_run.perf.exec_cycles == \
+        oracle.last_run.perf.exec_cycles
+
+    def blocks(engine):
+        return sorted(
+            (tb.guest_start, tb.exec_count, tb.exec_cycles)
+            for tb in list(engine._cache.values()) + engine._retired_blocks
+        )
+
+    assert blocks(fast) == blocks(oracle)
+
+
 class TestFusedTier:
     def test_fused_run_matches_oracle_exactly(self, hot_guest):
         fused = DBTEngine(hot_guest, "qemu")
@@ -350,3 +385,62 @@ class TestFusedTier:
         calls.clear()
         assert engine.run().return_value == expected
         assert bad_addr in calls  # fused again, from the clean translation
+
+    @pytest.mark.parametrize("name", GOLDEN_SLICE)
+    def test_dispatch_loop_matches_oracle(self, name, golden_stores):
+        for style in ("llvm", "gcc"):
+            program = golden_program(name, style)
+            for mode in ("qemu", "rules"):
+                store = golden_stores[name] if mode == "rules" else None
+                fast = DBTEngine(program, mode, store)
+                oracle = DBTEngine(program, mode, store, fast=False)
+                assert fast.run().return_value == oracle.run().return_value
+                assert fast._fused_cache, (name, style, mode)
+                assert_same_run(fast, oracle)
+
+    def test_dispatch_loop_matches_oracle_across_hot_install(
+            self, golden_stores):
+        program = golden_program("mcf", "llvm")
+        rules = golden_stores["mcf"].all_rules()
+        engines, installs = [], []
+        for tier in (True, False):
+            engine = DBTEngine(program, "rules", RuleStore(), fast=tier)
+            dispatches = itertools.count(1)
+
+            def tick(eng, dispatches=dispatches):
+                if next(dispatches) == 256:
+                    installs.append(eng.hot_install(rules))
+
+            engine.tick = tick
+            engines.append(engine)
+        fast, oracle = engines
+        assert fast.run().return_value == oracle.run().return_value
+        assert installs[0] == installs[1] and installs[0][1], installs
+        assert fast._retired_blocks and fast._fused_cache
+        assert_same_run(fast, oracle)
+
+    def test_dispatch_loop_matches_oracle_under_guard(self, golden_stores):
+        policy = GuardPolicy(check_first=2,
+                             check_interval=HOT_BLOCK_THRESHOLD + 8)
+        program = golden_program("sjeng", "gcc")
+        rules = golden_stores["sjeng"].all_rules()
+        fast, oracle = (
+            DBTEngine(program, "rules", RuleStore.from_rules(rules),
+                      fast=tier, guard=policy)
+            for tier in (True, False)
+        )
+        assert fast.run().return_value == oracle.run().return_value
+        assert fast.guard_stats == oracle.guard_stats
+        assert fast.guard_stats.checks > 0
+        assert_same_run(fast, oracle)
+
+    def test_block_limit_stops_both_loops_alike(self):
+        program = golden_program("bzip2", "llvm")
+        fast = DBTEngine(program, "qemu")
+        oracle = DBTEngine(program, "qemu", fast=False)
+        for engine in (fast, oracle):
+            with pytest.raises(DBTError, match="block limit"):
+                engine.run(block_limit=1000)
+            assert engine.last_run.perf.dispatches == 1000
+        assert fast._fused_cache
+        assert_same_run(fast, oracle)

@@ -134,13 +134,23 @@ def test_uncompilable_raises():
 NEXT_PC = ENV_BASE + NEXT_PC_OFFSET
 
 # More forms for the fused tests: zero-count shifts (no flag or register
-# effect), a zeroed divisor for ``idivl %ebx`` and a cmov from memory.
+# effect), a zeroed divisor for ``idivl %ebx``, a cmov from memory, and
+# static-address accesses inside the window ``0x1000(%esi)`` reaches
+# (0x3000..0x303c), which the fused code keeps in word locals: a store,
+# a load, a load overlapping it by two bytes, a byte store into it, a
+# read-modify-write, and a store to the env's next-pc slot.
 EXTRA_FORMS = [
     "shll $0, %eax",
     "sarl $32, %edx",
     "movl $0, %ebx",
     "movl %ecx, %ebx",
     "cmovl 0x1000(%esi), %ecx",
+    "movl %eax, 0x3000()",
+    "movl 0x3000(), %ecx",
+    "movl 0x3002(), %edx",
+    "movb %cl, 0x3001()",
+    "addl %ecx, 0x3004()",
+    f"movl %ecx, {NEXT_PC:#x}()",
 ]
 
 EXITS = ["jmp TB@0x8010", f"jmp {EXIT_LABEL}"] + [
@@ -198,9 +208,41 @@ def test_fused_blocks_match_semantics(seed, body, tail):
     assert_fused_matches(instrs, random.Random(seed))
 
 
-# Blocks where a flag or register result must survive an instruction
-# that may leave it alone: zero-count shifts, an untaken cmov, and the
-# closures (shift by %cl, idivl) that the fused code calls.
+# Forms that reach the words at 0x3000 and 0x3004 every way the fuser
+# must keep coherent: as word locals (whole and overlapping), by the
+# byte, through %esi once it is pinned to alias them, and inside the
+# closures of idivl and shifts by %cl.
+ALIAS_FORMS = [
+    "movl $0x2000, %esi",
+    "movl %eax, 0x3000()",
+    "movl 0x3000(), %ecx",
+    "movl 0x3002(), %edx",
+    "movl %ebx, 0x3004()",
+    "addl %ecx, 0x3000()",
+    "movb %cl, 0x3001()",
+    "movzbl 0x3003(), %ebx",
+    "movl 0x1000(%esi), %eax",
+    "movl %edx, 0x1002(%esi)",
+    "movb 0x1001(%esi), %al",
+    "movb %dl, 0x1004(%esi)",
+    "idivl 0x3000()",
+    "shll %cl, 0x3000()",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       body=st.lists(st.sampled_from(ALIAS_FORMS), min_size=4, max_size=12),
+       tail=st.sampled_from(EXITS))
+def test_fused_word_aliasing_matches_semantics(seed, body, tail):
+    instrs = [parse(text) for text in body + [tail]]
+    assert_fused_matches(instrs, random.Random(seed))
+
+
+# Blocks where a flag, register or memory result must survive an
+# instruction that may leave it alone: zero-count shifts, an untaken
+# cmov, the closures (shift by %cl, idivl) that the fused code calls,
+# and memory that a word local aliases.
 EDGE_BLOCKS = [
     ("cmpl %ecx, %eax", "shll $0, %eax", "jmp TB@0x10"),
     ("cmpl %ebx, %eax", "movl $0, %ecx", "shll %cl, %eax", "jmp TB@0x10"),
@@ -211,6 +253,26 @@ EDGE_BLOCKS = [
     ("testl %eax, %eax", "cmove 0x1000(%esi), %ebx", "setne %al",
      "jmp TB@0x10"),
     ("cmpl %ecx, %eax", "cmovl %ebx, 0x1000(%esi)", "jmp TB@0x10"),
+    # A static word kept in a local, aliased by memory reached another
+    # way: a computed store over it (then a computed store overlapping
+    # it), a computed load of it, a byte load of it, an overlapping
+    # static word, closures that read or write it, and the next-pc slot
+    # read by the exit.
+    ("movl %eax, 0x3000()", "movl $0x2000, %esi", "movl %ecx, 0x1000(%esi)",
+     "movl 0x3000(), %edx", "jmp TB@0x10"),
+    ("movl 0x3000(), %edx", "movl $0x2000, %esi", "movl %ecx, 0x1002(%esi)",
+     "addl 0x3000(), %edx", "jmp TB@0x10"),
+    ("movl %eax, 0x3000()", "movl $0x2000, %esi", "movl 0x1000(%esi), %edx",
+     "jmp TB@0x10"),
+    ("movl %eax, 0x3000()", "movzbl 0x3002(), %edx", "jmp TB@0x10"),
+    ("movl %eax, 0x3000()", "movl 0x3002(), %edx", "movl %ecx, 0x3002()",
+     "movl 0x3000(), %ebx", "jmp TB@0x10"),
+    ("movl %ecx, 0x3000()", "cltd", "idivl 0x3000()", "movl 0x3000(), %ebx",
+     "addl %eax, 0x3000()", f"jmp {EXIT_LABEL}"),
+    ("movl %eax, 0x3000()", "movl $3, %ecx", "shll %cl, 0x3000()",
+     "movl 0x3000(), %edx", "jmp TB@0x10"),
+    (f"movl %ecx, {NEXT_PC:#x}()", "cmpl $0, %eax", f"je {EXIT_LABEL}",
+     f"movl %edx, {NEXT_PC:#x}()", f"jmp {EXIT_LABEL}"),
 ]
 
 
