@@ -57,6 +57,18 @@ def _candidates(outcomes):
     )
 
 
+def _parallel_speedup(sequential_seconds, parallel_seconds) -> dict:
+    """The parallel figure, or why there is none: with one worker the
+    "parallel" run is a second sequential run, and its ratio to the
+    first is noise."""
+    if JOBS == 1:
+        return {"speedup_over_sequential": None, "measured": False,
+                "reason": "jobs == 1: one worker process measures no "
+                          "parallelism"}
+    return {"speedup_over_sequential": round(
+        sequential_seconds / parallel_seconds, 2), "measured": True}
+
+
 def test_learning_throughput(benchmark, tmp_path):
     builds = {name: build_learning_pair(name) for name in BENCHMARK_NAMES}
 
@@ -110,9 +122,7 @@ def test_learning_throughput(benchmark, tmp_path):
             },
             "parallel": {
                 "seconds": round(parallel_seconds, 3),
-                "speedup_over_sequential": round(
-                    sequential_seconds / parallel_seconds, 2
-                ),
+                **_parallel_speedup(sequential_seconds, parallel_seconds),
                 "rules_match_sequential": all(
                     parallel[name].rules == sequential[name].rules
                     for name in builds
@@ -131,7 +141,11 @@ def test_learning_throughput(benchmark, tmp_path):
     print(f"  warm cache: {payload['warm_cache']['seconds']}s "
           f"({payload['warm_cache']['speedup_over_cold']}x over cold, "
           f"hit rate {payload['warm_cache']['hit_rate']:.0%})")
-    print(f"  parallel (jobs={JOBS}): {payload['parallel']['seconds']}s")
+    parallel = payload["parallel"]
+    print(f"  parallel (jobs={JOBS}): {parallel['seconds']}s, " + (
+        f"{parallel['speedup_over_sequential']}x over sequential"
+        if parallel["measured"] else
+        f"speedup not measured ({parallel['reason']})"))
 
     # Pre-verification dedup pays on a cold run.
     assert payload["sequential"]["dedup_saved_calls"] > 0

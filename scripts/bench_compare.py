@@ -24,6 +24,11 @@ cores than worker processes measures scheduling churn, not the code
 figures are downgraded to ``annotated`` — printed, kept in the JSON
 verdict, but never a failure.
 
+A payload section that says ``"measured": false`` (with a
+``"reason"``) holds no figure: its metrics are reported as ``not
+measured`` and never compared.  The learning bench writes that for its
+parallel speedup when it ran one worker process.
+
 The verdict is machine-readable with ``--json``:
 ``{"ok": bool, "regressions": N, "results": [...]}``.
 """
@@ -147,6 +152,15 @@ def _lookup(payload: dict, path: str):
     return node
 
 
+def _unmeasured(payload: dict, path: str) -> str | None:
+    """Why ``path``'s section holds no figure, if it says it holds none."""
+    parent = path.rpartition(".")[0]
+    section = _lookup(payload, parent) if parent else payload
+    if isinstance(section, dict) and section.get("measured") is False:
+        return section.get("reason") or "not measured"
+    return None
+
+
 def _oversubscribed(payload: dict) -> bool:
     cpus, jobs = payload.get("cpus"), payload.get("jobs")
     return isinstance(cpus, int) and isinstance(jobs, int) and jobs > cpus
@@ -173,7 +187,11 @@ def compare(baseline: dict, candidate: dict) -> list[dict]:
             "direction": check.direction,
             "tolerance": check.tolerance,
         }
-        if base is None:
+        unmeasured = (_unmeasured(candidate, check.path)
+                      or _unmeasured(baseline, check.path))
+        if unmeasured:
+            result.update(verdict="not measured", note=unmeasured)
+        elif base is None:
             result.update(verdict="skipped",
                           note="metric absent from baseline")
         elif cand is None:

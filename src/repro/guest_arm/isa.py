@@ -6,6 +6,8 @@ an optional ``s`` (set-flags) suffix, e.g. ``subs``, ``movne``, ``ble``.
 
 from __future__ import annotations
 
+from functools import cache
+
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg, ShiftedReg
 
@@ -45,6 +47,7 @@ CONDITION_FLAGS: dict[str, tuple[str, ...]] = {
 _OPCODE_IDS = {name: index + 1 for index, name in enumerate(BASE_OPCODES)}
 
 
+@cache  # pure, and called for every footprint the allocator takes
 def split_mnemonic(mnemonic: str) -> tuple[str, str | None, bool]:
     """Split a UAL mnemonic into (base, condition, set_flags).
 

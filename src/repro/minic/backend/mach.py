@@ -81,6 +81,18 @@ class MachineBuilder:
 _PARENT_TO_LOW8 = {"eax": "al", "ecx": "cl", "edx": "dl", "ebx": "bl"}
 
 
+def _sub_reg(reg: Reg, mapping: dict[str, str]) -> Reg:
+    name = reg.name
+    if name.endswith(".b"):
+        parent = mapping.get(name[:-2])
+        if parent is None:
+            return reg
+        new = _PARENT_TO_LOW8.get(parent, f"{parent}.b")
+    else:
+        new = mapping.get(name, name)
+    return reg if new == name else Reg(new)
+
+
 def rewrite_registers(instr: Instruction,
                       mapping: dict[str, str]) -> Instruction:
     """Return ``instr`` with virtual register names replaced.
@@ -90,36 +102,23 @@ def rewrite_registers(instr: Instruction,
     ``needs_low8`` meta hint is renamed the same way, in a fresh meta
     dict: ``instr`` itself is never modified.
     """
-
-    def sub_name(name: str) -> str:
-        if name.endswith(".b"):
-            parent = mapping.get(name[:-2])
-            if parent is None:
-                return name
-            return _PARENT_TO_LOW8.get(parent, f"{parent}.b")
-        return mapping.get(name, name)
-
-    def sub_reg(reg: Reg | None) -> Reg | None:
-        if reg is None:
-            return None
-        name = sub_name(reg.name)
-        return reg if name == reg.name else Reg(name)
-
     changed = False
     new_ops = []
     for op in instr.operands:
         if isinstance(op, Reg):
-            new = sub_reg(op)
+            new = _sub_reg(op, mapping)
         elif isinstance(op, ShiftedReg):
-            reg = sub_reg(op.reg)
+            reg = _sub_reg(op.reg, mapping)
             new = op if reg is op.reg else ShiftedReg(reg, op.shift, op.amount)
         elif isinstance(op, Mem) and (op.base or op.index):
-            base, index = sub_reg(op.base), sub_reg(op.index)
+            base = op.base and _sub_reg(op.base, mapping)
+            index = op.index and _sub_reg(op.index, mapping)
             new = op if base is op.base and index is op.index else Mem(
                 base, index, op.scale, op.disp, op.var, op.disp_param)
         else:
             new = op
-        changed = changed or new is not op
+        if new is not op:
+            changed = True
         new_ops.append(new)
     if not changed:
         return instr

@@ -90,9 +90,13 @@ def _successors(func: MachineFunction, target: TargetInfo,
     return succ
 
 
+#: Basic blocks as (start, end) positions, and each one's live-in and
+#: live-out set.
+_Liveness = tuple[list[tuple[int, int]], list[set[str]], list[set[str]]]
+
+
 def _liveness(func: MachineFunction, target: TargetInfo,
-              footprints: list[_Footprint]
-              ) -> tuple[list[tuple[int, int]], list[set[str]], list[set[str]]]:
+              footprints: list[_Footprint]) -> _Liveness:
     """Basic blocks with the live-in and live-out set of each.
 
     When no CFG edge goes backward (true of every DBT block) one pass
@@ -144,24 +148,33 @@ class _Interval:
 
 
 def _build_intervals(func: MachineFunction, target: TargetInfo,
-                     footprints: list[_Footprint]
+                     footprints: list[_Footprint], liveness: _Liveness
                      ) -> tuple[list[_Interval], dict[str, list[int]]]:
     """Each vreg's interval spans every position where it is live,
     defined or used; ``phys_busy`` lists those positions for every
     allocatable physical register."""
-    blocks, live_in, live_out = _liveness(func, target, footprints)
+    blocks, live_in, live_out = liveness
     tracked = frozenset(target.alloc_order)
     first: dict[str, int] = {}
     last: dict[str, int] = {}
-    phys_touched: list[int] = []  # ascending
+    # position -> (allocatable registers it uses, those it defines)
+    phys: dict[int, tuple[list[str], list[str]]] = {}
     for index, (uses, defs) in enumerate(footprints):
-        for name in uses + defs:
+        for name in uses:
             if is_vreg(name):
                 if name not in first:
                     first[name] = index
                 last[name] = index
             elif name in tracked:
-                phys_touched.append(index)
+                phys.setdefault(index, ([], []))[0].append(name)
+        for name in defs:
+            if is_vreg(name):
+                if name not in first:
+                    first[name] = index
+                last[name] = index
+            elif name in tracked:
+                phys.setdefault(index, ([], []))[1].append(name)
+    phys_touched = list(phys)  # ascending
     phys_busy: dict[str, list[int]] = {}
     for (start, end), block_in, block_out in zip(blocks, live_in, live_out):
         # Liveness across a block boundary stretches an interval to it.
@@ -175,12 +188,16 @@ def _build_intervals(func: MachineFunction, target: TargetInfo,
         if not live and not _conflicts(phys_touched, start, end - 1):
             continue  # no allocatable register is live or touched here
         for index in range(end - 1, start - 1, -1):
-            uses, defs = footprints[index]
-            for name in live.union(defs, uses):
-                if name in tracked:
+            touched = phys.get(index)
+            if touched is None:
+                for name in live:
                     phys_busy.setdefault(name, []).append(index)
+                continue
+            uses, defs = touched
+            for name in live.union(defs, uses):
+                phys_busy.setdefault(name, []).append(index)
             live.difference_update(defs)
-            live.update(name for name in uses if name in tracked)
+            live.update(uses)
     low8 = _low8_requirements(func, target)
     intervals = [
         _Interval(name, start, last[name], name in low8)
@@ -213,14 +230,32 @@ def allocate(func: MachineFunction, target: TargetInfo) -> dict[str, str]:
     """Assign physical registers; mutates ``func`` (spill code, operand
     rewriting) and returns the final vreg -> phys mapping."""
     footprints = [_footprint(instr, target) for instr in func.instrs]
+    liveness = _liveness(func, target, footprints)
     for _ in range(_MAX_ROUNDS):
-        intervals, phys_busy = _build_intervals(func, target, footprints)
+        intervals, phys_busy = _build_intervals(func, target, footprints,
+                                                liveness)
         mapping, failed = _linear_scan(intervals, phys_busy, target)
         if failed is None:
             _apply(func, target, mapping)
             return mapping
-        victim = _choose_victim(intervals, mapping, failed, target)
-        footprints = _spill(func, target, victim, footprints)
+        victim = _choose_victim(intervals, mapping, failed, target).name
+        blocks, live_in, live_out = liveness
+        # A store after a block-ending definition would start a block
+        # of its own: recompute.  Otherwise every spill temp lives and
+        # dies inside its block and the victim is gone from the code.
+        keep = not any(
+            victim in footprints[end - 1][1]
+            and target.is_branch(func.instrs[end - 1])
+            for _, end in blocks
+        )
+        footprints, moved = _spill(func, target, victim, footprints)
+        if keep:
+            for live in (*live_in, *live_out):
+                live.discard(victim)
+            liveness = ([(moved[start], moved[end]) for start, end in blocks],
+                        live_in, live_out)
+        else:
+            liveness = _liveness(func, target, footprints)
     raise RegisterAllocationError(
         f"{func.name}: allocation did not converge after {_MAX_ROUNDS} rounds"
     )
@@ -309,32 +344,29 @@ def _apply(func: MachineFunction, target: TargetInfo,
     func.instrs = [
         rewrite_registers(instr, mapping) for instr in func.instrs
     ]
-    used = set()
-    for instr in func.instrs:
-        for reg in instr.registers():
-            used.add(reg.name)
-    for name in mapping.values():
-        used.add(name)
+    used = {reg.name for instr in func.instrs for reg in instr.registers()}
+    used.update(mapping.values())
     func.used_callee_saved = tuple(
         reg for reg in target.callee_saved if reg in used
     )
 
 
-def _spill(func: MachineFunction, target: TargetInfo, interval: _Interval,
-           footprints: list[_Footprint]) -> list[_Footprint]:
-    """Spill ``interval``'s vreg to the frame and rewrite its accesses;
-    returns the footprints of the new instruction list."""
-    victim = interval.name
+def _spill(func: MachineFunction, target: TargetInfo, victim: str,
+           footprints: list[_Footprint]
+           ) -> tuple[list[_Footprint], list[int]]:
+    """Spill ``victim`` to the frame and rewrite its accesses; returns
+    the footprints of the new instruction list and each old position's
+    new one (one past the end maps to the new length)."""
     offset = func.frame_slots + func.spill_bytes
     func.spill_bytes += target.word_size
     new_instrs: list[Instruction] = []
     new_footprints: list[_Footprint] = []
-    moved: list[tuple[int, int]] = []  # (old position, new position)
+    moved: list[int] = []
     counter = 0
-    for old_pos, (instr, footprint) in enumerate(zip(func.instrs, footprints)):
+    for instr, footprint in zip(func.instrs, footprints):
         uses = victim in footprint[0]
         defines = victim in footprint[1]
-        moved.append((old_pos, len(new_instrs)))
+        moved.append(len(new_instrs))
         if not uses and not defines:
             new_instrs.append(instr)
             new_footprints.append(footprint)
@@ -351,10 +383,10 @@ def _spill(func: MachineFunction, target: TargetInfo, interval: _Interval,
             _footprint(new, target)
             for new in new_instrs[len(new_footprints):]
         )
-    position_map = dict(moved)
+    moved.append(len(new_instrs))
     func.labels = {
-        name: position_map.get(pos, len(new_instrs))
+        name: moved[pos] if pos < len(moved) else len(new_instrs)
         for name, pos in func.labels.items()
     }
     func.instrs = new_instrs
-    return new_footprints
+    return new_footprints, moved

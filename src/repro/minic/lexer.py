@@ -9,7 +9,7 @@ source line, so line fidelity matters here).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.minic.errors import ParseError
 
@@ -26,6 +26,8 @@ _OPERATORS = (
     "(", ")", "{", "}", "[", "]", ";", ",",
 )
 
+# One alternative per token kind, tried in order; ``error`` catches
+# any character no other alternative starts with.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -36,15 +38,17 @@ _TOKEN_RE = re.compile(
   | (?P<char>'(?:\\.|[^'\\])')
   | (?P<ident>[A-Za-z_]\w*)
   | (?P<op>""" + "|".join(re.escape(op) for op in _OPERATORS) + r""")
+  | (?P<error>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
 
+_SKIPPED = frozenset(("ws", "line_comment", "block_comment"))
+
 _ESCAPES = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39, '"': 34, "r": 13}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token."""
 
     kind: str  # "ident" | "num" | "char" | "op" | "kw" | "eof"
@@ -56,32 +60,27 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Tokenize MiniC source into a token list ending with EOF."""
     tokens: list[Token] = []
+    append = tokens.append
     line = 1
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if not match:
-            raise ParseError(f"unexpected character {source[pos]!r}", line)
-        text = match.group(0)
+    for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
-        if kind in ("ws", "line_comment", "block_comment"):
+        text = match.group()
+        if kind in _SKIPPED:
             line += text.count("\n")
-            pos = match.end()
-            continue
-        if kind == "hex":
-            tokens.append(Token("num", text, line, int(text, 16)))
-        elif kind == "num":
-            tokens.append(Token("num", text, line, int(text)))
-        elif kind == "char":
-            tokens.append(Token("char", text, line, _char_value(text, line)))
         elif kind == "ident":
-            token_kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(token_kind, text, line))
+            append(Token("kw" if text in KEYWORDS else "ident", text, line))
+        elif kind == "op":
+            append(Token("op", text, line))
+        elif kind == "num":
+            append(Token("num", text, line, int(text)))
+        elif kind == "hex":
+            append(Token("num", text, line, int(text, 16)))
+        elif kind == "char":
+            append(Token("char", text, line, _char_value(text, line)))
+            line += text.count("\n")
         else:
-            tokens.append(Token("op", text, line))
-        line += text.count("\n")
-        pos = match.end()
-    tokens.append(Token("eof", "", line))
+            raise ParseError(f"unexpected character {text!r}", line)
+    append(Token("eof", "", line))
     return tokens
 
 

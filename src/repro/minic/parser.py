@@ -41,12 +41,12 @@ class _Parser:
         return self._tokens[self._pos]
 
     def _advance(self) -> Token:
-        token = self._cur
+        token = self._tokens[self._pos]
         self._pos += 1
         return token
 
     def _check(self, kind: str, text: str | None = None) -> bool:
-        token = self._cur
+        token = self._tokens[self._pos]
         return token.kind == kind and (text is None or token.text == text)
 
     def _accept(self, kind: str, text: str | None = None) -> Token | None:

@@ -37,12 +37,19 @@ def optimize_function(func: TacFunction, level: int) -> None:
         cleanup_cfg(func)
         return
     mem2reg(func)
-    for _ in range(3):  # a few rounds to a fixed point (cheaply)
+    # At most three rounds; each is a deterministic function of the
+    # snapshot, so a round that changes nothing ends the loop early.
+    before = _snapshot(func)
+    for _ in range(3):
         fold_and_propagate(func)
         if level >= 2:
             local_cse(func)
             strength_reduce(func, aggressive=level >= 3)
         dead_code_elim(func)
+        after = _snapshot(func)
+        if after == before:
+            break
+        before = after
     coalesce_copies(func)
     dead_code_elim(func)
     if level >= 2:
@@ -52,6 +59,17 @@ def optimize_function(func: TacFunction, level: int) -> None:
         coalesce_copies(func)
         dead_code_elim(func)
     cleanup_cfg(func)
+
+
+def _snapshot(func: TacFunction) -> tuple:
+    """The state the optimize rounds read and change: every field of
+    every instruction, and the counters."""
+    return func.temp_counter, func.label_counter, [
+        (instr.op, instr.line, instr.dest, instr.bin_op, instr.a, instr.b,
+         instr.addr, instr.size, instr.name, instr.args, instr.label,
+         instr.label2, instr.tval, instr.fval)
+        for instr in func.instrs
+    ]
 
 
 # -- mem2reg ---------------------------------------------------------------
@@ -165,22 +183,17 @@ def fold_and_propagate(func: TacFunction) -> None:
     for start, end in _block_boundaries(func):
         consts: dict[str, int] = {}
         copies: dict[str, str] = {}
-
-        def invalidate(dest: str) -> None:
-            consts.pop(dest, None)
-            copies.pop(dest, None)
-            for key in [k for k, v in copies.items() if v == dest]:
-                del copies[key]
-
+        copied: dict[str, set[str]] = {}  # source -> its keys in copies
         for instr in func.instrs[start:end]:
-            mapping: dict[str, object] = {}
-            for use in instr.uses():
-                if use in consts:
-                    mapping[use] = consts[use]
-                elif use in copies:
-                    mapping[use] = copies[use]
-            if mapping:
-                instr.replace_uses(mapping)
+            if consts or copies:
+                mapping: dict[str, object] = {}
+                for use in instr.uses():
+                    if use in consts:
+                        mapping[use] = consts[use]
+                    elif use in copies:
+                        mapping[use] = copies[use]
+                if mapping:
+                    instr.replace_uses(mapping)
             if instr.op == "bin" and isinstance(instr.a, int) and isinstance(
                 instr.b, int
             ):
@@ -206,15 +219,23 @@ def fold_and_propagate(func: TacFunction) -> None:
                 instr.a = value
                 instr.b = instr.tval = instr.fval = None
                 instr.bin_op = None
-            if instr.dest is not None:
-                invalidate(instr.dest)
+            dest = instr.dest
+            if dest is not None:
+                # Forget what ``dest`` held and every copy of it.
+                consts.pop(dest, None)
+                source = copies.pop(dest, None)
+                if source is not None:
+                    copied[source].discard(dest)
+                for key in copied.pop(dest, ()):
+                    del copies[key]
                 if instr.op == "const" and isinstance(instr.a, int):
-                    consts[instr.dest] = instr.a
+                    consts[dest] = instr.a
                 elif instr.op == "copy" and isinstance(instr.a, str):
-                    copies[instr.dest] = instr.a
+                    copies[dest] = instr.a
+                    copied.setdefault(instr.a, set()).add(dest)
                 elif instr.op == "copy" and isinstance(instr.a, int):
                     instr.op = "const"
-                    consts[instr.dest] = instr.a
+                    consts[dest] = instr.a
 
 
 def _fold_identities(instr: Instr) -> None:
@@ -412,26 +433,31 @@ def coalesce_copies(func: TacFunction) -> None:
 
 
 def dead_code_elim(func: TacFunction) -> None:
-    """Remove pure instructions whose results are never used."""
-    while True:
-        use_counts: dict[str, int] = {}
-        for instr in func.instrs:
-            for use in instr.uses():
-                use_counts[use] = use_counts.get(use, 0) + 1
-        removed = False
-        kept: list[Instr] = []
-        for instr in func.instrs:
-            if (
-                instr.op in _PURE_OPS
-                and instr.dest is not None
-                and use_counts.get(instr.dest, 0) == 0
-            ):
-                removed = True
-                continue
-            kept.append(instr)
-        func.instrs = kept
-        if not removed:
-            return
+    """Remove pure instructions whose results are never used, and then
+    those that only fed removed ones, until nothing more dies."""
+    instrs = func.instrs
+    uses = [instr.uses() for instr in instrs]
+    use_counts: dict[str, int] = {}
+    for used in uses:
+        for name in used:
+            use_counts[name] = use_counts.get(name, 0) + 1
+    pure_defs: dict[str, list[int]] = {}
+    for pos, instr in enumerate(instrs):
+        if instr.op in _PURE_OPS and instr.dest is not None:
+            pure_defs.setdefault(instr.dest, []).append(pos)
+    worklist = [pos for name, positions in pure_defs.items()
+                if name not in use_counts for pos in positions]
+    dead: set[int] = set()
+    while worklist:
+        pos = worklist.pop()
+        dead.add(pos)
+        for name in uses[pos]:
+            use_counts[name] -= 1
+            if not use_counts[name]:
+                worklist.extend(pure_defs.get(name, ()))
+    if dead:
+        func.instrs = [instr for pos, instr in enumerate(instrs)
+                       if pos not in dead]
 
 
 # -- if-conversion --------------------------------------------------------------------

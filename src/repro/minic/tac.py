@@ -107,18 +107,14 @@ class Instr:
     def uses(self) -> tuple[str, ...]:
         """Virtual registers this instruction reads."""
         used: list[str] = []
-
-        def add(value) -> None:
+        for value in (self.a, self.b, self.tval, self.fval, *self.args):
             if isinstance(value, str) and value not in used:
                 used.append(value)
-
-        for value in (self.a, self.b, self.tval, self.fval):
-            add(value)
-        for value in self.args:
-            add(value)
-        if self.addr is not None:
-            for reg in self.addr.values():
-                add(reg)
+        addr = self.addr
+        if addr is not None:
+            for value in (addr.base, addr.index):
+                if isinstance(value, str) and value not in used:
+                    used.append(value)
         return tuple(used)
 
     def replace_uses(self, mapping: dict[str, Value]) -> None:

@@ -1,8 +1,15 @@
-"""Optimization passes: semantics preservation + specific transforms."""
+"""Optimization passes: semantics preservation + specific transforms,
+and identity with the reference schedule the fast one replaced."""
+
+import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.corpus.generate import generate_program
+from repro.corpus.grammar import REGIONS
+from repro.minic import passes
 from repro.minic.interp import run_tac
 from repro.minic.lower import lower_program
 from repro.minic.parser import parse
@@ -172,3 +179,97 @@ def arith_program(draw):
 def test_random_programs_agree_across_levels(source):
     results = _outputs(source)
     assert len(set(results)) == 1, (source, results)
+
+
+# -- reference schedule -----------------------------------------------------------
+
+
+def reference_dead_code_elim(func) -> None:
+    """Recount every use and sweep until a sweep removes nothing."""
+    while True:
+        use_counts: dict[str, int] = {}
+        for instr in func.instrs:
+            for use in instr.uses():
+                use_counts[use] = use_counts.get(use, 0) + 1
+        removed = False
+        kept = []
+        for instr in func.instrs:
+            if (
+                instr.op in passes._PURE_OPS
+                and instr.dest is not None
+                and use_counts.get(instr.dest, 0) == 0
+            ):
+                removed = True
+                continue
+            kept.append(instr)
+        func.instrs = kept
+        if not removed:
+            return
+
+
+def reference_optimize_function(func, level: int) -> None:
+    """Always three fold/CSE/strength-reduce/DCE rounds."""
+    dce = reference_dead_code_elim
+    if level <= 0:
+        passes.cleanup_cfg(func)
+        return
+    passes.mem2reg(func)
+    for _ in range(3):
+        passes.fold_and_propagate(func)
+        if level >= 2:
+            passes.local_cse(func)
+            passes.strength_reduce(func, aggressive=level >= 3)
+        dce(func)
+    passes.coalesce_copies(func)
+    dce(func)
+    if level >= 2:
+        passes.if_convert(func)
+        passes.fold_and_propagate(func)
+        dce(func)
+        passes.coalesce_copies(func)
+        dce(func)
+    passes.cleanup_cfg(func)
+
+
+def _tac_digest(tac) -> str:
+    return hashlib.sha256(pickle.dumps(tac)).hexdigest()
+
+
+def assert_matches_reference(source: str) -> None:
+    for level in (1, 2, 3):
+        fast = lower_program(parse(source))
+        optimize_program(fast, level)
+        reference = lower_program(parse(source))
+        for func in reference.functions.values():
+            reference_optimize_function(func, level)
+        assert _tac_digest(fast) == _tac_digest(reference), (source, level)
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("source", TestSemanticPreservation.SOURCES)
+    def test_fixed_sources(self, source):
+        assert_matches_reference(source)
+
+    @settings(max_examples=60, deadline=None)
+    @given(source=arith_program())
+    def test_random_programs(self, source):
+        assert_matches_reference(source)
+
+    @pytest.mark.parametrize("region", sorted(REGIONS))
+    def test_corpus_regions(self, region):
+        for index in range(3):
+            assert_matches_reference(
+                generate_program(REGIONS[region], 5, region, index))
+
+    def test_dead_chain_removed_in_one_call(self):
+        # Each definition only feeds the next; the last is unused.
+        tac = lower_program(parse(
+            "int main(void) { int a = 1; int b = a + 2; int c = b * 3; "
+            "return 0; }"))
+        func = tac.functions["main"]
+        passes.mem2reg(func)
+        reference = pickle.loads(pickle.dumps(func))
+        passes.dead_code_elim(func)
+        reference_dead_code_elim(reference)
+        assert pickle.dumps(func) == pickle.dumps(reference)
+        assert all(instr.op == "ret" for instr in func.instrs)

@@ -1,11 +1,19 @@
-"""Register allocator unit tests on hand-built machine code, plus a
-differential oracle for liveness over random machine functions."""
+"""Register allocator unit tests on hand-built machine code, a
+differential oracle for liveness over random machine functions, and a
+check that the liveness ``allocate`` keeps across spill rounds equals a
+rebuild."""
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.benchsuite import BENCHMARK_NAMES, benchmark_source
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg
-from repro.minic.backend.arm_backend import arm_imm_ok, target_info as arm_ti
+from repro.minic.backend import regalloc
+from repro.minic.backend.arm_backend import ArmSelector, arm_imm_ok
+from repro.minic.backend.arm_backend import target_info as arm_ti
 from repro.minic.backend.mach import (
     MachineFunction,
     is_vreg,
@@ -19,7 +27,9 @@ from repro.minic.backend.regalloc import (
     _successors,
     allocate,
 )
+from repro.minic.backend.x86_backend import X86Selector
 from repro.minic.backend.x86_backend import target_info as x86_ti
+from repro.minic.compile import compile_frontend, layout_globals
 
 
 def instr(mnemonic, *ops, meta=None):
@@ -252,7 +262,8 @@ def _check_against_oracle(func: MachineFunction) -> None:
                 busy.setdefault(name, []).append(index)
     low8 = {name for ins in func.instrs if ins.meta
             for name in ins.meta.get("needs_low8", ())}
-    intervals, phys_busy = _build_intervals(func, X86, footprints)
+    intervals, phys_busy = _build_intervals(
+        func, X86, footprints, (blocks, block_in, block_out))
     assert {iv.name: (iv.start, iv.end, iv.needs_low8)
             for iv in intervals} == {
         name: (positions[0], positions[-1], name in low8)
@@ -274,3 +285,110 @@ class TestLivenessOracle:
     def test_cyclic_fixed_point(self, func):
         assert _has_back_edge(func)
         _check_against_oracle(func)
+
+
+# -- liveness kept across spill rounds -------------------------------------------
+
+
+def _tight(target, registers: int = 3):
+    """``target`` with only the last few allocatable registers, so that
+    ordinary code spills."""
+    return replace(target, alloc_order=target.alloc_order[-registers:])
+
+
+def _tracked(liveness, target):
+    """Blocks and live sets restricted to what allocation reads: vregs
+    and allocatable registers (spill code adds frame bases such as
+    ``sp`` and ``FRAME`` that the kept sets do not track)."""
+    blocks, live_in, live_out = liveness
+
+    def keep(names):
+        return {name for name in names
+                if is_vreg(name) or name in target.alloc_order}
+
+    return blocks, [keep(s) for s in live_in], [keep(s) for s in live_out]
+
+
+def _interval_view(built):
+    intervals, phys_busy = built
+    return ([(iv.name, iv.start, iv.end, iv.needs_low8) for iv in intervals],
+            phys_busy)
+
+
+def _checked_allocate(func: MachineFunction, target) -> dict:
+    """``allocate`` with every round's liveness and intervals compared
+    against a rebuild; counts rounds and liveness rebuilds."""
+    liveness = regalloc._liveness
+    build = regalloc._build_intervals
+    stats = {"rounds": 0, "rebuilds": -1}  # the first _liveness is no rebuild
+
+    def counting_liveness(*args):
+        stats["rebuilds"] += 1
+        return liveness(*args)
+
+    def checking_build(func, target, footprints, kept):
+        assert footprints == [_footprint(ins, target) for ins in func.instrs]
+        fresh = liveness(func, target, footprints)
+        assert _tracked(kept, target) == _tracked(fresh, target)
+        built = build(func, target, footprints, kept)
+        assert _interval_view(built) == _interval_view(
+            build(func, target, footprints, fresh))
+        stats["rounds"] += 1
+        return built
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regalloc, "_liveness", counting_liveness)
+        patch.setattr(regalloc, "_build_intervals", checking_build)
+        allocate(func, target)
+    return stats
+
+
+class TestKeptLiveness:
+    @pytest.mark.parametrize("target_name", ["arm", "x86"])
+    def test_benchmark_suite(self, target_name):
+        selector, target_info = {"arm": (ArmSelector, arm_ti),
+                                 "x86": (X86Selector, x86_ti)}[target_name]
+        functions = spill_rounds = 0
+        for name in BENCHMARK_NAMES:
+            tac = compile_frontend(benchmark_source(name, "test"), 2)
+            global_addrs = layout_globals(tac)
+            for style in ("llvm", "gcc"):
+                for target in (target_info(style), _tight(target_info(style))):
+                    for tac_func in tac.functions.values():
+                        func = selector(tac_func, style, 2,
+                                        global_addrs).select()
+                        stats = _checked_allocate(func, target)
+                        functions += 1
+                        spill_rounds += stats["rounds"] - 1
+        assert spill_rounds > functions  # the kept path is exercised
+
+    @settings(max_examples=100, deadline=None)
+    @given(machine_functions(loops=False))
+    def test_random_acyclic(self, func):
+        _checked_allocate(func, _tight(X86, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(machine_functions(loops=True))
+    def test_random_cyclic(self, func):
+        _checked_allocate(func, _tight(X86, 2))
+
+    def test_block_ending_definition_rebuilds(self):
+        # ``popl`` made a conditional block end: spilling ``%x`` puts
+        # its store after the block's last instruction, in a block of
+        # its own, so the kept blocks no longer match.
+        target = replace(
+            X86, alloc_order=("ebx", "esi"),
+            is_branch=lambda ins: X86.is_branch(ins) or ins.mnemonic == "popl",
+            branch_condition=lambda ins: (
+                "ne" if ins.mnemonic == "popl" else X86.branch_condition(ins)),
+        )
+        func = MachineFunction("f", instrs=[
+            instr("movl", Imm(1), Reg("%y")),
+            instr("movl", Imm(2), Reg("%z")),
+            instr("popl", Reg("%x")),
+            instr("addl", Reg("%y"), Reg("%x")),
+            instr("addl", Reg("%z"), Reg("%x")),
+            instr("movl", Reg("%x"), Mem(base=None, disp=0x1000)),
+        ])
+        stats = _checked_allocate(func, target)
+        assert stats == {"rounds": 3, "rebuilds": 1}

@@ -131,6 +131,51 @@ class TestOversubscriptionAnnotation:
         assert verdicts["sequential.verify_calls"] == "regression"
 
 
+def _one_worker(payload: dict) -> dict:
+    """What the learning bench writes for a run with one worker."""
+    payload.update(cpus=1, jobs=1)
+    payload["parallel"] = {
+        "speedup_over_sequential": None, "measured": False,
+        "reason": "jobs == 1: one worker process measures no parallelism",
+    }
+    return payload
+
+
+class TestNotMeasured:
+    def test_unmeasured_candidate_is_not_compared(self):
+        results = bench_compare.compare(_payload(), _one_worker(_payload()))
+        (row,) = [r for r in results
+                  if r["metric"] == "parallel.speedup_over_sequential"]
+        assert row["verdict"] == "not measured"
+        assert "one worker" in row["note"]
+        assert "bound" not in row
+        assert set(_verdicts(results).values()) == {"ok", "not measured"}
+
+    def test_unmeasured_baseline_is_not_compared(self):
+        candidate = _payload(**{"parallel.speedup_over_sequential": 0.1})
+        verdicts = _verdicts(bench_compare.compare(_one_worker(_payload()),
+                                                   candidate))
+        assert verdicts["parallel.speedup_over_sequential"] == \
+            "not measured"
+
+    def test_other_metrics_still_compared(self):
+        candidate = _one_worker(_payload(**{"sequential.verify_calls": 600}))
+        verdicts = _verdicts(bench_compare.compare(_payload(), candidate))
+        assert verdicts["sequential.verify_calls"] == "regression"
+
+    def test_cli_reports_not_measured(self, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        candidate = tmp_path / "candidate.json"
+        baseline.write_text(json.dumps(_payload()))
+        candidate.write_text(json.dumps(_one_worker(_payload())))
+        assert bench_compare.main([
+            "--baseline", str(baseline), "--candidate", str(candidate),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "NOT MEASURED" in out
+        assert "verdict: OK" in out
+
+
 class TestCli:
     @pytest.fixture()
     def baseline_path(self, tmp_path):
