@@ -33,6 +33,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
+from repro.guest_arm.isa import split_mnemonic
 from repro.host_x86 import execute as execute_x86
 from repro.isa.alu import ConcreteALU
 from repro.isa.operands import Label
@@ -54,7 +55,13 @@ from repro.dbt.codegen import (
     REG_OFFSET,
     TranslatedBlock,
 )
-from repro.dbt.fastexec import FastExecError, FusedBlock, fuse_block
+from repro.dbt.fastexec import (
+    FastExecError,
+    FusedBlock,
+    Region,
+    fuse_block,
+    fuse_region,
+)
 from repro.dbt.frontend import translate_block
 from repro.dbt.guard import GuardPolicy, GuardStats, copy_state, states_agree
 from repro.dbt.llvmjit import optimize_tcg
@@ -71,6 +78,11 @@ _ENGINE_IDS = itertools.count()
 #: Dispatch count at which a block's closures are fused into one
 #: generated function (see DESIGN.md, "Execution tiers").
 HOT_BLOCK_THRESHOLD = 64
+#: Dispatch count at which a fused block seeds a fused region (see
+#: DESIGN.md, "Fused regions").
+HOT_REGION_THRESHOLD = 512
+#: Most host instructions one fused region holds.
+REGION_MAX_INSTRS = 768
 
 
 class DBTError(Exception):
@@ -263,6 +275,10 @@ class DBTEngine:
         #: Hot blocks fused into one function; an entry lives and dies
         #: with the block's ``_steps_cache`` entry.
         self._fused_cache: dict[int, FusedBlock] = {}
+        #: Fused regions, and each member's ``(run, index)`` entry (None
+        #: where a hot block seeded no region); see :meth:`_form_region`.
+        self._regions: list[Region] = []
+        self._region_entries: dict[int, tuple | None] = {}
         #: TCG-only reference translations (guard comparisons).
         self._ref_cache: dict[int, tuple] = {}
         #: Blocks invalidated mid-run after executing: their dynamic
@@ -536,13 +552,17 @@ class DBTEngine:
 
     def _dispatch_fast(self, state: ConcreteState, pc: int,
                        block_limit: int) -> None:
-        """Run the guest from ``pc`` until it halts: fused blocks and
-        closure blocks, with the hot counters in locals until the loop
-        ends.  Statistics match :meth:`_dispatch_generic` exactly."""
+        """Run the guest from ``pc`` until it halts: fused regions,
+        fused blocks and closure blocks, with the hot counters in locals
+        until the loop ends.  Statistics match :meth:`_dispatch_generic`
+        exactly.  Regions run only while no ``tick`` hook and no guard
+        must see each dispatch."""
         active = self._active
         cache, fused_cache = self._cache, self._fused_cache
         steps_cache, cycles_cache = self._steps_cache, self._cycles_cache
         guard = self.guard
+        regions = self._region_entries if guard is None else {}
+        region_threshold = HOT_REGION_THRESHOLD
         regs, flags, mem = state.regs, state.flags, state.memory
         dispatches = host_instrs = 0
         exec_cycles = 0.0
@@ -553,6 +573,17 @@ class DBTEngine:
                 tick = self.tick
                 if tick is not None:
                     tick(self)
+                else:
+                    entry = regions.get(pc)
+                    if entry is not None:
+                        run, start = entry
+                        done = run(regs, flags, mem, start,
+                                   block_limit - dispatches, exec_cycles)
+                        if done is not None:
+                            pc, count, instrs, exec_cycles = done
+                            dispatches += count
+                            host_instrs += instrs
+                            continue
                 tb = cache.get(pc)
                 if tb is None:
                     tb = self.translate(pc)
@@ -568,6 +599,10 @@ class DBTEngine:
                 if fused is None and tb.exec_count == HOT_BLOCK_THRESHOLD:
                     fused = self._fuse(tb)
                 if fused is not None:
+                    if tb.exec_count == region_threshold and \
+                            tick is None and guard is None and \
+                            pc not in regions:
+                        self._form_region(tb, state)
                     run, exit_cycles = fused
                     next_pc, exit_index = run(regs, flags, mem)
                     if next_pc is None:
@@ -619,6 +654,58 @@ class DBTEngine:
             return None
         self._fused_cache[addr] = fused
         return fused
+
+    def _form_region(self, tb: TranslatedBlock,
+                     state: ConcreteState) -> None:
+        """Fuse ``tb`` and the fused blocks its exits reach (breadth
+        first, at most ``REGION_MAX_INSTRS`` host instructions) into a
+        region, and enter it from every member not already in one.  A
+        block's successors are its ``TB@`` targets and, when it ends in
+        a call, the return site."""
+        members = [tb]
+        seen = {tb.guest_start}
+        room = REGION_MAX_INSTRS - len(tb.host_instrs)
+        for member in members:
+            for target in self._successors(member):
+                if target in seen:
+                    continue
+                seen.add(target)
+                succ = self._cache.get(target)
+                if succ is not None and target in self._fused_cache and \
+                        succ.host_instrs[-1].mnemonic == "jmp" and \
+                        len(succ.host_instrs) <= room:
+                    members.append(succ)
+                    room -= len(succ.host_instrs)
+        addrs = {member.guest_start for member in members}
+        if not any(target in addrs for member in members
+                   for target in self._successors(member)):
+            self._region_entries[tb.guest_start] = None
+            return
+        try:
+            region = fuse_region(
+                members,
+                [self._steps_cache[member.guest_start] for member in members],
+                [self._cycles_cache[member.guest_start]
+                 for member in members],
+                (state.regs, state.flags, state.memory),
+            )
+        except FastExecError:
+            self._region_entries[tb.guest_start] = None
+            return
+        self._regions.append(region)
+        for index, addr in enumerate(region.members):
+            if self._region_entries.get(addr) is None:
+                self._region_entries[addr] = (region.run, index)
+
+    def _successors(self, tb: TranslatedBlock) -> list[int]:
+        """The guest addresses control may reach from ``tb``'s exits,
+        as far as the code shows them."""
+        targets = _tb_targets(tb.host_instrs)
+        index = self.program.index_of_addr(tb.guest_start)
+        last = self.program.code[index + tb.guest_length - 1]
+        if split_mnemonic(last.mnemonic)[0] == "bl":
+            targets.append(tb.guest_start + 4 * tb.guest_length)
+        return targets
 
     # -- differential guard ------------------------------------------------------
 
@@ -733,7 +820,20 @@ class DBTEngine:
             self._fused_cache.pop(addr, None)
             if tb.exec_count:
                 self._retired_blocks.append(tb)
+        self._drop_regions(set(doomed))
         return len(doomed)
+
+    def _drop_regions(self, doomed: set[int]) -> None:
+        """Forget every region with a member in ``doomed``, and the
+        entries of doomed blocks that seeded none."""
+        dead = {region.run for region in self._regions
+                if doomed.intersection(region.members)}
+        self._regions = [region for region in self._regions
+                         if region.run not in dead]
+        entries = self._region_entries
+        for addr, entry in list(entries.items()):
+            if (entry[0] in dead) if entry else (addr in doomed):
+                del entries[addr]
 
     def _invalidate_rule_blocks(self, rules: set) -> int:
         """Drop every cached block translated with any of ``rules``."""
@@ -892,6 +992,15 @@ class DBTEngine:
             lifetime=self.lifetime.count_fields(),
             last_run=self.last_run.count_fields(),
         )
+
+
+def _tb_targets(instrs) -> list[int]:
+    """Guest addresses of the ``TB@`` labels a block's branches name."""
+    return [
+        int(instr.operands[0].name[3:], 16) for instr in instrs
+        if instr.operands and isinstance(instr.operands[0], Label)
+        and instr.operands[0].name.startswith("TB@")
+    ]
 
 
 def run_dbt(

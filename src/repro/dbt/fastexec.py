@@ -16,6 +16,10 @@ Blocks the engine finds hot are then *fused* (:func:`fuse_block`): the
 whole block becomes one generated Python function, compiled once, that
 keeps registers, flags and static 4-byte memory words in locals, writes
 them back at each exit, and returns ``(next guest pc, exit index)``.
+The hottest fused blocks and their successors are then fused again,
+into one *region* (:func:`fuse_region`) that keeps those locals across
+the edges between its blocks and writes them back only when control
+leaves it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from repro.host_x86.isa import (
     JCC_OPS,
     SETCC_OPS,
     defined_flags,
+    defined_registers,
     used_flags,
+    used_registers,
 )
 from repro.host_x86.registers import is_low8, parent_of
 from repro.isa.instruction import Instruction
@@ -450,7 +456,7 @@ def compile_block(instrs: list[Instruction]) -> list[Step]:
     return [compile_instruction(instr) for instr in instrs]
 
 
-# -- fused blocks ---------------------------------------------------------------
+# -- fused blocks and regions ---------------------------------------------------
 
 _FLAGS = ("OF", "SF", "ZF", "CF")
 
@@ -490,6 +496,34 @@ class FusedBlock(NamedTuple):
     exit_cycles: list[float]
 
 
+class Region(NamedTuple):
+    """Hot blocks compiled into one function.
+
+    ``run(regs, flags, mem, start, budget, exec_cycles)`` dispatches the
+    member at index ``start``, then every member an exit leads to, until
+    control leaves for a non-member or ``budget`` dispatches are done.
+    It returns ``(next guest pc, dispatches, host instructions,
+    exec_cycles)``: ``exec_cycles`` grows by each dispatch's cycle cost
+    in dispatch order, and each member block's ``exec_count`` and
+    ``exec_cycles`` grow as one dispatch at a time would grow them.  It
+    returns ``None``, having changed nothing, when a register, flag or
+    memory byte it preloads is absent.
+    """
+
+    run: Callable
+    members: tuple[int, ...]
+
+
+def _exit_cycles(cycles: list[float]) -> list[float]:
+    """Prefix sums of ``cycles``, added in instruction order."""
+    exit_cycles = []
+    cycle_sum = 0.0
+    for cost in cycles:
+        cycle_sum += cost
+        exit_cycles.append(cycle_sum)
+    return exit_cycles
+
+
 def fuse_block(instrs: list[Instruction], steps: list[Step],
                cycles: list[float]) -> FusedBlock:
     """Fuse a block's host code into one generated function.
@@ -501,19 +535,67 @@ def fuse_block(instrs: list[Instruction], steps: list[Step],
     or another translated block.
     """
     fuser = _Fuser(steps)
-    live = _live_flags(instrs)
-    for index, instr in enumerate(instrs):
-        fuser.instruction(index, instr, live[index])
-    if not instrs or instrs[-1].mnemonic != "jmp":
-        fuser.exit(f"(None, {len(instrs) - 1})")
+    fuser.block(instrs)
     namespace = fuser.namespace
     exec(compile("\n".join(fuser.lines), "<fused block>", "exec"), namespace)
-    exit_cycles = []
-    cycle_sum = 0.0
-    for cost in cycles:
-        cycle_sum += cost
-        exit_cycles.append(cycle_sum)
-    return FusedBlock(namespace["fused"], exit_cycles)
+    return FusedBlock(namespace["fused"], _exit_cycles(cycles))
+
+
+def fuse_region(blocks: list, steps: list[list[Step]],
+                cycles: list[list[float]],
+                state: tuple[dict, dict, dict]) -> Region:
+    """Fuse hot blocks into one :class:`Region` function.
+
+    ``blocks`` are translated blocks (``guest_start``, ``host_instrs``
+    and the ``exec_count``/``exec_cycles`` counters the region updates),
+    each ending in a ``jmp``; ``steps[k]`` and ``cycles[k]`` are block
+    ``k``'s closures and per-instruction cycle costs.  An exit to a
+    member, through ``TB@`` or through ``NEXT_PC``, stays inside the
+    function.
+
+    Every register, flag and static word the members touch whose keys
+    ``state`` (``regs, flags, memory``) holds is *carried*: preloaded
+    at entry, valid at the start of every member, and written back only
+    when control leaves the region.  Keys are never deleted, so a later
+    entry finds them too, or returns ``None`` (see :class:`Region`).
+    """
+    for tb in blocks:
+        if not tb.host_instrs or tb.host_instrs[-1].mnemonic != "jmp":
+            raise FastExecError(
+                f"region member {tb.guest_start:#x} does not end in a jmp")
+    probe = _RegionFuser(blocks, steps, cycles, frozenset(), frozenset())
+    probe.region()
+    carried = _carriable(probe.touched, state)
+    fuser = _RegionFuser(blocks, steps, cycles, carried,
+                         carried.intersection(probe.written))
+    fuser.region()
+    namespace = fuser.namespace
+    exec(compile("\n".join(fuser.lines), "<fused region>", "exec"),
+         namespace)
+    return Region(namespace["region"],
+                  tuple(tb.guest_start for tb in blocks))
+
+
+def _carriable(touched: set[str], state: tuple[dict, dict, dict]
+               ) -> frozenset[str]:
+    """The touched locals whose keys are all present in ``state``,
+    less the words that overlap another touched word in part."""
+    regs, flags, mem = state
+    words = [int(local[2:]) for local in touched if local[0] == "m"]
+    carried = set()
+    for local in touched:
+        kind, name = local[0], local[2:]
+        if kind == "r":
+            present = name in regs
+        elif kind == "f":
+            present = name in flags
+        else:
+            addr = int(name)
+            present = all(addr + k in mem for k in range(4)) and not any(
+                0 < abs(other - addr) < 4 for other in words)
+        if present:
+            carried.add(local)
+    return frozenset(carried)
 
 
 def _always_set_flags(instr: Instruction) -> tuple[str, ...]:
@@ -551,96 +633,174 @@ class _Fuser:
     (``valid``); a written local is *dirty* until every exit writes it
     back.  Temporaries (``x``, ``t<n>``) never collide with any of them.
 
-    Word locals must never disagree with memory read another way: a
-    computed-address or byte load writes the dirty words back first, a
-    computed-address or byte store also forgets every word, and a word
-    forgets any tracked word it overlaps by 1-3 bytes.
+    Word locals must never disagree with memory read another way.  A
+    load through a computed address first writes back the dirty words
+    when its address, at run time, falls in their span; a store through
+    one that lands in the span of the tracked words also writes them
+    back before and reloads them after.  A static byte access does the
+    same, decided when the code is generated, for the words it
+    overlaps, and a word forgets any tracked word it overlaps by 1-3
+    bytes.
     """
 
     def __init__(self, steps: list[Step]) -> None:
         self.steps = steps
         self.lines = ["def fused(regs, flags, mem):"]
-        self.namespace: dict = {}
+        self.indent = 1
+        self.namespace: dict = {"SW": _store_words, "LW": _load_words,
+                                "FW": _flush_words}
+        self.consts: dict = {}
         self.valid: set[str] = set()
         #: local -> the statement writing it back, for locals newer than
         #: their dict.
         self.dirty: dict[str, str] = {}
+        #: Every local the code loads or sets, and every one it sets.
+        self.touched: set[str] = set()
+        self.written: set[str] = set()
         self.temps = 0
 
-    def emit(self, line: str, depth: int = 1) -> None:
-        self.lines.append("    " * depth + line)
+    def emit(self, line: str, depth: int = 0) -> None:
+        self.lines.append("    " * (self.indent + depth) + line)
+
+    def block(self, instrs: list[Instruction]) -> None:
+        live = _live_flags(instrs)
+        self.last = len(instrs) - 1
+        for index, instr in enumerate(instrs):
+            self.instruction(index, instr, live[index])
+        if not instrs or instrs[-1].mnemonic != "jmp":
+            self.leave("None", len(instrs) - 1)
 
     # -- state ----------------------------------------------------------------
 
-    def _load(self, local: str, source: str) -> str:
+    def _load(self, local: str) -> str:
         if local not in self.valid:
-            self.emit(f"{local} = {source}")
+            self.emit(f"{local} = {_load_source(local)}")
             self.valid.add(local)
+            self.touched.add(local)
         return local
 
     def reg(self, name: str) -> str:
         if not name.isidentifier():
             raise FastExecError(f"cannot fuse register {name!r}")
-        return self._load(f"r_{name}", f"regs.get({name!r}, 0)")
+        return self._load(f"r_{name}")
 
     def flag(self, name: str) -> str:
-        return self._load(f"f_{name}", f"flags.get({name!r}, 0)")
+        return self._load(f"f_{name}")
 
     def word(self, addr: int) -> str:
-        return self._load(self._word_local(addr), _word_source(str(addr)))
+        return self._load(self._word_local(addr))
 
-    def _set(self, local: str, writeback: str, expr: str) -> None:
+    def _set(self, local: str, expr: str) -> None:
         self.emit(f"{local} = {expr}")
         self.valid.add(local)
-        self.dirty[local] = writeback
+        self.touched.add(local)
+        self.written.add(local)
+        self.dirty[local] = _writeback(local)
 
     def set_reg(self, name: str, expr: str) -> None:
-        self._set(f"r_{name}", f"regs[{name!r}] = r_{name}", expr)
+        self._set(f"r_{name}", expr)
 
     def set_flags(self, live: frozenset, **exprs: str) -> None:
         """Set the flags in ``live``; the rest are dead here."""
         for name, expr in exprs.items():
             if name in live:
-                self._set(f"f_{name}", f"flags[{name!r}] = f_{name}", expr)
+                self._set(f"f_{name}", expr)
 
     def set_word(self, addr: int, expr: str) -> None:
-        local = self._word_local(addr)
-        self._set(local, "; ".join(_word_bytes(str(addr), local)), expr)
+        self._set(self._word_local(addr), expr)
 
     def _word_local(self, addr: int) -> str:
         """``m_<addr>``, once no tracked word overlaps it in part."""
-        self.drop_words(near=addr)
+        for local in self._words(lambda word: 0 < abs(word - addr) < 4):
+            self._forget(local)
         return f"m_{addr}"
 
-    def flush_words(self) -> None:
-        """Write the dirty words back; they stay valid."""
-        for local in [local for local in self.dirty if local[0] == "m"]:
-            self.emit(self.dirty.pop(local))
+    def _words(self, overlaps) -> list[str]:
+        """The tracked word locals whose address ``overlaps`` accepts."""
+        return sorted(local for local in self.valid
+                      if local[0] == "m" and overlaps(int(local[2:])))
 
-    def drop_words(self, near: int | None = None) -> None:
-        """Write back and forget every word local, or only those that
-        overlap the word at ``near`` by 1-3 bytes."""
-        for local in sorted(self.valid):
-            if local[0] != "m" or near is not None and \
-                    not 0 < abs(int(local[2:]) - near) < 4:
-                continue
-            if local in self.dirty:
-                self.emit(self.dirty.pop(local))
-            self.valid.discard(local)
+    def _forget(self, local: str) -> None:
+        """Write ``local`` back if it is dirty, and stop tracking it."""
+        if local in self.dirty:
+            self.emit(self.dirty.pop(local))
+        self.valid.discard(local)
+
+    def before_load(self, addr: str, width: int) -> None:
+        """Write back the dirty words a ``width``-byte load at ``addr``
+        may read."""
+        words = [local for local in self.dirty if local[0] == "m"]
+        if addr.isdigit():
+            for local in words:
+                if _overlap(int(local[2:]), int(addr), width):
+                    self.emit(self.dirty.pop(local))
+        elif words:
+            self.emit(f"if {_span(words, width, addr)}:")
+            self.emit(self.cold_flush(words), 1)
+
+    def guarded_store(self, addr: str, width: int, value: str) -> None:
+        """Store ``value`` (a name or literal when ``width`` is 4, an
+        expression when it is 1) at ``addr``, keeping every tracked word
+        equal to memory."""
+        if width == 4:
+            stores = _word_bytes(addr, value)
+            cold_store = f"SW(mem, ({addr},), {value})"
+        else:
+            stores = [f"mem[{addr}] = ({value}) & 255"]
+            cold_store = stores[0]
+        if addr.isdigit():
+            for local in self._words(
+                    lambda word: _overlap(word, int(addr), width)):
+                self._forget(local)
+            words = []
+        else:
+            words = self._words(lambda word: True)
+        if not words:
+            for line in stores:
+                self.emit(line)
+            return
+        self.emit(f"if {_span(words, width, addr)}:")
+        dirty = [local for local in words if local in self.dirty]
+        if dirty:
+            self.emit(self.cold_flush(dirty), 1)
+        self.emit(cold_store, 1)
+        self.emit(f"{', '.join(words)}, = LW(mem, {self.addrs(words)})", 1)
+        self.emit("else:")
+        for line in stores:
+            self.emit(line, 1)
 
     def cond(self, cc: str) -> str:
         for name in CONDITION_FLAGS[cc]:
             self.flag(name)
         return _COND_SOURCE[cc]
 
-    def flush(self, depth: int = 1) -> None:
+    def flush(self, depth: int = 0) -> None:
         """Write every dirty local back to its dict."""
         for writeback in self.dirty.values():
             self.emit(writeback, depth)
 
-    def exit(self, result: str, depth: int = 1) -> None:
+    def const(self, value) -> str:
+        """A name the generated code reads ``value`` by."""
+        name = self.consts.get(value)
+        if name is None:
+            name = self.consts[value] = f"K{len(self.consts)}"
+            self.namespace[name] = value
+        return name
+
+    def addrs(self, words: list[str]) -> str:
+        """A name for the addresses of the word locals ``words``."""
+        return self.const(tuple(int(local[2:]) for local in words))
+
+    def cold_flush(self, words: list[str]) -> str:
+        """One statement writing the word locals ``words`` back (slowly:
+        for code that seldom runs)."""
+        return f"FW(mem, locals(), {self.const(tuple(words))})"
+
+    def leave(self, target: str, index: int, depth: int = 0) -> None:
+        """Leave the block at instruction ``index`` for guest pc
+        ``target``."""
         self.flush(depth)
-        self.emit(f"return {result}", depth)
+        self.emit(f"return ({target}, {index})", depth)
 
     def bind(self, expr: str) -> str:
         """A name or literal for ``expr``, so it can be used twice."""
@@ -679,8 +839,9 @@ class _Fuser:
         if isinstance(op, Mem):
             if _static(op):
                 return self.word(op.disp & _MASK)
-            self.flush_words()
-            return _word_source(self.addr(op))
+            addr = self.addr(op)
+            self.before_load(addr, 4)
+            return _word_source(addr)
         raise FastExecError(f"unreadable operand {op!r}")
 
     def byte(self, op) -> str:
@@ -690,8 +851,9 @@ class _Fuser:
         if isinstance(op, Reg):
             return f"({self.reg(parent_of(op.name))} & 255)"
         if isinstance(op, Mem):
-            self.flush_words()
-            return f"mem.get({self.addr(op)}, 0)"
+            addr = self.addr(op)
+            self.before_load(addr, 1)
+            return f"mem.get({addr}, 0)"
         raise FastExecError(f"unreadable byte operand {op!r}")
 
     def store(self, op, expr: str) -> None:
@@ -707,9 +869,7 @@ class _Fuser:
                 self.set_word(op.disp & _MASK, expr)
                 return
             value = self.bind(expr)
-            self.drop_words()
-            for line in _word_bytes(self.addr(op), value):
-                self.emit(line)
+            self.guarded_store(self.addr(op), 4, value)
             return
         raise FastExecError(f"unwritable operand {op!r}")
 
@@ -721,21 +881,31 @@ class _Fuser:
                          f"{self.reg(parent)} & 4294967040 | ({expr}) & 255")
             return
         if isinstance(op, Mem):
-            self.drop_words()
-            self.emit(f"mem[{self.addr(op)}] = ({expr}) & 255")
+            self.guarded_store(self.addr(op), 1, expr)
             return
         raise FastExecError(f"unwritable byte operand {op!r}")
 
     # -- instructions ---------------------------------------------------------
 
-    def call_step(self, index: int) -> None:
+    def call_step(self, index: int, instr: Instruction) -> None:
         """Run an instruction through its closure, which works on the
-        dicts: flush first, and reload every local read afterwards."""
-        self.flush()
-        self.dirty.clear()
-        self.valid.clear()
-        self.namespace[f"s{index}"] = self.steps[index]
-        self.emit(f"s{index}(regs, flags, mem)")
+        dicts: write back the locals it may read or leave alone, and
+        forget the ones it may write.  One with a memory operand does so
+        for every word."""
+        reads = {f"r_{name}" for name in used_registers(instr)} | \
+            {f"f_{name}" for name in used_flags(instr)}
+        writes = {f"r_{name}" for name in defined_registers(instr)} | \
+            {f"f_{name}" for name in defined_flags(instr)}
+        if any(isinstance(op, Mem) for op in instr.operands):
+            words = {local for local in self.valid if local[0] == "m"}
+            reads |= words
+            writes |= words
+        for local in sorted(self.dirty.keys() & (reads | writes)):
+            self.emit(self.dirty.pop(local))
+        self.valid -= writes
+        name = f"s{len(self.namespace)}"
+        self.namespace[name] = self.steps[index]
+        self.emit(f"{name}(regs, flags, mem)")
 
     def target(self, label) -> str:
         if not isinstance(label, Label):
@@ -839,18 +1009,186 @@ class _Fuser:
         elif name in JCC_OPS:
             target = self.target(ops[0])
             self.emit(f"if {self.cond(name[1:])}:")
-            self.exit(f"({target}, {index})", 2)
+            self.leave(target, index, 1)
         elif name == "jmp":
-            self.exit(f"({self.target(ops[0])}, {index})")
+            self.leave(self.target(ops[0]), index)
         elif name == "cltd":
             self.set_reg("edx",
                          f"{_MASK} if {self.reg('eax')} >> 31 else 0")
         else:
-            self.call_step(index)
+            self.call_step(index, instr)
+
+
+class _RegionFuser(_Fuser):
+    """Emits a :class:`Region`: each member's code, as :class:`_Fuser`
+    writes it, under ``if b == <index>:`` in one ``while`` loop.
+
+    Every member starts with the ``carried`` locals valid and the
+    carried ones the region ever sets (``stored``) dirty: whichever
+    path led there, they hold the values memory should hold, and a
+    write-back of one that is in fact clean stores what its keys already
+    hold.  Every exit writes back the uncarried dirty locals and reloads
+    the carried ones a closure call or byte store made invalid; leaving
+    the region then writes back ``stored``.
+    """
+
+    def __init__(self, blocks: list, steps: list[list[Step]],
+                 cycles: list[list[float]], carried: frozenset,
+                 stored: frozenset) -> None:
+        super().__init__([])
+        self.blocks = blocks
+        self.block_steps = steps
+        self.block_exit_cycles = [_exit_cycles(costs) for costs in cycles]
+        self.members = {tb.guest_start: k for k, tb in enumerate(blocks)}
+        self.carried = carried
+        self.stored = sorted(stored)
+        self.lines = ["def region(regs, flags, mem, b, budget, c):"]
+        self.namespace["M"] = self.members
+        self.namespace["PL"] = _preload_words
+
+    def region(self) -> None:
+        self.indent = 1
+        if self.carried:
+            words = sorted(local for local in self.carried if local[0] == "m")
+            self.emit("try:")
+            for local in sorted(self.carried):
+                if local[0] != "m":
+                    table = "regs" if local[0] == "r" else "flags"
+                    self.emit(f"{local} = {table}[{local[2:]!r}]", 1)
+            if words:
+                self.emit(
+                    f"{', '.join(words)}, = PL(mem, {self.addrs(words)})", 1)
+            self.emit("except KeyError:")
+            self.emit("return None", 1)
+        self.namespace["T"] = tuple(self.blocks)
+        counts = ", ".join(f"n{k}" for k in range(len(self.blocks)))
+        cycles = ", ".join(f"y{k}" for k in range(len(self.blocks)))
+        self.emit(f"{counts}, = [tb.exec_count for tb in T]")
+        self.emit(f"{cycles}, = [tb.exec_cycles for tb in T]")
+        self.emit("d = h = 0")
+        self.emit("while True:")
+        for k, tb in enumerate(self.blocks):
+            self.indent = 2
+            self.emit(f"if b == {k}:")
+            self.indent = 3
+            self.emit("if d >= budget:")
+            self.emit(f"pc = {tb.guest_start}", 1)
+            self.emit("break", 1)
+            self.emit(f"n{k} += 1")
+            self.emit("d += 1")
+            self.k = k
+            self.temps = 0
+            self.steps = self.block_steps[k]
+            self.exit_cycles = self.block_exit_cycles[k]
+            self.valid = set(self.carried)
+            self.dirty = {local: _writeback(local) for local in self.stored}
+            self.block(tb.host_instrs)
+        self.indent = 1
+        words = [local for local in self.stored if local[0] == "m"]
+        for local in self.stored:
+            if local[0] != "m":
+                self.emit(_writeback(local))
+        if words:
+            self.emit(f"SW(mem, {self.addrs(words)}, {', '.join(words)})")
+        self.emit(f"for tb, n, y in zip(T, ({counts},), ({cycles},)):")
+        self.emit("tb.exec_count = n", 1)
+        self.emit("tb.exec_cycles = y", 1)
+        self.emit("return pc, d, h, c")
+
+    def leave(self, target: str, index: int, depth: int = 0) -> None:
+        cost = repr(self.exit_cycles[index])
+        self.emit(f"h += {index + 1}", depth)
+        self.emit(f"c += {cost}", depth)
+        self.emit(f"y{self.k} += {cost}", depth)
+        for local, writeback in self.dirty.items():
+            if local not in self.carried:
+                self.emit(writeback, depth)
+        for local in sorted(self.carried - self.valid):
+            self.emit(f"{local} = {_load_source(local)}", depth)
+        if not target.isdigit():
+            # An exit through ``NEXT_PC`` stays inside when it names a
+            # member, which may be any of them.
+            self.emit(f"pc = {target}", depth)
+            self.emit("b = M.get(pc)", depth)
+            self.emit("if b is None:", depth)
+            self.emit("break", depth + 1)
+            self.emit("continue", depth)
+            return
+        member = self.members.get(int(target))
+        if member is None:
+            self.emit(f"pc = {target}", depth)
+            self.emit("break", depth)
+            return
+        self.emit(f"b = {member}", depth)
+        if depth or index != self.last or member <= self.k:
+            self.emit("continue", depth)
+
+
+def _store_words(mem: dict, addrs: tuple[int, ...], *values: int) -> None:
+    """Store each 4-byte ``values[i]`` little-endian at ``addrs[i]``."""
+    for addr, value in zip(addrs, values):
+        mem[addr] = value & 255
+        mem[addr + 1] = value >> 8 & 255
+        mem[addr + 2] = value >> 16 & 255
+        mem[addr + 3] = value >> 24 & 255
+
+
+def _load_words(mem: dict, addrs: tuple[int, ...]) -> list[int]:
+    """The 4-byte little-endian word at each of ``addrs``."""
+    return [mem.get(addr, 0) | mem.get(addr + 1, 0) << 8
+            | mem.get(addr + 2, 0) << 16 | mem.get(addr + 3, 0) << 24
+            for addr in addrs]
+
+
+def _preload_words(mem: dict, addrs: tuple[int, ...]) -> list[int]:
+    """As :func:`_load_words`, raising ``KeyError`` for an absent
+    byte."""
+    return [mem[addr] | mem[addr + 1] << 8 | mem[addr + 2] << 16
+            | mem[addr + 3] << 24 for addr in addrs]
+
+
+def _flush_words(mem: dict, values: dict, words: tuple[str, ...]) -> None:
+    """Write the word locals ``words`` back from ``values``, the
+    generated function's ``locals()``."""
+    _store_words(mem, tuple(int(local[2:]) for local in words),
+                 *[values[local] for local in words])
 
 
 def _static(op: Mem) -> bool:
     return op.base is None and op.index is None
+
+
+def _overlap(word: int, addr: int, width: int) -> bool:
+    """Does a ``width``-byte access at ``addr`` touch the word at
+    ``word``?"""
+    return addr < word + 4 and word < addr + width
+
+
+def _span(words: list[str], width: int, addr: str) -> str:
+    """Source testing whether a ``width``-byte access at ``addr`` may
+    touch any of the word locals ``words``."""
+    addrs = [int(local[2:]) for local in words]
+    return f"{min(addrs) - width + 1} <= {addr} < {max(addrs) + 4}"
+
+
+def _load_source(local: str) -> str:
+    """Source reading a local's value from its dict."""
+    name = local[2:]
+    if local[0] == "r":
+        return f"regs.get({name!r}, 0)"
+    if local[0] == "f":
+        return f"flags.get({name!r}, 0)"
+    return _word_source(name)
+
+
+def _writeback(local: str) -> str:
+    """The statement writing a local back to its dict."""
+    name = local[2:]
+    if local[0] == "r":
+        return f"regs[{name!r}] = {local}"
+    if local[0] == "f":
+        return f"flags[{name!r}] = {local}"
+    return "; ".join(_word_bytes(name, local))
 
 
 def _word_source(addr: str) -> str:

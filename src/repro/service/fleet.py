@@ -67,7 +67,7 @@ from repro.service.repo import BundleError, RuleRepository, verify_bundle
 from repro.service.server import (
     AsyncEndpoint,
     RuleService,
-    ingest_origin,
+    ingest_key,
     serve_until_signal,
 )
 
@@ -169,6 +169,11 @@ class ShardLink:
         #: redelivers this backlog; shards that merely dropped the
         #: connection still hold their settled-set and absorb nothing.
         self.routed_gaps: dict[str, dict] = {}
+        #: Every ``ingest_source`` request forwarded to this shard, by
+        #: origin/styles pair.  A restarted shard lost the programs it
+        #: staged, so reattach replays these before the gap backlog; a
+        #: shard that kept them stages nothing twice.
+        self.routed_sources: dict[tuple, dict] = {}
         self.kills_observed = 0
         self._reader = None
         self._writer = None
@@ -350,6 +355,11 @@ class FleetCoordinator(AsyncEndpoint):
             await self._catch_up(link)
             link.state = "ready"
             link.take_queued()
+            for fields in list(link.routed_sources.values()):
+                # A shard restarted without a learner refuses; that
+                # must not keep it from serving.
+                with contextlib.suppress(BundleError):
+                    await link.request("ingest_source", **fields)
             # Redeliver the full routed backlog, not just the queue: a
             # restarted shard lost its aggregator, and clients never
             # re-report a drained digest.  Shards that kept their
@@ -542,7 +552,8 @@ class FleetCoordinator(AsyncEndpoint):
     async def _op_ingest_source(self, request: dict) -> dict:
         """Forward one corpus program to the ring owner of its origin,
         which stages and learns it like a single server would."""
-        origin = ingest_origin(request)
+        key = ingest_key(request)
+        origin = key[0]
         link = self.links[self.ring.shard_for(origin)]
         if not link.ready:
             return error_response(
@@ -551,9 +562,11 @@ class FleetCoordinator(AsyncEndpoint):
         fields = dict(request, origin=origin)
         del fields["op"]
         try:
-            return await link.request("ingest_source", **fields)
+            response = await link.request("ingest_source", **fields)
         except ConnectionError as exc:
             return error_response(str(exc))
+        link.routed_sources.setdefault(key, fields)
+        return response
 
     async def _op_flush(self, request: dict) -> dict:
         """Forward flush to every ready shard, then fold the resulting

@@ -132,6 +132,17 @@ def ingest_origin(request: dict) -> str:
     return request.get("origin") or corpus_origin(program_digest(source))
 
 
+def ingest_key(request: dict) -> tuple[str, tuple[str, ...]]:
+    """The origin/styles pair an ``ingest_source`` request stages.  A
+    server stages each pair once, and the fleet replays each pair it
+    forwarded into an owner that restarted without them."""
+    styles = request.get("styles") or ["llvm", "gcc"]
+    if not isinstance(styles, list) or \
+            not all(isinstance(style, str) for style in styles):
+        raise ValueError("styles must be a list of codegen style names")
+    return ingest_origin(request), tuple(styles)
+
+
 class RuleService:
     """Transport-independent request handling + learning scheduling."""
 
@@ -164,6 +175,8 @@ class RuleService:
         #: accepted, synthetic gaps absorbed, and published rules whose
         #: origin is a ``corpus:`` tag.
         self.corpus_stats = {"programs": 0, "gaps": 0, "rules": 0}
+        #: The origin/styles pairs ``ingest_source`` has staged.
+        self.ingested: set[tuple[str, tuple[str, ...]]] = set()
 
     # -- request dispatch ----------------------------------------------------
 
@@ -301,7 +314,10 @@ class RuleService:
         staged, so the next learning round (client ``flush``, or the
         auto-learn scheduler) verifies exactly this program's fresh
         candidates.  Learning itself stays on the serialized round
-        path; this op never blocks serving on the solver.
+        path; this op never blocks serving on the solver.  A pair of
+        origin and styles staged before is not staged again: the
+        answer counts nothing, so a fleet replay into a shard that kept
+        its state changes nothing.
         """
         if self.learner is None:
             return error_response(
@@ -311,15 +327,18 @@ class RuleService:
         from repro.minic.errors import MiniCError
         from repro.service.gaps import canonical_gap
 
-        origin = ingest_origin(request)
-        styles = request.get("styles") or ["llvm", "gcc"]
-        if not isinstance(styles, list):
-            return error_response("styles must be a list")
+        key = ingest_key(request)
+        origin, styles = key
+        if key in self.ingested:
+            return ok_response(origin=origin, staged_candidates=0, gaps=0,
+                               new_gaps=0, pending=self.gaps.pending)
         try:
             pairs = compile_pairs(request["source"],
-                                  int(request.get("opt_level", 2)), styles)
+                                  int(request.get("opt_level", 2)),
+                                  list(styles))
         except MiniCError as exc:
             return error_response(f"{type(exc).__name__}: {exc}")
+        self.ingested.add(key)
         staged = 0
         gaps: list[dict] = []
         for guest, host in pairs.values():

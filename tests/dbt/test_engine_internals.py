@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from repro.benchsuite import benchmark_source
+from repro.dbt import engine as engine_module
 from repro.dbt.codegen import ENV_BASE, SPILL_BASE
 from repro.dbt.direct import run_arm_program
 from repro.dbt.engine import HOT_BLOCK_THRESHOLD, DBTEngine, DBTError
@@ -268,6 +269,32 @@ def watch_fused(engine, calls):
         engine._fused_cache[addr] = fused._replace(run=run)
 
 
+def watch_regions(engine, calls):
+    """Wrap every region entry so that running it logs ``(entry pc,
+    budget, result)`` in ``calls``."""
+    for addr, entry in list(engine._region_entries.items()):
+        if entry is None or getattr(entry[0], "watched", False):
+            continue
+        run, start = entry
+
+        def logged(*args, _run=run, _addr=addr):
+            result = _run(*args)
+            calls.append((_addr, args[4], result))
+            return result
+
+        logged.watched = True
+        engine._region_entries[addr] = (logged, start)
+
+
+@pytest.fixture
+def region_threshold(monkeypatch):
+    """Test inputs run a hot loop a few hundred times where ref inputs
+    run it thousands: a quarter of the region threshold forms regions
+    on them at a like point of a loop's life."""
+    monkeypatch.setattr(engine_module, "HOT_REGION_THRESHOLD",
+                        engine_module.HOT_REGION_THRESHOLD // 4)
+
+
 GOLDEN_SLICE = ("bzip2", "mcf", "sjeng", "libquantum")
 
 
@@ -387,7 +414,8 @@ class TestFusedTier:
         assert bad_addr in calls  # fused again, from the clean translation
 
     @pytest.mark.parametrize("name", GOLDEN_SLICE)
-    def test_dispatch_loop_matches_oracle(self, name, golden_stores):
+    def test_dispatch_loop_matches_oracle(self, name, golden_stores,
+                                          region_threshold):
         for style in ("llvm", "gcc"):
             program = golden_program(name, style)
             for mode in ("qemu", "rules"):
@@ -396,6 +424,7 @@ class TestFusedTier:
                 oracle = DBTEngine(program, mode, store, fast=False)
                 assert fast.run().return_value == oracle.run().return_value
                 assert fast._fused_cache, (name, style, mode)
+                assert fast._regions, (name, style, mode)
                 assert_same_run(fast, oracle)
 
     def test_dispatch_loop_matches_oracle_across_hot_install(
@@ -443,4 +472,90 @@ class TestFusedTier:
                 engine.run(block_limit=1000)
             assert engine.last_run.perf.dispatches == 1000
         assert fast._fused_cache
+        assert_same_run(fast, oracle)
+
+    def test_warm_run_enters_regions_and_matches_oracle(
+            self, hot_guest, region_threshold):
+        fast = DBTEngine(hot_guest, "qemu")
+        oracle = DBTEngine(hot_guest, "qemu", fast=False)
+        for engine in (fast, oracle):
+            engine.run()
+        assert fast._regions
+        calls = []
+        watch_regions(fast, calls)
+        assert fast.run().return_value == oracle.run().return_value
+        assert sum(result[1] for _, _, result in calls if result) > \
+            fast.last_run.perf.dispatches // 2
+        assert_same_run(fast, oracle)
+
+    def test_block_limit_inside_a_region(self, region_threshold):
+        program = golden_program("bzip2", "llvm")
+        fast = DBTEngine(program, "qemu")
+        oracle = DBTEngine(program, "qemu", fast=False)
+        for engine in (fast, oracle):
+            engine.run()
+        calls = []
+        watch_regions(fast, calls)
+        fast.run()
+        # A region call that ran several dispatches; stop in its middle.
+        limit = next(50_000_000 - budget + result[1] // 2
+                     for _, budget, result in calls
+                     if result and result[1] >= 4)
+        calls.clear()
+        for engine in (fast, oracle):
+            with pytest.raises(DBTError, match="block limit"):
+                engine.run(block_limit=limit)
+            assert engine.last_run.perf.dispatches == limit
+        assert any(result and result[1] == budget > 1
+                   for _, budget, result in calls)
+        assert_same_run(fast, oracle)
+
+    def test_hot_install_drops_regions_with_retired_blocks(
+            self, hot_guest, hot_rules, region_threshold):
+        live = DBTEngine(hot_guest, "rules")
+        live.run()
+        regions = list(live._regions)
+        assert regions
+        cached = set(live._cache)
+        _, invalidated = live.hot_install(list(hot_rules))
+        retired = cached - set(live._cache)
+        assert invalidated and retired
+        hit = [r for r in regions if retired.intersection(r.members)]
+        assert hit, "hot-install retired no region member"
+        assert live._regions == [r for r in regions if r not in hit]
+        runs = {region.run for region in live._regions}
+        assert all(entry is None or entry[0] in runs
+                   for entry in live._region_entries.values())
+        assert not retired.intersection(live._region_entries)
+        live.run()
+        fresh = DBTEngine(hot_guest, "rules",
+                          RuleStore.from_rules(list(hot_rules)), fast=False)
+        fresh.run()
+        assert_same_run(live, fresh)
+        assert live._regions, "the rerun formed no region again"
+
+    @pytest.mark.parametrize("hook", ["tick", "guard"])
+    def test_tick_or_guard_keeps_regions_out(self, hot_guest, hot_rules,
+                                             region_threshold, hook):
+        engines = [
+            DBTEngine(hot_guest, "rules",
+                      RuleStore.from_rules(list(hot_rules)), fast=tier)
+            for tier in (True, False)
+        ]
+        for engine in engines:
+            engine.run()
+            if hook == "tick":
+                engine.tick = lambda eng: None
+            else:
+                engine.guard = GuardPolicy(check_first=1, check_interval=7)
+        fast, oracle = engines
+        assert fast._regions
+        region_calls, fused_calls = [], []
+        watch_regions(fast, region_calls)
+        watch_fused(fast, fused_calls)
+        assert fast.run().return_value == oracle.run().return_value
+        assert not region_calls
+        assert len(fused_calls) == sum(
+            tb.exec_count for addr, tb in fast._cache.items()
+            if addr in fast._fused_cache)
         assert_same_run(fast, oracle)

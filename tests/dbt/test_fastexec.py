@@ -1,17 +1,23 @@
-"""Differential tests: closure-compiled and fused fast paths vs. the
-oracle semantics."""
+"""Differential tests: closure-compiled, fused-block and fused-region
+fast paths vs. the oracle semantics."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dbt.codegen import ENV_BASE, EXIT_LABEL, NEXT_PC_OFFSET
+from repro.dbt.codegen import (
+    ENV_BASE,
+    EXIT_LABEL,
+    NEXT_PC_OFFSET,
+    TranslatedBlock,
+)
 from repro.dbt.fastexec import (
     FastExecError,
     compile_block,
     compile_instruction,
     fuse_block,
+    fuse_region,
 )
 from repro.dbt.machine import ConcreteState
 from repro.host_x86 import execute, parse_instruction as parse
@@ -300,3 +306,245 @@ def test_fuse_rejects_unknown_branch_targets():
     instrs = [parse("jne .L1"), parse("jmp TB@0x20")]
     with pytest.raises(FastExecError):
         fuse_block(instrs, compile_block(instrs), [1.0, 1.0])
+
+
+# -- fused regions ----------------------------------------------------------
+
+MEMBER_ADDRS = tuple(0x8000 + 0x40 * k for k in range(6))
+OUTSIDE = 0x9000
+#: Cycle costs whose sums depend on the order they are added in.
+CYCLE_COSTS = (0.1, 0.7, 0.2, 1.3, 2.5)
+
+
+def region_blocks(blocks, start_counts=3):
+    """TranslatedBlocks at MEMBER_ADDRS for lists of instruction texts,
+    with counters already running."""
+    tbs = []
+    for addr, texts in zip(MEMBER_ADDRS, blocks):
+        tb = TranslatedBlock(addr, [parse(text) for text in texts])
+        tb.exec_count = start_counts
+        tb.exec_cycles = 0.1 * start_counts
+        tbs.append(tb)
+    return tbs
+
+
+def oracle_region(tbs, cycles, state, start, budget, exec_cycles):
+    """Dispatch the members one block at a time through the semantics,
+    as the engine's oracle loop would: ``(next pc, dispatches, host
+    instructions, exec_cycles)``, and ``{addr: [count, cycles]}``."""
+    members = {tb.guest_start: k for k, tb in enumerate(tbs)}
+    counts = {tb.guest_start: [tb.exec_count, tb.exec_cycles] for tb in tbs}
+    pc = tbs[start].guest_start
+    dispatches = host_instrs = 0
+    while pc in members:
+        if dispatches >= budget:
+            break
+        k = members[pc]
+        next_pc, index = oracle_block(tbs[k].host_instrs, state)
+        cycle_sum = 0.0
+        for cost in cycles[k][:index + 1]:
+            cycle_sum += cost
+        counts[pc][0] += 1
+        counts[pc][1] += cycle_sum
+        dispatches += 1
+        host_instrs += index + 1
+        exec_cycles += cycle_sum
+        pc = next_pc
+    return (pc, dispatches, host_instrs, exec_cycles), counts
+
+
+def assert_region_matches(blocks, rng, start=0, budget=40, form=None,
+                          state=None):
+    """Fuse ``blocks`` into a region (its carried locals picked from
+    ``form``, by default the run's own state) and check one run of it
+    against :func:`oracle_region`: pc, counters, per-block counts and
+    cycle sums, and dict-exact ``regs``, ``flags`` and ``memory``."""
+    if state is None:
+        state = random_state(rng)
+        state.store(NEXT_PC, rng.getrandbits(32), 4)
+    form = form or state
+    cycles = [[rng.choice(CYCLE_COSTS) for _ in texts] for texts in blocks]
+    fast_tbs = region_blocks(blocks)
+    slow_tbs = region_blocks(blocks)
+    region = fuse_region(fast_tbs,
+                         [compile_block(tb.host_instrs) for tb in fast_tbs],
+                         cycles, (form.regs, form.flags, form.memory))
+    slow, fast = state, clone(state)
+    expected, counts = oracle_region(slow_tbs, cycles, slow, start, budget,
+                                     0.1)
+    label = " || ".join("; ".join(texts) for texts in blocks)
+    result = region.run(fast.regs, fast.flags, fast.memory, start, budget,
+                        0.1)
+    assert result == expected, label
+    assert {tb.guest_start: [tb.exec_count, tb.exec_cycles]
+            for tb in fast_tbs} == counts, label
+    assert fast.regs == slow.regs, label
+    assert fast.memory == slow.memory, label
+    assert fast.flags == slow.flags, label
+    return region
+
+
+REGION_TARGETS = [f"TB@{addr:#x}" for addr in MEMBER_ADDRS] + [
+    f"TB@{OUTSIDE:#x}", EXIT_LABEL]
+#: Point ``NEXT_PC`` at a member, so an ``EXIT`` stays in the region.
+NEXT_PC_FORMS = [f"movl ${addr:#x}, {NEXT_PC:#x}()" for addr in MEMBER_ADDRS]
+REGION_FORMS = INSTRUCTIONS + EXTRA_FORMS + ALIAS_FORMS + NEXT_PC_FORMS
+CONDITIONS = ("e", "ne", "l", "ge", "b", "ae", "s", "o")
+
+
+@st.composite
+def random_regions(draw):
+    """2-6 blocks with branches between them, out of the region and to
+    ``EXIT``, each ending in a ``jmp``."""
+    size = draw(st.integers(2, 6))
+    targets = REGION_TARGETS[:size] + REGION_TARGETS[-2:]
+    branch = st.builds(lambda cc, target: f"j{cc} {target}",
+                       st.sampled_from(CONDITIONS), st.sampled_from(targets))
+    blocks = []
+    for _ in range(size):
+        body = draw(st.lists(
+            st.one_of(st.sampled_from(REGION_FORMS), branch),
+            min_size=1, max_size=10))
+        body.append(f"jmp {draw(st.sampled_from(targets))}")
+        blocks.append(body)
+    start = draw(st.integers(0, size - 1))
+    return blocks, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), region=random_regions(),
+       budget=st.integers(1, 30))
+def test_fused_regions_match_semantics(seed, region, budget):
+    blocks, start = region
+    assert_region_matches(blocks, random.Random(seed), start, budget)
+
+
+# Regions for the exactness hazards: a local dirty on one path into a
+# loop header and clean on the other, with its keys present (carried)
+# and absent (not carried); a word loaded from absent bytes; and the
+# run-time alias check, a computed load and store that hit a carried
+# word, and ones that miss it.
+LOOP_EXIT = f"jmp TB@{OUTSIDE:#x}"
+EDGE_REGIONS = {
+    "dirty-on-back-edge": [
+        ["movl 0x3000(), %eax", "cmpl $0, %ecx", "je TB@0x9000",
+         "jmp TB@0x8040"],
+        ["movl %edx, 0x3000()", "decl %ecx", "addl $1, %edx",
+         "jmp TB@0x8000"],
+    ],
+    "dirty-on-back-edge-absent-word": [
+        ["movl 0x3004(), %eax", "cmpl $0, %ecx", "je TB@0x9000",
+         "jmp TB@0x8040"],
+        ["movl %edx, 0x3004()", "decl %ecx", "jmp TB@0x8000"],
+    ],
+    "word-from-absent-bytes": [
+        ["movl 0x3008(), %eax", "addl %eax, %ebx", "jmp TB@0x8040"],
+        ["movl 0x300c(), %edx", "decl %ecx", "jne TB@0x8000", LOOP_EXIT],
+    ],
+    "computed-load-hits-carried-word": [
+        ["movl %eax, 0x3000()", "movl $0x2000, %esi",
+         "movl 0x1000(%esi), %edx", "jmp TB@0x8040"],
+        ["addl %edx, 0x3000()", "decl %ecx", "jne TB@0x8000", LOOP_EXIT],
+    ],
+    "computed-load-misses-carried-word": [
+        ["movl %eax, 0x3000()", "movl $0x2400, %esi",
+         "movl 0x1000(%esi), %edx", "jmp TB@0x8040"],
+        ["addl %edx, 0x3000()", "decl %ecx", "jne TB@0x8000", LOOP_EXIT],
+    ],
+    "computed-store-hits-carried-word": [
+        ["movl %eax, 0x3000()", "movl $0x2000, %esi",
+         "movl %ecx, 0x1002(%esi)", "movb %cl, 0x1001(%esi)",
+         "jmp TB@0x8040"],
+        ["movl 0x3000(), %edx", "addl %edx, %eax", "decl %ecx",
+         "jne TB@0x8000", LOOP_EXIT],
+    ],
+    "computed-store-misses-carried-word": [
+        ["movl %eax, 0x3000()", "movl $0x2400, %esi",
+         "movl %ecx, 0x1000(%esi)", "movb %cl, 0x1004(%esi)",
+         "jmp TB@0x8040"],
+        ["movl 0x3000(), %edx", "addl %edx, %eax", "decl %ecx",
+         "jne TB@0x8000", LOOP_EXIT],
+    ],
+    "exit-to-member-through-next-pc": [
+        [f"movl $0x8040, {NEXT_PC:#x}()", "decl %ecx",
+         f"je {EXIT_LABEL}", "jmp TB@0x8040"],
+        ["movl %ecx, 0x3000()", "cmpl $3, %ecx", "jl TB@0x9000",
+         "jmp TB@0x8000"],
+    ],
+    "closure-between-carried-words": [
+        ["movl %ecx, 0x3000()", "movl $7, %ebx", "cltd", "idivl %ebx",
+         "jmp TB@0x8040"],
+        ["addl 0x3000(), %eax", "decl %ecx", "jne TB@0x8000",
+         f"jmp {EXIT_LABEL}"],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", EDGE_REGIONS)
+@pytest.mark.parametrize("budget", [1, 3, 200])
+def test_fused_edge_regions_match_semantics(name, budget):
+    rng = random.Random(0)
+    for _ in range(20):
+        state = random_state(rng)
+        state.store(NEXT_PC, rng.getrandbits(32), 4)
+        state.set_reg("ecx", rng.randrange(1, 12))
+        assert_region_matches(EDGE_REGIONS[name], rng, budget=budget,
+                              state=state)
+
+
+class CountingDict(dict):
+    """A dict that counts stores per key."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stores = {}
+
+    def __setitem__(self, key, value):
+        self.stores[key] = self.stores.get(key, 0) + 1
+        super().__setitem__(key, value)
+
+
+def test_fused_region_writes_carried_words_back_once_per_entry():
+    blocks = EDGE_REGIONS["dirty-on-back-edge"]
+    rng = random.Random(1)
+    state = random_state(rng)
+    state.set_reg("ecx", 10)
+    tbs = region_blocks(blocks)
+    region = fuse_region(tbs, [compile_block(tb.host_instrs) for tb in tbs],
+                         [[1.0] * len(tb.host_instrs) for tb in tbs],
+                         (state.regs, state.flags, state.memory))
+    regs, flags, mem = (CountingDict(state.regs), CountingDict(state.flags),
+                        CountingDict(state.memory))
+    pc, dispatches, _, _ = region.run(regs, flags, mem, 0, 100, 0.0)
+    assert (pc, dispatches) == (OUTSIDE, 21)
+    # Ten trips round the loop, one write-back of each word and register.
+    assert {mem.stores[0x3000 + k] for k in range(4)} == {1}
+    assert set(regs.stores.values()) == set(flags.stores.values()) == {1}
+
+
+def test_fused_region_declines_entry_when_a_carried_key_is_absent():
+    blocks = EDGE_REGIONS["dirty-on-back-edge"]
+    rng = random.Random(2)
+    form = random_state(rng)
+    state = clone(form)
+    del state.regs["ebx"]
+    del state.memory[0x3001]
+    tbs = region_blocks(blocks)
+    region = fuse_region(tbs, [compile_block(tb.host_instrs) for tb in tbs],
+                         [[1.0] * len(tb.host_instrs) for tb in tbs],
+                         (form.regs, form.flags, form.memory))
+    before = clone(state)
+    assert region.run(state.regs, state.flags, state.memory, 0, 10,
+                      0.0) is None
+    assert (state.regs, state.flags, state.memory) == \
+        (before.regs, before.flags, before.memory)
+    assert [tb.exec_count for tb in tbs] == [3, 3]
+    # Formed from a state without them, the same blocks run exactly.
+    assert_region_matches(blocks, rng, form=state, state=clone(state))
+
+
+def test_fuse_region_needs_members_ending_in_jmp():
+    tbs = region_blocks([["addl %ecx, %eax", "jne TB@0x8000"]])
+    with pytest.raises(FastExecError):
+        fuse_region(tbs, [compile_block(tbs[0].host_instrs)], [[1.0, 1.0]],
+                    ({}, {}, {}))

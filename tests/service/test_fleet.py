@@ -10,6 +10,10 @@ of the same scenarios lives in ``scripts/fleet_gate.py``.
 
 import pytest
 
+from repro.corpus.dedup import SeenStore
+from repro.corpus.generate import generate_program
+from repro.corpus.grammar import REGIONS
+from repro.corpus.pipeline import IngestPipeline
 from repro.dbt.engine import DBTEngine
 from repro.learning.store import RuleStore
 from repro.service.client import ServiceError
@@ -119,6 +123,27 @@ class TestFleetRouting:
             fleet.stop()
 
 
+def corpus_program(index: int):
+    source = generate_program(REGIONS["mixed"], 17, "mixed", index)
+    return IngestPipeline(SeenStore()).process(source, region="mixed",
+                                               seed=17, index=index)
+
+
+def learning_fleet(loop_thread, tmp_path):
+    """Two shards, each with an online learner and no corpus."""
+    return Fleet(loop_thread, tmp_path, ["a", "b"], learners={
+        shard_id: OnlineLearner({}) for shard_id in ("a", "b")
+    })
+
+
+def published_rules(client) -> set:
+    return {
+        rule
+        for entry in client.manifest()["bundles"]
+        for rule in client.fetch_rules(entry["digest"])
+    }
+
+
 class TestShardChurn:
     def test_gaps_queue_while_down_and_redeliver(self, loop_thread,
                                                  tmp_path):
@@ -186,6 +211,63 @@ class TestShardChurn:
                     lambda: fleet.shards["a"].service.gaps.pending == 1,
                     message="routed gap redelivered after restart",
                 )
+        finally:
+            fleet.stop()
+
+    def test_ingested_programs_survive_fresh_restart(self, loop_thread,
+                                                     tmp_path):
+        program = corpus_program(5)
+        published = {}
+        for kill in (False, True):
+            base = tmp_path / ("kill" if kill else "clean")
+            base.mkdir()
+            fleet = learning_fleet(loop_thread, base)
+            try:
+                owner = fleet.coordinator.ring.shard_for(program.origin)
+                with fleet.client() as client:
+                    client.ingest_source(program.source,
+                                         origin=program.origin)
+                    if kill:
+                        # The owner dies with the program staged but
+                        # not learned, and comes back with nothing.
+                        shard = fleet.shards[owner]
+                        shard.kill()
+                        wait_until(
+                            lambda: not client.health()[
+                                "shards"][owner]["alive"],
+                            message="coordinator noticing the kill",
+                        )
+                        shard.learner = OnlineLearner({})
+                        shard.start(fresh=True)
+                        wait_until(
+                            lambda: client.health()["ready_shards"] == 2,
+                            message="owner back to ready",
+                        )
+                        assert shard.service.corpus_stats["programs"] == 1
+                    assert client.flush()["rules"] > 0
+                    published[kill] = published_rules(client)
+            finally:
+                fleet.stop()
+        assert published[True] == published[False]
+
+    def test_ingest_replay_into_a_live_shard_stages_nothing(
+            self, loop_thread, tmp_path):
+        program = corpus_program(5)
+        fleet = learning_fleet(loop_thread, tmp_path)
+        try:
+            owner = fleet.coordinator.ring.shard_for(program.origin)
+            shard = fleet.shards[owner]
+            with fleet.client() as client:
+                client.ingest_source(program.source, origin=program.origin)
+            staged = len(shard.learner.staged_candidates())
+            pending = shard.service.gaps.pending
+            assert staged and pending
+            link = fleet.coordinator.links[owner]
+            assert len(link.routed_sources) == 1
+            assert fleet.lt.call(fleet.coordinator.attach_shard(link))
+            assert len(shard.learner.staged_candidates()) == staged
+            assert shard.service.gaps.pending == pending
+            assert shard.service.corpus_stats["programs"] == 1
         finally:
             fleet.stop()
 
