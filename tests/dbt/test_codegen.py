@@ -5,11 +5,12 @@ import hashlib
 
 import pytest
 
-from repro.benchsuite import benchmark_source
+from repro.benchsuite import BENCHMARK_NAMES, benchmark_source
 from repro.dbt import codegen
 from repro.dbt.codegen import BlockAssembler, env_mem, peephole, tb_label
 from repro.dbt.engine import DBTEngine
 from repro.dbt.llvmjit import optimize_tcg
+from repro.dbt.ruletrans import translate_block_with_rules
 from repro.dbt.tcg import TcgBlock, TcgCond, TcgOp
 from repro.experiments.common import ExperimentContext
 from repro.host_x86 import parse_instruction as parse
@@ -232,6 +233,12 @@ GOLDEN_STYLES = ("llvm", "gcc")
 DBT_HOST_CODE_SHA256 = (
     "50ebaa61f42951756b13a2582d43a988fea8a9ed00c89d0238ae50beb709723e"
 )
+#: sha256 of every label-start block's rule cover (host code, hit
+#: lengths, miss reasons) over all benchmarks x both styles x ``test``
+#: and ``ref`` inputs, leave-one-out rule stores.
+RULE_COVER_SHA256 = (
+    "7e93278709ac99fd4031cf4c115282ba124f4d2826293dc8a45af7318e5b45c2"
+)
 #: sha256 of every MiniC ``allocate`` result (code, labels, spill bytes,
 #: callee-saved registers) when compiling the golden slice for both
 #: targets.
@@ -248,7 +255,7 @@ def _code_text(instrs) -> bytes:
 def leave_one_out_stores():
     context = ExperimentContext()
     return {name: context.rule_store_excluding(name)
-            for name in GOLDEN_BENCHMARKS}
+            for name in BENCHMARK_NAMES}
 
 
 class TestGoldenOutput:
@@ -275,6 +282,27 @@ class TestGoldenOutput:
                              if mode == "rules" else None)
                     DBTEngine(program, mode, store).run()
         assert digest.hexdigest() == DBT_HOST_CODE_SHA256
+
+    def test_rule_cover(self, leave_one_out_stores):
+        digest = hashlib.sha256()
+        for name in BENCHMARK_NAMES:
+            store = leave_one_out_stores[name]
+            for style in GOLDEN_STYLES:
+                for workload in ("test", "ref"):
+                    program = compile_source(
+                        benchmark_source(name, workload), "arm", 2, style)
+                    for start in sorted(set(program.labels.values())):
+                        if start >= len(program.code):
+                            continue
+                        result = translate_block_with_rules(
+                            program, start, store)
+                        digest.update(repr((
+                            name, style, workload, start,
+                            [length for _, length in result.hit_rules],
+                            sorted(result.miss_reasons.items()),
+                        )).encode())
+                        digest.update(_code_text(result.host_instrs))
+        assert digest.hexdigest() == RULE_COVER_SHA256
 
     def test_minic_allocate(self, monkeypatch):
         digest = hashlib.sha256()
