@@ -52,7 +52,7 @@ def _translate_all(context, store_cls, matcher, name="gcc"):
     guest = context.build(name, "arm", workload="test")
     from repro.dbt.engine import DBTEngine
 
-    result = DBTEngine(guest, "rules", store, cover="greedy").run()
+    result = DBTEngine(guest, "rules", store).run()
     return store_cls.comparisons, result.return_value
 
 

@@ -9,9 +9,6 @@ host-instruction reduction.
 Parametrized over the store's matcher mode (mnemonic-trie index vs. the
 paper's opcode-mean hash): the match *order* ablation must come out the
 same under either lookup structure, because the matchers are exact.
-The engines run the greedy cover — match-order policy is exactly what
-the ablation varies, so the DP planner (which ignores ``match_at``
-order) would mask it.
 """
 
 import pytest
@@ -47,7 +44,7 @@ def _dyn_instrs(context, store_cls, matcher, name="libquantum"):
     base = context.rule_store_excluding(name)
     store = store_cls.from_rules(base.all_rules(), matcher=matcher)
     guest = context.build(name, "arm", workload="ref")
-    result = DBTEngine(guest, "rules", store, cover="greedy").run()
+    result = DBTEngine(guest, "rules", store).run()
     return result.stats.dynamic_host_instructions, result.return_value
 
 

@@ -1,12 +1,11 @@
-"""Bench: translate-path raw speed — legacy vs indexed vs indexed+DP.
+"""Bench: translate-path raw speed — legacy vs indexed matcher.
 
 Emits ``BENCH_translate.json`` at the repo root: rule-lookup
 throughput (lookups/sec, ns/lookup) for the paper's opcode-mean hash
 matcher vs. the mnemonic-trie index, and whole-block translation
-throughput (blocks/sec) for the greedy cover under both matchers plus
-the indexed lowest-cost DP cover.  The acceptance gate is the indexed
-matcher sustaining at least 2x the legacy matcher's lookups/sec on the
-real learned-rule population.
+throughput (blocks/sec) under both matchers.  The acceptance gate is
+the indexed matcher sustaining at least 2x the legacy matcher's
+lookups/sec on the real learned-rule population.
 """
 
 import json
@@ -68,11 +67,11 @@ def _time_lookups(store, blocks, reps):
     }
 
 
-def _time_translation(program, starts, store, cover, reps):
+def _time_translation(program, starts, store, reps):
     t0 = time.perf_counter()
     for _ in range(reps):
         for start in starts:
-            translate_block_with_rules(program, start, store, cover=cover)
+            translate_block_with_rules(program, start, store)
     seconds = time.perf_counter() - t0
     blocks = len(starts) * reps
     return {
@@ -99,14 +98,10 @@ def test_translate_throughput(benchmark, context):
         }
         translate = {
             "legacy": _time_translation(
-                program, starts, stores["hash"], "greedy", TRANSLATE_REPS
+                program, starts, stores["hash"], TRANSLATE_REPS
             ),
             "indexed": _time_translation(
-                program, starts, stores["indexed"], "greedy",
-                TRANSLATE_REPS
-            ),
-            "indexed_dp": _time_translation(
-                program, starts, stores["indexed"], "dp", TRANSLATE_REPS
+                program, starts, stores["indexed"], TRANSLATE_REPS
             ),
         }
         return {

@@ -126,7 +126,6 @@ CHECKS: dict[str, tuple[Check, ...]] = {
         # Wall-clock throughput: wide bands for shared CI runners.
         Check("lookup.indexed.lookups_per_second", "higher", 0.40),
         Check("translate.indexed.blocks_per_second", "higher", 0.40),
-        Check("translate.indexed_dp.blocks_per_second", "higher", 0.40),
         # The indexed-over-legacy ratio divides out box speed, so its
         # band is tight — and the >= 2x acceptance floor lives in the
         # bench itself.

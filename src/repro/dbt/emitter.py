@@ -41,20 +41,16 @@ class BoundEmitter:
     """
 
     __slots__ = ("rule", "temps", "written_params", "branch_cc",
-                 "template_cycles", "_builders", "_static_error")
+                 "_builders", "_static_error")
 
     def __init__(self, rule, temps, written_params, branch_cc,
-                 template_cycles, builders, static_error):
+                 builders, static_error):
         self.rule = rule
         self.temps = temps
         self.written_params = written_params
         #: Taken-branch condition mnemonic, or None for straight-line
         #: rules (precomputed: branches are static template facts).
         self.branch_cc = branch_cc
-        #: Modeled exec cycles/visit of the bound template — binding
-        #: never changes an operand's cycle class, so this is exact for
-        #: the template body and seeds the lowest-cost cover DP.
-        self.template_cycles = template_cycles
         self._builders = builders
         #: Host-constraint violation found at compile time (hoisted
         #: from the per-hit path; raised on application so the miss
@@ -135,11 +131,8 @@ class _UncompilableOperand(Exception):
 
 def compile_emitter(rule) -> BoundEmitter:
     """Compile one rule's host template into a :class:`BoundEmitter`."""
-    from repro.dbt.perf import instruction_cycles
-
     builders = []
     branch_cc = None
-    template_cycles = 0.0
     static_error = None
     try:
         for template in rule.host:
@@ -161,7 +154,6 @@ def compile_emitter(rule) -> BoundEmitter:
             builders.append(
                 _compile_instruction(mnemonic, op_builders, low8_parent)
             )
-            template_cycles += instruction_cycles(template)
     except _UncompilableOperand as exc:
         if static_error is None:
             static_error = str(exc)
@@ -170,7 +162,6 @@ def compile_emitter(rule) -> BoundEmitter:
         temps=rule.temps,
         written_params=rule.written_params,
         branch_cc=branch_cc,
-        template_cycles=template_cycles,
         builders=tuple(builders),
         static_error=static_error,
     )

@@ -67,7 +67,7 @@ from repro.dbt.guard import GuardPolicy, GuardStats, copy_state, states_agree
 from repro.dbt.llvmjit import optimize_tcg
 from repro.dbt.machine import ConcreteState
 from repro.dbt.perf import PerfModel, instruction_cycles
-from repro.dbt.ruletrans import COVER_MODES, translate_block_with_rules
+from repro.dbt.ruletrans import translate_block_with_rules
 
 _ALU = ConcreteALU()
 
@@ -163,20 +163,6 @@ class RuleProfile:
     tcg_ops_avoided: int = 0       #: TCG micro-ops never generated
     translation_cycles_saved: float = 0.0
     exec_cycles_saved: float = 0.0
-    #: Measured template-body cycles/visit summed over hits: the
-    #: attribution signal that refines the DP cover's per-rule cost
-    #: online.  Body cycles only (no first-touch register loads, no
-    #: block-ending write-back) — a property of the rule itself, so
-    #: engines with different translation histories still plan
-    #: identical covers (the online/offline coverage-parity contract).
-    host_cycles_observed: float = 0.0
-
-    @property
-    def mean_host_cycles(self) -> float | None:
-        """Average measured cycles/visit (None before the first hit)."""
-        if not self.hits:
-            return None
-        return self.host_cycles_observed / self.hits
 
     @property
     def lookup_cost(self) -> float:
@@ -205,7 +191,6 @@ class RuleProfile:
             "tcg_ops_avoided": self.tcg_ops_avoided,
             "translation_cycles_saved": self.translation_cycles_saved,
             "exec_cycles_saved": self.exec_cycles_saved,
-            "host_cycles_observed": self.host_cycles_observed,
             "lookup_cost": self.lookup_cost,
             "cycles_saved": self.cycles_saved,
             "net_cycles": self.net_cycles,
@@ -230,12 +215,9 @@ class DBTEngine:
         fast: bool = True,
         guard: GuardPolicy | None = None,
         gap_sink=None,
-        cover: str = "dp",
     ) -> None:
         if mode not in MODES:
             raise DBTError(f"unknown mode {mode!r}")
-        if cover not in COVER_MODES:
-            raise DBTError(f"unknown cover mode {cover!r}")
         if program.options.target != "arm":
             raise DBTError("the DBT emulates ARM guests")
         if guard is not None and mode != "rules":
@@ -254,9 +236,6 @@ class DBTEngine:
         self.program = program
         self.mode = mode
         self.rule_store = rule_store
-        #: Cover policy for rules-mode translation: ``"dp"`` (lowest
-        #: modeled-cycle cover) or ``"greedy"`` (paper Section 4).
-        self.cover = cover
         self.fast = fast
         self.guard = guard
         self.guard_stats = GuardStats()
@@ -346,8 +325,6 @@ class DBTEngine:
             result = translate_block_with_rules(
                 self.program, start_index, self.rule_store,
                 gap_sink=self.gap_sink,
-                cover=self.cover,
-                cost_hint=self._rule_cost_hint,
             )
             tb = TranslatedBlock(guest_addr, result.host_instrs)
             tb.guest_length = len(result.guest_instrs)
@@ -455,21 +432,10 @@ class DBTEngine:
         profile.guest_covered += hit.length
         profile.host_emitted += hit.rule_host_len
         profile.tcg_ops_avoided += hit.tcg_ops
-        profile.host_cycles_observed += hit.body_cycles
         profile.translation_cycles_saved += (
             perf.TCG_OP_COST * hit.tcg_ops
             - perf.RULE_EMIT_COST * hit.rule_host_len
         )
-
-    def _rule_cost_hint(self, rule) -> float | None:
-        """Measured cycles/visit for the DP cover's cost model (None
-        until the rule has been instantiated at least once — the
-        planner then falls back to the emitter's static template
-        cycles)."""
-        profile = self.rule_profiles.get(rule)
-        if profile is None:
-            return None
-        return profile.mean_host_cycles
 
     def rule_profitability(self) -> list[RuleProfile]:
         """Lifetime per-rule ledgers, most profitable first."""

@@ -3,18 +3,9 @@
 For each guest block the translator selects a *cover*: which guest
 instructions are translated by learned rules (instantiating the rule's
 precompiled host emitter, bypassing TCG) and which go through the
-normal TCG path.  Two cover policies share all the machinery:
-
-* ``"greedy"`` — the paper's Section 4 scheme: at every position take
-  the longest matching rule, back off to TCG for one instruction on a
-  miss.  Kept as the ablation baseline and the fallback.
-* ``"dp"`` (default) — lowest-cost cover: enumerate every applicable
-  rule match at every position (one indexed store walk each), then run
-  a dynamic program over positions minimizing modeled execution cycles
-  — per-rule costs seeded from the emitter's template cycles and
-  refined online by the engine's profitability attribution, TCG costs
-  from the memoized per-window counterfactual.  The greedy cover is in
-  the DP's search space, so the planned cost is never worse.
+normal TCG path.  The cover is the paper's Section 4 scheme: at every
+position take the longest matching rule, and on a miss send one
+instruction through TCG.
 
 Register allocation cooperates through the shared
 :class:`~repro.dbt.codegen.BlockAssembler` (guest registers cached in
@@ -42,11 +33,8 @@ from repro.dbt.tcg import TcgBlock
 __all__ = [
     "RuleApplicationError", "BlockTranslation", "HitProfile",
     "translate_block_with_rules", "instantiate_host", "flags_dead_after",
-    "COVER_MODES", "MISS_REASONS", "MAX_GAP_LENGTH",
+    "MISS_REASONS", "MAX_GAP_LENGTH",
 ]
-
-#: Cover policies (``translate_block_with_rules(cover=...)``).
-COVER_MODES = ("dp", "greedy")
 
 #: Why a rule lookup failed to cover a guest position (Table 1's
 #: translate-time counterpart; ranked by the obs report CLI).
@@ -54,12 +42,9 @@ MISS_NO_MATCH = "no_match"       # store had no matching rule
 MISS_FLAGS_LIVE = "flags_live"   # condition-code analysis rejected it
 MISS_BINDING = "binding"         # binding touches reserved registers
 MISS_APPLY_ERROR = "apply_error"  # host-ISA constraint failed at emit
-MISS_COST_COVER = "cost_cover"   # a rule matched, but the DP cover
-                                 # priced TCG cheaper for this span
 
 MISS_REASONS = (
     MISS_NO_MATCH, MISS_FLAGS_LIVE, MISS_BINDING, MISS_APPLY_ERROR,
-    MISS_COST_COVER,
 )
 
 #: Longest guest suffix a translation-gap report captures per miss;
@@ -84,13 +69,6 @@ class HitProfile:
     length: int                #: guest instructions the rule covered
     rule_host_len: int         #: host template length (emit-cost basis)
     host_cycles: float         #: exec cycles/visit of the rule's host code
-    #: Exec cycles/visit of the template *body* alone — excludes the
-    #: context-dependent surroundings ``host_cycles`` keeps (first-touch
-    #: guest-register loads, block-ending write-back and branches).
-    #: This is what refines the DP cover's per-rule cost online: it is
-    #: a property of the rule, not of where the hit happened, so every
-    #: engine converges to the same plan regardless of history.
-    body_cycles: float
     tcg_ops: int               #: TCG micro-ops the rule avoided
     tcg_host_len: int          #: host instrs TCG would have emitted
     tcg_host_cycles: float     #: exec cycles/visit of that TCG host code
@@ -108,11 +86,6 @@ class BlockTranslation:
     lookup_attempts: int
     miss_reasons: dict[str, int] = field(default_factory=dict)
     hit_profiles: list[HitProfile] = field(default_factory=list)
-    cover_mode: str = "greedy"
-    #: Modeled exec cycles of the chosen cover plan (DP objective).
-    planned_cost: float = 0.0
-    #: Same model priced over the greedy cover (DP's upper bound).
-    planned_cost_greedy: float = 0.0
 
 
 def flags_dead_after(rule: Rule, block: list[Instruction],
@@ -223,118 +196,11 @@ def _counterfactual_tcg(
     return result
 
 
-# -- lowest-cost cover planning ------------------------------------------------
-
-
-@dataclass
-class _PositionInfo:
-    """Everything the planner learned about one block position."""
-
-    #: Applicable matches (bindable + flags dead + binding admissible +
-    #: emitter statically valid), longest first.
-    applicable: list[RuleMatch] = field(default_factory=list)
-    #: Miss reason when nothing is applicable (None = a rule applies).
-    reject_reason: str | None = None
-
-
-def _survey_positions(
-    block: list[Instruction],
-    store: RuleStore,
-) -> list[_PositionInfo]:
-    """One store walk per position: all applicable matches, plus the
-    reason the position would miss (for gap capture / Table-1 ranking).
-    """
-    infos = []
-    for i in range(len(block)):
-        info = _PositionInfo()
-        raw = store.matches_at(block, i)
-        if not raw:
-            info.reject_reason = MISS_NO_MATCH
-        for match in raw:
-            if not flags_dead_after(match.rule, block, i + match.length):
-                reason = MISS_FLAGS_LIVE
-            elif not _binding_applicable(match):
-                reason = MISS_BINDING
-            elif not get_emitter(match.rule).static_ok:
-                reason = MISS_APPLY_ERROR
-            else:
-                info.applicable.append(match)
-                continue
-            if info.reject_reason is None:
-                info.reject_reason = reason
-        infos.append(info)
-    return infos
-
-
-def _rule_plan_cost(match: RuleMatch, cost_hint) -> float:
-    """Modeled exec cycles/visit of applying ``match``.
-
-    Seeded from the precompiled emitter's static template cycles;
-    ``cost_hint`` (the engine's per-rule profitability attribution)
-    overrides with the measured average once the rule has real hits.
-    """
-    if cost_hint is not None:
-        measured = cost_hint(match.rule)
-        if measured is not None:
-            return measured
-    return get_emitter(match.rule).template_cycles
-
-
-def _plan_cover(
-    block: list[Instruction],
-    infos: list[_PositionInfo],
-    tcg_cost,
-    rule_cost,
-) -> tuple[list[RuleMatch | None], float, float]:
-    """Minimum-modeled-cycle cover by dynamic programming.
-
-    ``best[i]`` is the cheapest cost of translating ``block[i:]``;
-    at each position the choice is one TCG-translated instruction or
-    any applicable rule match.  Rules win ties (coverage is worth at
-    least as much as the model says: covered instructions also skip
-    TCG translation work the exec-cycle objective does not price).
-
-    Returns ``(choice, planned, planned_greedy)`` where ``choice[i]``
-    is the match to apply at ``i`` (None = TCG) and the costs price the
-    DP and greedy covers under the same model.
-    """
-    n = len(block)
-    best = [0.0] * (n + 1)
-    choice: list[RuleMatch | None] = [None] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        cost = tcg_cost(i) + best[i + 1]
-        pick = None
-        for match in infos[i].applicable:  # longest first
-            c = rule_cost(match) + best[i + match.length]
-            # Strict improvement replaces; a tie is only taken to
-            # upgrade TCG to a rule (among equal rules, longest wins).
-            if c < cost - 1e-9 or (pick is None and c <= cost + 1e-9):
-                cost, pick = min(cost, c), match
-        best[i] = cost
-        choice[i] = pick
-    # Price the greedy trajectory under the same model (the DP's upper
-    # bound, traced for the cover ablation).
-    greedy = 0.0
-    i = 0
-    while i < n:
-        applicable = infos[i].applicable
-        if applicable:
-            match = applicable[0]  # longest-first, same tie-break
-            greedy += rule_cost(match)
-            i += match.length
-        else:
-            greedy += tcg_cost(i)
-            i += 1
-    return choice, best[0], greedy
-
-
 def translate_block_with_rules(
     program: CompiledProgram,
     start_index: int,
     store: RuleStore | None,
     gap_sink=None,
-    cover: str = "dp",
-    cost_hint=None,
 ) -> BlockTranslation:
     """Translate one guest block, using rules where they match.
 
@@ -342,28 +208,7 @@ def translate_block_with_rules(
     (capped at :data:`MAX_GAP_LENGTH`) at every position the rule table
     failed to cover — the translation-gap capture hook the rule-service
     client uses to drive online learning.
-
-    ``cover`` selects the policy (:data:`COVER_MODES`); ``cost_hint``
-    is an optional ``rule -> measured cycles/visit | None`` callback
-    (the engine's profitability ledgers) refining the DP cost model.
     """
-    if cover not in COVER_MODES:
-        raise ValueError(
-            f"unknown cover mode {cover!r}; expected one of {COVER_MODES}"
-        )
-    if cover == "dp" and store is not None and len(store):
-        return _translate_dp(program, start_index, store, gap_sink,
-                             cost_hint)
-    return _translate_greedy(program, start_index, store, gap_sink)
-
-
-def _translate_greedy(
-    program: CompiledProgram,
-    start_index: int,
-    store: RuleStore | None,
-    gap_sink=None,
-) -> BlockTranslation:
-    """The paper's greedy longest-first cover (Section 4)."""
     from repro.obs.trace import get_tracer
 
     from repro.dbt.perf import instruction_cycles
@@ -398,20 +243,48 @@ def _translate_greedy(
         if match is not None:
             hit_host_start = len(assembler.instrs)
             try:
-                emitted, branch_cc = instantiate_host(
+                _, branch_cc = instantiate_host(
                     match.rule, match.binding, assembler
                 )
             except RuleApplicationError:
                 match, reason = None, MISS_APPLY_ERROR
                 del assembler.instrs[hit_host_start:]
             else:
-                ended |= _commit_hit(
-                    program, block, assembler, match, i, guest_addr,
-                    emitted, branch_cc, covered, hit_rules,
-                    hit_profiles, tracer, instruction_cycles,
-                    hit_host_start,
+                length = match.length
+                hit_rules.append((match.rule, length))
+                if tracer.enabled:
+                    tracer.event(
+                        "dbt.rule.hit", addr=guest_addr + 4 * i,
+                        length=length,
+                    )
+                covered[i : i + length] = [True] * length
+                if match.rule.has_branch:
+                    taken = program.addr_of(match.binding.label)
+                    fallthrough = guest_addr + 4 * (i + length)
+                    assembler.writeback()
+                    assembler.emit(branch_cc, Label(tb_label(taken)))
+                    assembler.emit("jmp", Label(tb_label(fallthrough)))
+                    ended = True
+                # Profitability evidence: the rule's actual host code
+                # (including any block-ending writeback + branch it
+                # forced) vs. the memoized TCG counterfactual for the
+                # same span.
+                tcg_ops, tcg_len, tcg_cycles = _counterfactual_tcg(
+                    program, block, i, length, guest_addr
                 )
-                i += match.length
+                hit_profiles.append(HitProfile(
+                    rule=match.rule,
+                    length=length,
+                    rule_host_len=len(match.rule.host),
+                    host_cycles=sum(
+                        instruction_cycles(instr)
+                        for instr in assembler.instrs[hit_host_start:]
+                    ),
+                    tcg_ops=tcg_ops,
+                    tcg_host_len=tcg_len,
+                    tcg_host_cycles=tcg_cycles,
+                ))
+                i += length
                 continue
         if reason is not None:
             miss_reasons[reason] = miss_reasons.get(reason, 0) + 1
@@ -443,122 +316,6 @@ def _translate_greedy(
         lookup_attempts=lookups,
         miss_reasons=miss_reasons,
         hit_profiles=hit_profiles,
-        cover_mode="greedy",
-    )
-
-
-def _translate_dp(
-    program: CompiledProgram,
-    start_index: int,
-    store: RuleStore,
-    gap_sink=None,
-    cost_hint=None,
-) -> BlockTranslation:
-    """Lowest-cost cover: survey all matches, DP-plan, then emit."""
-    from repro.obs.trace import get_tracer
-
-    from repro.dbt.perf import instruction_cycles
-
-    block = discover_block(program, start_index)
-    guest_addr = 0x8000 + 4 * start_index
-    n = len(block)
-    tracer = get_tracer()
-
-    infos = _survey_positions(block, store)
-    lookups = n  # one indexed walk per position
-
-    def tcg_cost(i: int) -> float:
-        _, _, cycles = _counterfactual_tcg(program, block, i, 1, guest_addr)
-        return cycles
-
-    def rule_cost(match: RuleMatch) -> float:
-        return _rule_plan_cost(match, cost_hint)
-
-    choice, planned, planned_greedy = _plan_cover(
-        block, infos, tcg_cost, rule_cost
-    )
-
-    assembler = BlockAssembler()
-    covered = [False] * n
-    hit_rules: list[tuple[Rule, int]] = []
-    hit_profiles: list[HitProfile] = []
-    miss_reasons: dict[str, int] = {}
-    tcg_ops_total = 0
-    ended = False
-    i = 0
-    while i < n:
-        match = choice[i]
-        apply_failed = False
-        if match is not None:
-            hit_host_start = len(assembler.instrs)
-            try:
-                emitted, branch_cc = instantiate_host(
-                    match.rule, match.binding, assembler
-                )
-            except RuleApplicationError:
-                # Statically-valid emitters cannot fail on x86, but
-                # keep the greedy path's per-hit safety net.
-                del assembler.instrs[hit_host_start:]
-                apply_failed = True
-            else:
-                ended |= _commit_hit(
-                    program, block, assembler, match, i, guest_addr,
-                    emitted, branch_cc, covered, hit_rules,
-                    hit_profiles, tracer, instruction_cycles,
-                    hit_host_start,
-                )
-                i += match.length
-                continue
-        info = infos[i]
-        if apply_failed:
-            reason = MISS_APPLY_ERROR
-        elif info.applicable:
-            # The cover chose TCG over a live rule on price:
-            # traceable, but not a learning gap — the store
-            # already has a rule.
-            reason = MISS_COST_COVER
-        else:
-            reason = info.reject_reason or MISS_NO_MATCH
-        miss_reasons[reason] = miss_reasons.get(reason, 0) + 1
-        if gap_sink is not None and reason != MISS_COST_COVER:
-            gap_sink(block[i : i + MAX_GAP_LENGTH])
-        if tracer.enabled:
-            tracer.event(
-                "dbt.rule.miss", addr=guest_addr + 4 * i,
-                reason=reason,
-            )
-        ops, instr_ended = _emit_tcg_instruction(
-            program, block, assembler, i, guest_addr
-        )
-        tcg_ops_total += ops
-        ended |= instr_ended
-        i += 1
-    if not ended:
-        assembler.writeback()
-        assembler.emit("jmp", Label(tb_label(guest_addr + 4 * n)))
-    translated = codegen.finalize_block(assembler, guest_addr)
-    if tracer.enabled:
-        tracer.event(
-            "dbt.cover",
-            addr=guest_addr,
-            mode="dp",
-            guest_len=n,
-            segments=len(hit_rules),
-            planned_cost=round(planned, 3),
-            greedy_cost=round(planned_greedy, 3),
-        )
-    return BlockTranslation(
-        host_instrs=translated.host_instrs,
-        guest_instrs=block,
-        rule_covered=covered,
-        hit_rules=hit_rules,
-        tcg_op_count=tcg_ops_total,
-        lookup_attempts=lookups,
-        miss_reasons=miss_reasons,
-        hit_profiles=hit_profiles,
-        cover_mode="dp",
-        planned_cost=planned,
-        planned_cost_greedy=planned_greedy,
     )
 
 
@@ -582,51 +339,6 @@ def _emit_tcg_instruction(
         if op.op in ("brcond", "goto_tb", "exit_indirect"):
             ended = True
     return len(tcg.ops), ended
-
-
-def _commit_hit(
-    program, block, assembler, match, i, guest_addr, emitted, branch_cc,
-    covered, hit_rules, hit_profiles, tracer, instruction_cycles,
-    hit_host_start,
-) -> bool:
-    """Book-keeping shared by both covers after a successful emit."""
-    hit_rules.append((match.rule, match.length))
-    if tracer.enabled:
-        tracer.event(
-            "dbt.rule.hit", addr=guest_addr + 4 * i, length=match.length,
-        )
-    for j in range(i, i + match.length):
-        covered[j] = True
-    ended = False
-    if match.rule.has_branch:
-        taken = program.addr_of(match.binding.label)
-        fallthrough = guest_addr + 4 * (i + match.length)
-        assembler.writeback()
-        assembler.emit(branch_cc, Label(tb_label(taken)))
-        assembler.emit("jmp", Label(tb_label(fallthrough)))
-        ended = True
-    # Profitability evidence: the rule's actual host code (including
-    # any block-ending writeback + branch it forced) vs. the memoized
-    # TCG counterfactual for the same span.
-    hit_host = assembler.instrs[hit_host_start:]
-    tcg_ops, tcg_len, tcg_cycles = _counterfactual_tcg(
-        program, block, i, match.length, guest_addr
-    )
-    hit_profiles.append(HitProfile(
-        rule=match.rule,
-        length=match.length,
-        rule_host_len=len(match.rule.host),
-        host_cycles=sum(
-            instruction_cycles(instr) for instr in hit_host
-        ),
-        body_cycles=sum(
-            instruction_cycles(instr) for instr in emitted
-        ),
-        tcg_ops=tcg_ops,
-        tcg_host_len=tcg_len,
-        tcg_host_cycles=tcg_cycles,
-    ))
-    return ended
 
 
 def _binding_applicable(match: RuleMatch) -> bool:

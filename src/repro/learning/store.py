@@ -218,10 +218,10 @@ class RuleStore:
                    limit: int | None = None) -> list[RuleMatch]:
         """Every bindable match at ``instrs[start:]``, longest first.
 
-        The lowest-cost cover planner enumerates all candidates at a
-        position (not just the longest) and lets the dynamic program
-        choose among them.  Within one length, matches come back in
-        rule insertion order — the same tie-break ``match_at`` uses.
+        The translator only needs :meth:`match_at`; this full hit set
+        is what the matcher-equivalence tests compare across modes.
+        Within one length, matches come back in rule insertion order —
+        the same tie-break ``match_at`` uses.
         """
         max_len = len(instrs) - start
         if limit is not None:

@@ -1,6 +1,14 @@
 """Rule-enhanced block translation: matching, cc analysis, integration."""
 
-from repro.dbt.ruletrans import flags_dead_after, translate_block_with_rules
+import dataclasses
+
+from repro.dbt.engine import DBTEngine
+from repro.dbt.ruletrans import (
+    MAX_GAP_LENGTH,
+    MISS_FLAGS_LIVE,
+    flags_dead_after,
+    translate_block_with_rules,
+)
 from repro.guest_arm import parse_instruction as parse_arm
 from repro.host_x86 import parse_instruction as parse_x86
 from repro.learning.extract import SnippetPair
@@ -30,6 +38,10 @@ CMP_RULE = learn_rule(["cmp r2, r3", "blt .L"],
 CMP_ONLY_RULE = learn_rule(["cmp r2, r3"], ["cmpl %ecx, %edx"])
 ADD_RULE = learn_rule(["add r1, r1, r0", "sub r1, r1, #1"],
                       ["leal -1(%edx,%eax), %edx"])
+MOV_RULE = learn_rule(["mov r1, r0"], ["movl %eax, %edx"])
+#: Writes the guest flags without branching on them.
+MOV_CMP_RULE = learn_rule(["mov r1, r0", "cmp r2, r3"],
+                          ["movl %eax, %edx", "cmpl %ecx, %ebx"])
 
 
 class TestFlagsDeadAnalysis:
@@ -83,14 +95,23 @@ class TestBlockTranslation:
             assert len(result.rule_covered) == len(result.guest_instrs)
             covered_any |= any(result.rule_covered)
         assert covered_any
+        # The engine agrees with qemu mode, run after run on one cache.
+        expected = DBTEngine(program, "qemu").run().return_value
+        engine = DBTEngine(program, "rules", store)
+        assert engine.run().return_value == expected
+        first = engine.last_run.dynamic_coverage
+        assert first > 0
+        assert engine.run().return_value == expected
+        assert engine.last_run.dynamic_coverage == first
 
     def test_no_rules_means_no_coverage(self):
         program = self._program()
         for start in sorted(set(program.labels.values())):
             if start >= len(program.code):
                 continue
-            result = translate_block_with_rules(program, start, RuleStore())
-            assert not any(result.rule_covered)
+            for store in (RuleStore(), None):
+                result = translate_block_with_rules(program, start, store)
+                assert not any(result.rule_covered)
 
     def test_host_code_smaller_with_rules(self):
         program = self._program()
@@ -107,3 +128,23 @@ class TestBlockTranslation:
                 translate_block_with_rules(program, start, None).host_instrs
             )
         assert with_rules < without
+
+    def test_longest_match_with_live_flags_misses(self):
+        """The cover takes the longest match only: when its flags are
+        live the position misses, even though a shorter rule applies."""
+        block = [parse_arm(line)
+                 for line in ("mov r4, r5", "cmp r6, r7", "blt .Lt")]
+        base = self._program()
+        program = dataclasses.replace(
+            base, code=block + [parse_arm("bx lr")],
+            labels={"main": 0, ".Lt": 3},
+        )
+        store = RuleStore.from_rules([MOV_RULE, MOV_CMP_RULE])
+        assert store.match_at(block, 0).rule == MOV_CMP_RULE
+        assert MOV_RULE in [m.rule for m in store.matches_at(block, 0)]
+        gaps = []
+        result = translate_block_with_rules(program, 0, store,
+                                            gap_sink=gaps.append)
+        assert not any(result.rule_covered)
+        assert result.miss_reasons[MISS_FLAGS_LIVE] == 1
+        assert gaps[0] == block[:MAX_GAP_LENGTH]
