@@ -425,7 +425,6 @@ class TranslatedBlock:
     host_instrs: list[Instruction]
     guest_length: int = 0
     rule_covered: list[bool] = field(default_factory=list)
-    hit_rules: list = field(default_factory=list)  # (rule, length) pairs
     hit_profiles: list = field(default_factory=list)  # ruletrans.HitProfile
     translation_cost: float = 0.0
     exec_count: int = 0

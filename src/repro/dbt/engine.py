@@ -2,7 +2,8 @@
 
 Three backends share the engine (paper Section 6):
 
-* ``"qemu"``    — the baseline: every guest instruction through TCG,
+* ``"qemu"``    — the baseline: every guest instruction through TCG
+  (the rule translator with no rule table),
 * ``"rules"``   — the paper's system: learned rules + TCG fallback,
 * ``"llvmjit"`` — the HQEMU-style comparison: TCG ops through an
   optimizing middle-end with heavy translation cost.
@@ -258,7 +259,7 @@ class DBTEngine:
         #: where a hot block seeded no region); see :meth:`_form_region`.
         self._regions: list[Region] = []
         self._region_entries: dict[int, tuple | None] = {}
-        #: TCG-only reference translations (guard comparisons).
+        #: qemu-mode reference translations (guard comparisons).
         self._ref_cache: dict[int, tuple] = {}
         #: Blocks invalidated mid-run after executing: their dynamic
         #: counters must still be accounted at run end.
@@ -321,56 +322,51 @@ class DBTEngine:
         translate_t0 = time.perf_counter()
         start_index = self.program.index_of_addr(guest_addr)
         miss_reasons: dict[str, int] = {}
-        if self.mode == "rules":
+        if self.mode == "llvmjit":
+            # The whole block's TCG ops through the optimizing
+            # middle-end, which works across instructions.
+            tcg_block, guest_instrs = translate_block(
+                self.program, start_index
+            )
+            assembler = codegen.BlockAssembler()
+            for op in optimize_tcg(tcg_block.ops):
+                codegen.lower_tcg_op(assembler, op, optimized=True)
+            translated = codegen.finalize_block(assembler, guest_addr)
+            tb = TranslatedBlock(guest_addr, translated.host_instrs)
+            tb.guest_length = len(guest_instrs)
+            tb.rule_covered = [False] * len(guest_instrs)
+            tb.translation_cost = (perf.LLVMJIT_BLOCK_COST
+                                   + perf.LLVMJIT_OP_COST
+                                   * len(tcg_block.ops))
+        else:
+            store = self.rule_store if self.mode == "rules" else None
             result = translate_block_with_rules(
-                self.program, start_index, self.rule_store,
-                gap_sink=self.gap_sink,
+                self.program, start_index, store, gap_sink=self.gap_sink,
             )
             tb = TranslatedBlock(guest_addr, result.host_instrs)
             tb.guest_length = len(result.guest_instrs)
             tb.rule_covered = result.rule_covered
-            tb.hit_rules = result.hit_rules
             tb.hit_profiles = result.hit_profiles
-            for profile in result.hit_profiles:
-                self._account_hit(profile)
-            tb.translation_cost = (
-                perf.TCG_OP_COST * result.tcg_op_count
-                + perf.lookup_cost(self.rule_store.matcher)
-                * result.lookup_attempts
-                + perf.RULE_EMIT_COST
-                * sum(len(rule.host) for rule, _ in result.hit_rules)
-            )
+            tb.translation_cost = perf.TCG_OP_COST * result.tcg_op_count
+            if store is not None:
+                tb.translation_cost += (
+                    perf.lookup_cost(store.matcher) * result.lookup_attempts
+                    + perf.RULE_EMIT_COST * sum(
+                        hit.rule_host_len for hit in result.hit_profiles)
+                )
             miss_reasons = result.miss_reasons
+            for hit in result.hit_profiles:
+                self._account_hit(hit)
             for view in self._translation_views():
-                for rule, length in result.hit_rules:
-                    view.hit_rules.add(rule)
-                    view.hit_rule_lengths[length] = (
-                        view.hit_rule_lengths.get(length, 0) + 1
+                for hit in result.hit_profiles:
+                    view.hit_rules.add(hit.rule)
+                    view.hit_rule_lengths[hit.length] = (
+                        view.hit_rule_lengths.get(hit.length, 0) + 1
                     )
                 for reason, count in miss_reasons.items():
                     view.rule_miss_reasons[reason] = (
                         view.rule_miss_reasons.get(reason, 0) + count
                     )
-        else:
-            tcg_block, guest_instrs = translate_block(
-                self.program, start_index
-            )
-            ops = tcg_block.ops
-            if self.mode == "llvmjit":
-                cost = (perf.LLVMJIT_BLOCK_COST
-                        + perf.LLVMJIT_OP_COST * len(ops))
-                ops = optimize_tcg(ops)
-            else:
-                cost = perf.TCG_OP_COST * len(ops)
-            assembler = codegen.BlockAssembler()
-            for op in ops:
-                codegen.lower_tcg_op(assembler, op,
-                                     optimized=self.mode == "llvmjit")
-            translated = codegen.finalize_block(assembler, guest_addr)
-            tb = TranslatedBlock(guest_addr, translated.host_instrs)
-            tb.guest_length = len(guest_instrs)
-            tb.rule_covered = [False] * len(guest_instrs)
-            tb.translation_cost = cost
         self._cache[guest_addr] = tb
         self._cycles_cache[guest_addr] = [
             instruction_cycles(instr) for instr in tb.host_instrs
@@ -393,9 +389,9 @@ class DBTEngine:
             (time.perf_counter() - translate_t0) * 1000.0,
         )
         if self.mode == "rules":
-            metrics.inc("dbt.rule.hits", len(tb.hit_rules))
-            for _, length in tb.hit_rules:
-                metrics.observe("dbt.rule.hit_length", length)
+            metrics.inc("dbt.rule.hits", len(tb.hit_profiles))
+            for hit in tb.hit_profiles:
+                metrics.observe("dbt.rule.hit_length", hit.length)
             for reason, count in miss_reasons.items():
                 metrics.inc(f"dbt.rule.miss.{reason}", count)
         tracer = get_tracer()
@@ -408,7 +404,7 @@ class DBTEngine:
                 guest_len=tb.guest_length,
                 covered=covered,
                 cost=tb.translation_cost,
-                hit_lengths=[length for _, length in tb.hit_rules],
+                hit_lengths=[hit.length for hit in tb.hit_profiles],
                 miss_reasons=miss_reasons,
             )
         return tb
@@ -496,7 +492,7 @@ class DBTEngine:
             tb = self.translate(pc)
             if (
                 self.guard is not None
-                and tb.hit_rules
+                and tb.hit_profiles
                 and self.guard.should_check(tb.exec_count)
             ):
                 tb = self._guard_check(tb, state)
@@ -555,7 +551,7 @@ class DBTEngine:
                     tb = self.translate(pc)
                 if (
                     guard is not None
-                    and tb.hit_rules
+                    and tb.hit_profiles
                     and guard.should_check(tb.exec_count)
                 ):
                     tb = self._guard_check(tb, state)
@@ -686,7 +682,7 @@ class DBTEngine:
         the dispatch loop should actually execute.
         """
         metrics = get_metrics()
-        while tb.hit_rules:
+        while tb.hit_profiles:
             self.guard_stats.checks += 1
             metrics.inc("dbt.guard.checks")
             trial = copy_state(state)
@@ -701,8 +697,8 @@ class DBTEngine:
             if trial_pc == ref_pc and states_agree(trial, reference):
                 return tb
             suspects = {
-                rule for rule, _ in tb.hit_rules
-                if rule not in self.quarantined_rules
+                hit.rule for hit in tb.hit_profiles
+                if hit.rule not in self.quarantined_rules
             }
             if not suspects:
                 # Divergence with nothing left to quarantine means the
@@ -752,24 +748,21 @@ class DBTEngine:
         raise DBTError("guard trial block fell off its end")
 
     def _reference_block(self, guest_addr: int) -> tuple:
-        """A pure-TCG translation of the guest block at ``guest_addr``
-        (the guard's ground truth), cached separately from the main
-        translation cache and charged to no stats view."""
+        """The qemu-mode translation of the guest block at
+        ``guest_addr`` (the guard's ground truth), cached separately
+        from the main translation cache and charged to no stats view."""
         cached = self._ref_cache.get(guest_addr)
         if cached is not None:
             return cached
-        start_index = self.program.index_of_addr(guest_addr)
-        tcg_block, _ = translate_block(self.program, start_index)
-        assembler = codegen.BlockAssembler()
-        for op in tcg_block.ops:
-            codegen.lower_tcg_op(assembler, op)
-        translated = codegen.finalize_block(assembler, guest_addr)
+        host_instrs = translate_block_with_rules(
+            self.program, self.program.index_of_addr(guest_addr), None
+        ).host_instrs
         steps = None
         if self.fast:
             from repro.dbt.fastexec import compile_block
 
-            steps = compile_block(translated.host_instrs)
-        reference = (translated.host_instrs, steps)
+            steps = compile_block(host_instrs)
+        reference = (host_instrs, steps)
         self._ref_cache[guest_addr] = reference
         return reference
 
@@ -805,7 +798,7 @@ class DBTEngine:
         """Drop every cached block translated with any of ``rules``."""
         doomed = [
             addr for addr, tb in self._cache.items()
-            if any(rule in rules for rule, _ in tb.hit_rules)
+            if any(hit.rule in rules for hit in tb.hit_profiles)
         ]
         self._retire_blocks(doomed)
         self.guard_stats.blocks_invalidated += len(doomed)

@@ -5,7 +5,9 @@ instructions are translated by learned rules (instantiating the rule's
 precompiled host emitter, bypassing TCG) and which go through the
 normal TCG path.  The cover is the paper's Section 4 scheme: at every
 position take the longest matching rule, and on a miss send one
-instruction through TCG.
+instruction through TCG.  With no rule table every instruction misses,
+so this translator *is* the QEMU baseline: the engine's ``qemu`` mode
+and the guard's reference translation both call it with ``store=None``.
 
 Register allocation cooperates through the shared
 :class:`~repro.dbt.codegen.BlockAssembler` (guest registers cached in
@@ -28,7 +30,7 @@ from repro.dbt import codegen
 from repro.dbt.codegen import BlockAssembler, tb_label
 from repro.dbt.emitter import RuleApplicationError, get_emitter
 from repro.dbt.frontend import discover_block, translate_instruction
-from repro.dbt.tcg import TcgBlock
+from repro.dbt.tcg import TcgBlock, TcgOp
 
 __all__ = [
     "RuleApplicationError", "BlockTranslation", "HitProfile",
@@ -55,7 +57,8 @@ MAX_GAP_LENGTH = 8
 
 @dataclass(frozen=True)
 class HitProfile:
-    """The profitability evidence of one rule application.
+    """One rule application and its profitability evidence; a block's
+    list of these is its only record of the rules it used.
 
     Captured at translation time: what the rule actually emitted, and
     what TCG *would have* emitted for the same guest instructions (the
@@ -81,7 +84,6 @@ class BlockTranslation:
     host_instrs: list[Instruction]
     guest_instrs: list[Instruction]
     rule_covered: list[bool]
-    hit_rules: list[tuple[Rule, int]]
     tcg_op_count: int
     lookup_attempts: int
     miss_reasons: dict[str, int] = field(default_factory=dict)
@@ -153,13 +155,12 @@ def _counterfactual_tcg(
 ) -> tuple[int, int, float]:
     """What TCG would have produced for ``block[start:start+length]``.
 
-    Translates the covered guest instructions through the normal TCG
-    path into a throwaway assembler — same ``is_last`` logic as the
-    fallback path, so branch rules are compared against the branch
-    lowering they displaced.  Returns ``(tcg_ops, host_instrs,
-    host_cycles)``.  Memoized per (program, window, ends-block): the
-    first application of a window pays one extra translation, repeats
-    are a dict hit.
+    Lowers the covered guest instructions through the miss path,
+    :func:`_emit_tcg_instruction`, into a throwaway assembler, so
+    branch rules are compared against the branch lowering they
+    displaced.  Returns ``(tcg_ops, host_instrs, host_cycles)``.
+    Memoized per (program, window, ends-block): the first application
+    of a window pays one extra translation, repeats are a dict hit.
     """
     from repro.dbt.perf import instruction_cycles
 
@@ -181,15 +182,9 @@ def _counterfactual_tcg(
     shadow = BlockAssembler()
     ops_total = 0
     for j in range(start, start + length):
-        tcg = TcgBlock(guest_start=guest_addr)
-        tcg.temp_counter = 50_000 + j * 100  # disjoint from the real path
-        translate_instruction(
-            program, tcg, block[j], guest_addr + 4 * j,
-            is_last=j == len(block) - 1,
-        )
-        ops_total += len(tcg.ops)
-        for op in tcg.ops:
-            codegen.lower_tcg_op(shadow, op)
+        ops_total += _emit_tcg_instruction(
+            program, block, shadow, j, guest_addr
+        )[0]
     cycles = sum(instruction_cycles(instr) for instr in shadow.instrs)
     result = (ops_total, len(shadow.instrs), cycles)
     cache[key] = result
@@ -217,7 +212,6 @@ def translate_block_with_rules(
     guest_addr = 0x8000 + 4 * start_index
     assembler = BlockAssembler()
     covered = [False] * len(block)
-    hit_rules: list[tuple[Rule, int]] = []
     hit_profiles: list[HitProfile] = []
     miss_reasons: dict[str, int] = {}
     tcg_ops_total = 0
@@ -251,7 +245,6 @@ def translate_block_with_rules(
                 del assembler.instrs[hit_host_start:]
             else:
                 length = match.length
-                hit_rules.append((match.rule, length))
                 if tracer.enabled:
                     tracer.event(
                         "dbt.rule.hit", addr=guest_addr + 4 * i,
@@ -302,16 +295,16 @@ def translate_block_with_rules(
         ended |= instr_ended
         i += 1
     if not ended:
-        assembler.writeback()
-        assembler.emit(
-            "jmp", Label(tb_label(guest_addr + 4 * len(block)))
-        )
+        # Fall-through into the next block (split at a label): an exit
+        # TCG op, charged like every other.
+        exit_op = TcgOp("goto_tb", taken=guest_addr + 4 * len(block))
+        codegen.lower_tcg_op(assembler, exit_op)
+        tcg_ops_total += 1
     translated = codegen.finalize_block(assembler, guest_addr)
     return BlockTranslation(
         host_instrs=translated.host_instrs,
         guest_instrs=block,
         rule_covered=covered,
-        hit_rules=hit_rules,
         tcg_op_count=tcg_ops_total,
         lookup_attempts=lookups,
         miss_reasons=miss_reasons,

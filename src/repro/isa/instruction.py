@@ -37,9 +37,6 @@ class Instruction:
     def with_operands(self, operands: tuple[Operand, ...]) -> "Instruction":
         return replace(self, operands=operands)
 
-    def with_debug(self, line: int | None, block: int | None) -> "Instruction":
-        return replace(self, line=line, block=block)
-
     def registers(self) -> tuple[Reg, ...]:
         """Every register mentioned by any operand, in operand order."""
         regs: list[Reg] = []
@@ -55,9 +52,6 @@ class Instruction:
     def immediates(self) -> tuple[int, ...]:
         """Every immediate value mentioned (excluding Mem disp/scale)."""
         return tuple(op.value for op in self.operands if isinstance(op, Imm))
-
-    def memory_operands(self) -> tuple[Mem, ...]:
-        return tuple(op for op in self.operands if isinstance(op, Mem))
 
     def labels(self) -> tuple[Label, ...]:
         return tuple(op for op in self.operands if isinstance(op, Label))

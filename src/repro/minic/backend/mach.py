@@ -51,9 +51,6 @@ class MachineFunction:
     returns_value: bool = True
     line: int = 0
 
-    def label_at(self, index: int) -> list[str]:
-        return [name for name, pos in self.labels.items() if pos == index]
-
 
 class MachineBuilder:
     """Accumulates instructions and label marks during ISel."""

@@ -298,7 +298,7 @@ class TestGoldenOutput:
                             program, start, store)
                         digest.update(repr((
                             name, style, workload, start,
-                            [length for _, length in result.hit_rules],
+                            [hit.length for hit in result.hit_profiles],
                             sorted(result.miss_reasons.items()),
                         )).encode())
                         digest.update(_code_text(result.host_instrs))

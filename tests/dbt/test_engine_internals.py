@@ -386,7 +386,8 @@ class TestFusedTier:
         for tb in clean._cache.values():
             if tb.guest_start not in clean._fused_cache:
                 continue
-            for rule, _ in tb.hit_rules:
+            for hit in tb.hit_profiles:
+                rule = hit.rule
                 try:
                     bad = corrupt_rule(rule)
                 except ValueError:
@@ -408,7 +409,8 @@ class TestFusedTier:
         engine.run()  # the unchecked dispatches before the catch miscompute
         assert bad in engine.quarantined_rules
         assert bad_addr in calls, "the corrupted block never ran fused"
-        assert all(rule != bad for rule, _ in engine._cache[bad_addr].hit_rules)
+        assert all(hit.rule != bad
+                   for hit in engine._cache[bad_addr].hit_profiles)
         calls.clear()
         assert engine.run().return_value == expected
         assert bad_addr in calls  # fused again, from the clean translation

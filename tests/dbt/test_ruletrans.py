@@ -2,6 +2,10 @@
 
 import dataclasses
 
+import pytest
+
+from repro.benchsuite import benchmark_source
+from repro.dbt import perf
 from repro.dbt.engine import DBTEngine
 from repro.dbt.ruletrans import (
     MAX_GAP_LENGTH,
@@ -148,3 +152,32 @@ class TestBlockTranslation:
         assert not any(result.rule_covered)
         assert result.miss_reasons[MISS_FLAGS_LIVE] == 1
         assert gaps[0] == block[:MAX_GAP_LENGTH]
+
+
+class TestEmptyTableIsQemu:
+    """With an empty rule table the rule translator is the qemu
+    baseline: same host code, same TCG charges (the synthesized
+    fall-through exit included), same dynamic counts."""
+
+    @pytest.mark.parametrize("name", ("mcf", "sjeng", "libquantum"))
+    def test_rules_engine_matches_qemu(self, name):
+        engines = {}
+        for mode, store in (("qemu", None), ("rules", RuleStore())):
+            program = compile_source(benchmark_source(name, "test"),
+                                     "arm", 2, "llvm")
+            engines[mode] = DBTEngine(program, mode, store)
+            engines[mode].run()
+        qemu, rules = engines["qemu"], engines["rules"]
+        assert qemu._cache.keys() == rules._cache.keys()
+        # An empty table still pays one lookup per guest position.
+        lookup = perf.lookup_cost(rules.rule_store.matcher)
+        for addr, tb in qemu._cache.items():
+            other = rules._cache[addr]
+            assert list(map(str, other.host_instrs)) == \
+                list(map(str, tb.host_instrs)), hex(addr)
+            assert other.translation_cost == \
+                tb.translation_cost + lookup * tb.guest_length, hex(addr)
+        assert rules.last_run.perf.dispatches == \
+            qemu.last_run.perf.dispatches
+        assert rules.last_run.dynamic_host_instructions == \
+            qemu.last_run.dynamic_host_instructions
