@@ -150,13 +150,16 @@ class RuleProfile:
     *relative to the TCG counterfactual captured at the hit site*.
 
     Lookup-cost attribution: every successful hit is charged exactly
-    one :data:`~repro.dbt.perf.RULE_LOOKUP_COST` probe.  Probes that
-    missed are real cost too, but belong to no rule — they are the
-    store's overhead, already visible in ``translation_cycles``.
+    one probe at ``probe_cost``, the store matcher's
+    :func:`~repro.dbt.perf.lookup_cost` — the same per-position charge
+    the block's translation cost pays.  Probes that missed are real
+    cost too, but belong to no rule — they are the store's overhead,
+    already visible in ``translation_cycles``.
     """
 
     digest: str
     rule: object
+    probe_cost: float              #: cycles per lookup probe
     hits: int = 0                  #: translate-time instantiations
     exec_hits: int = 0             #: dispatches of blocks with this hit
     guest_covered: int = 0         #: guest instrs covered, translate-time
@@ -167,7 +170,7 @@ class RuleProfile:
 
     @property
     def lookup_cost(self) -> float:
-        return perf.RULE_LOOKUP_COST * self.hits
+        return self.probe_cost * self.hits
 
     @property
     def cycles_saved(self) -> float:
@@ -417,7 +420,8 @@ class DBTEngine:
             from repro.learning.serialize import rule_digest
 
             profile = self.rule_profiles[rule] = RuleProfile(
-                digest=rule_digest(rule), rule=rule
+                digest=rule_digest(rule), rule=rule,
+                probe_cost=perf.lookup_cost(self.rule_store.matcher),
             )
         return profile
 

@@ -1,7 +1,7 @@
 """Differential execution guard: self-healing rule quarantine.
 
 Learned rules are *verified* before installation (symbolic execution +
-SAT/BDD, Section 3.3), so in the paper's threat model they cannot be
+BDD, Section 3.3), so in the paper's threat model they cannot be
 wrong.  In practice a deployed DBT also has to survive everything the
 proof did not cover: a corrupted rule file on disk, a stale cache
 replaying verdicts across a semantics change, or a bug in the

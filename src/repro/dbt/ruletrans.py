@@ -64,8 +64,8 @@ class HitProfile:
     what TCG *would have* emitted for the same guest instructions (the
     counterfactual).  The engine combines these with per-block
     execution counts to attribute cycles saved (or wasted) per rule —
-    the "did this rule pay for its :data:`~repro.dbt.perf.RULE_LOOKUP_COST`"
-    question the evaluation turns on.
+    the "did this rule pay for its lookup probe" question the
+    evaluation turns on.
     """
 
     rule: Rule
@@ -73,7 +73,6 @@ class HitProfile:
     rule_host_len: int         #: host template length (emit-cost basis)
     host_cycles: float         #: exec cycles/visit of the rule's host code
     tcg_ops: int               #: TCG micro-ops the rule avoided
-    tcg_host_len: int          #: host instrs TCG would have emitted
     tcg_host_cycles: float     #: exec cycles/visit of that TCG host code
 
 
@@ -152,13 +151,13 @@ def _counterfactual_tcg(
     start: int,
     length: int,
     guest_addr: int,
-) -> tuple[int, int, float]:
+) -> tuple[int, float]:
     """What TCG would have produced for ``block[start:start+length]``.
 
     Lowers the covered guest instructions through the miss path,
     :func:`_emit_tcg_instruction`, into a throwaway assembler, so
     branch rules are compared against the branch lowering they
-    displaced.  Returns ``(tcg_ops, host_instrs, host_cycles)``.
+    displaced.  Returns ``(tcg_ops, host_cycles)``.
     Memoized per (program, window, ends-block): the first application
     of a window pays one extra translation, repeats are a dict hit.
     """
@@ -186,7 +185,7 @@ def _counterfactual_tcg(
             program, block, shadow, j, guest_addr
         )[0]
     cycles = sum(instruction_cycles(instr) for instr in shadow.instrs)
-    result = (ops_total, len(shadow.instrs), cycles)
+    result = (ops_total, cycles)
     cache[key] = result
     return result
 
@@ -262,7 +261,7 @@ def translate_block_with_rules(
                 # (including any block-ending writeback + branch it
                 # forced) vs. the memoized TCG counterfactual for the
                 # same span.
-                tcg_ops, tcg_len, tcg_cycles = _counterfactual_tcg(
+                tcg_ops, tcg_cycles = _counterfactual_tcg(
                     program, block, i, length, guest_addr
                 )
                 hit_profiles.append(HitProfile(
@@ -274,7 +273,6 @@ def translate_block_with_rules(
                         for instr in assembler.instrs[hit_host_start:]
                     ),
                     tcg_ops=tcg_ops,
-                    tcg_host_len=tcg_len,
                     tcg_host_cycles=tcg_cycles,
                 ))
                 i += length

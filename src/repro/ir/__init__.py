@@ -7,8 +7,8 @@ expression language in the original paper's toolchain.
 
 Expressions are immutable trees of fixed-width bitvector operations.  All
 values are canonicalized modulo ``2 ** width``.  Booleans are represented
-as 1-bit vectors so that a single evaluator / bit-blaster covers the whole
-language.
+as 1-bit vectors so that a single evaluator / circuit builder covers the
+whole language.
 
 The public surface is:
 

@@ -2,7 +2,7 @@
 
 The smart constructors already fold constants; this pass adds the
 rewrites that matter for proving cross-ISA equivalences *syntactically*
-(so the SAT solver is only needed for genuinely hard cases):
+(so the BDD engine is only needed for genuinely hard cases):
 
 * flattening + re-association of ADD/SUB chains into a canonical
   ``sum(terms) + constant`` form with multiplicity counting,

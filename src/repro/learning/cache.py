@@ -5,7 +5,7 @@ Verification verdicts are pure functions of a candidate's canonical key
 the leave-one-out protocol, the Figure 6 ``-O`` sweep and the
 corpus-scaling experiments all re-learn from the same builds, and each
 repeated run would otherwise re-pay the full symbolic-execution +
-SAT/BDD cost.
+BDD cost.
 
 The cache is a single JSON document keyed by candidate digest.  Every
 entry is implicitly versioned by :data:`SEMANTICS_VERSION`: bump it

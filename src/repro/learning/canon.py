@@ -1,7 +1,7 @@
 """Canonical identity of parameterized learning candidates.
 
 Verification dominates learning time (Table 1: ~95% of it is symbolic
-execution plus SAT/BDD equivalence checks), yet many candidates are
+execution plus BDD equivalence checks), yet many candidates are
 textually identical: short idiomatic lines (``i += 1``, ``return 0``,
 pointer bumps) compile to the same guest/host snippets on many source
 lines of many benchmarks, and the paramization heuristics then derive

@@ -1,7 +1,7 @@
 """Parallel rule learning over a crash-isolated process pool.
 
 :func:`learn_corpus_parallel` fans the verify stage — the ~95% of
-learning wall-clock that is symbolic execution plus SAT/BDD checks —
+learning wall-clock that is symbolic execution plus BDD checks —
 out to worker processes.  The schedule is:
 
 1. (parent) extract + paramize every benchmark, in corpus order;

@@ -6,8 +6,8 @@ adders, subtractors, comparators, shifts and multiplications by
 constants — all have polynomially-sized BDDs, so equivalence of typical
 guest/host snippets is decided in milliseconds.  Genuinely hard cases
 (variable x variable multiplication) blow the node budget and raise
-:class:`BddBudgetExceeded`; the portfolio in
-:mod:`repro.solver.equivalence` then falls back to other engines.
+:class:`BddBudgetExceeded`; :mod:`repro.solver.equivalence` then
+reports the query UNKNOWN.
 
 Nodes are integers indexing parallel arrays; 0 and 1 are the terminals.
 """
@@ -155,7 +155,8 @@ class BddManager:
 
 
 class BddBackend:
-    """Gate backend over a :class:`BddManager` for the circuit builder.
+    """The gates :class:`~repro.solver.gates.CircuitBuilder` builds
+    circuits from, over a :class:`BddManager`.
 
     Symbols must be registered up front (so bit variables can be
     interleaved across symbols, which keeps adder BDDs linear).
@@ -191,7 +192,7 @@ class BddBackend:
     def xor_gate(self, a: int, b: int) -> int:
         return self.manager.xor(a, b)
 
-    def fresh_symbol_bits(self, name: str, width: int) -> list[int]:
+    def symbol_bits(self, name: str, width: int) -> list[int]:
         bits = self._bits.get(name)
         if bits is None or len(bits) != width:
             raise KeyError(f"symbol {name!r} was not pre-registered at width {width}")

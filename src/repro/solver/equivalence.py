@@ -1,17 +1,17 @@
 """Equivalence checking of IR expressions (the STP-substitute API).
 
-The decision procedure is a portfolio:
+The decision procedure runs three stages in order:
 
 1. canonicalization (:func:`repro.ir.simplify.simplify`) — structural
    equality proves equivalence,
 2. directed + random concrete testing — a mismatch disproves it,
 3. ROBDD construction with interleaved variable order — identical BDDs
-   prove equivalence; differing BDDs yield a counterexample path,
-4. if the BDD node budget is exceeded (essentially only variable-times-
-   variable multiplication), CNF + CDCL SAT for narrow widths, else the
-   query is reported UNKNOWN and the caller decides (the rule learner
-   counts these as "Other" verification failures, like the paper's
-   symbolic-execution timeouts).
+   prove equivalence; differing BDDs yield a counterexample path.
+
+If the BDD node budget is exceeded (essentially only variable-times-
+variable multiplication) the query is reported UNKNOWN and the caller
+decides: the rule learner counts these as "Other" verification
+failures, like the paper's symbolic-execution timeouts.
 """
 
 from __future__ import annotations
@@ -25,13 +25,10 @@ from repro.ir.expr import Expr, mask
 from repro.ir.simplify import simplify
 from repro.ir.traverse import variables
 from repro.solver.bdd import BddBackend, BddBudgetExceeded, BddManager
-from repro.solver.bitblast import BitBlaster
 from repro.solver.gates import CircuitBuilder
-from repro.solver.sat import SatResult, Solver
 
 _RANDOM_SAMPLES = 24
 _INTERESTING = (0, 1, 2, 0xFF, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
-_SAT_FALLBACK_MAX_WIDTH = 8
 
 
 class Verdict(enum.Enum):
@@ -47,8 +44,9 @@ class EquivalenceResult:
     Attributes:
         verdict: EQUAL, NOT_EQUAL, or UNKNOWN (budget exceeded).
         counterexample: Symbol assignment witnessing inequality, if any.
-        method: Which engine decided ("syntactic", "random", "bdd",
-            "sat", "budget").
+        method: Which stage decided: "syntactic" (simplify), "random"
+            (concrete testing), "bdd", or "budget" (the BDD outgrew its
+            node budget; the verdict is UNKNOWN).
     """
 
     verdict: Verdict
@@ -90,12 +88,7 @@ def check_equal(
     try:
         return _check_bdd(sa, sb, names, bdd_budget)
     except BddBudgetExceeded:
-        pass
-
-    max_width = max(names.values(), default=1)
-    if max_width <= _SAT_FALLBACK_MAX_WIDTH:
-        return _check_sat(sa, sb, names)
-    return EquivalenceResult(Verdict.UNKNOWN, None, "budget")
+        return EquivalenceResult(Verdict.UNKNOWN, None, "budget")
 
 
 def prove_equal(a: Expr, b: Expr, *, seed: int = 0) -> bool:
@@ -124,29 +117,8 @@ def _check_bdd(
         if path is None:
             continue
         env = backend.decode_assignment(path)
-        for name, width in names.items():
-            env.setdefault(name, 0)
-            env[name] &= mask(width)
         return EquivalenceResult(Verdict.NOT_EQUAL, env, "bdd")
     return EquivalenceResult(Verdict.EQUAL, None, "bdd")
-
-
-def _check_sat(a: Expr, b: Expr, names: dict[str, int]) -> EquivalenceResult:
-    solver = Solver()
-    blaster = BitBlaster(solver)
-    bits_a = blaster.blast(a)
-    bits_b = blaster.blast(b)
-    diff_bits = [blaster.xor_bit(x, y) for x, y in zip(bits_a, bits_b)]
-    solver.add_clause(diff_bits)
-    if solver.solve() is SatResult.UNSAT:
-        return EquivalenceResult(Verdict.EQUAL, None, "sat")
-    model = solver.model()
-    env = {name: blaster.decode_symbol(name, model)
-           for name in blaster.symbol_bits()}
-    for name, width in names.items():
-        env.setdefault(name, 0)
-        env[name] &= mask(width)
-    return EquivalenceResult(Verdict.NOT_EQUAL, env, "sat")
 
 
 def _sample_env(names: dict[str, int], rng: random.Random, round_no: int) -> dict:

@@ -1,14 +1,12 @@
-"""Word-level circuit construction, generic over a bit backend.
+"""Word-level circuit construction over ROBDD bits.
 
-The same adder / shifter / divider / comparator circuits serve two
-engines: Tseitin CNF (:mod:`repro.solver.bitblast`) and ROBDDs
-(:mod:`repro.solver.bdd`).  A backend supplies boolean *bit handles* and
-the three fundamental gates; everything word-level lives here once.
+The adder / shifter / multiplier / divider / comparator circuits the
+equivalence checker needs, built from the three gates a
+:class:`~repro.solver.bdd.BddBackend` supplies (NOT, AND, XOR).  A bit
+is a BDD node handle; vectors are LSB-first.
 """
 
 from __future__ import annotations
-
-from typing import Generic, Protocol, TypeVar
 
 from repro.ir.expr import (
     BinOp,
@@ -25,39 +23,22 @@ from repro.ir.expr import (
     UnOp,
     Unary,
 )
+from repro.solver.bdd import BddBackend
 
-Bit = TypeVar("Bit")
-
-
-class GateBackend(Protocol[Bit]):
-    """The primitive gate set a circuit backend must provide."""
-
-    @property
-    def true_bit(self) -> Bit: ...
-
-    @property
-    def false_bit(self) -> Bit: ...
-
-    def not_gate(self, a: Bit) -> Bit: ...
-
-    def and_gate(self, a: Bit, b: Bit) -> Bit: ...
-
-    def xor_gate(self, a: Bit, b: Bit) -> Bit: ...
-
-    def fresh_symbol_bits(self, name: str, width: int) -> list[Bit]: ...
+#: A bit is a BDD node handle.
+Bit = int
 
 
-class CircuitBuilder(Generic[Bit]):
-    """Lowers IR expressions to bit-handle vectors over any backend.
+class CircuitBuilder:
+    """Lowers IR expressions to BDD bit vectors.
 
     Vectors are LSB-first.  Expression nodes are cached so shared
     subtrees are lowered once.
     """
 
-    def __init__(self, backend: GateBackend) -> None:
+    def __init__(self, backend: BddBackend) -> None:
         self.backend = backend
         self._cache: dict[Expr, list[Bit]] = {}
-        self._symbols: dict[str, list[Bit]] = {}
 
     # -- gate sugar ---------------------------------------------------------
 
@@ -225,18 +206,11 @@ class CircuitBuilder(Generic[Bit]):
         self._cache[expr] = bits
         return bits
 
-    def symbol_bits(self) -> dict[str, list[Bit]]:
-        return dict(self._symbols)
-
     def _lower(self, expr: Expr) -> list[Bit]:
         if isinstance(expr, Const):
             return self.const_word(expr.width, expr.value)
         if isinstance(expr, Sym):
-            bits = self._symbols.get(expr.name)
-            if bits is None:
-                bits = self.backend.fresh_symbol_bits(expr.name, expr.width)
-                self._symbols[expr.name] = bits
-            return bits
+            return self.backend.symbol_bits(expr.name, expr.width)
         if isinstance(expr, UnOp):
             a = self.lower(expr.a)
             if expr.op is Unary.NOT:

@@ -6,7 +6,12 @@ import io
 import pytest
 
 from repro.dbt.engine import DBTEngine
-from repro.dbt.perf import RULE_EMIT_COST, RULE_LOOKUP_COST, TCG_OP_COST
+from repro.dbt.perf import (
+    INDEXED_LOOKUP_COST,
+    RULE_EMIT_COST,
+    RULE_LOOKUP_COST,
+    TCG_OP_COST,
+)
 from repro.learning import learn_rules
 from repro.learning.serialize import rule_digest
 from repro.learning.store import RuleStore
@@ -98,7 +103,7 @@ class TestLedgers:
 
     def test_cost_model_arithmetic(self, engine):
         for p in engine.rule_profitability():
-            assert p.lookup_cost == RULE_LOOKUP_COST * p.hits
+            assert p.lookup_cost == INDEXED_LOOKUP_COST * p.hits
             assert p.translation_cycles_saved == pytest.approx(
                 TCG_OP_COST * p.tcg_ops_avoided
                 - RULE_EMIT_COST * p.host_emitted
@@ -107,6 +112,20 @@ class TestLedgers:
                 p.cycles_saved - p.lookup_cost
             )
             assert p.profitable == (p.net_cycles > 0)
+
+    def test_hash_matcher_charges_its_probe_cost(self, guest, rules):
+        """Each hit pays the probe its store's matcher pays at
+        translation time, not the indexed store's."""
+        engine = DBTEngine(guest, "rules",
+                           RuleStore.from_rules(rules, matcher="hash"))
+        engine.run()
+        profiles = engine.rule_profitability()
+        assert profiles
+        for p in profiles:
+            assert p.lookup_cost == RULE_LOOKUP_COST * p.hits
+            assert p.net_cycles == pytest.approx(
+                p.cycles_saved - p.lookup_cost
+            )
 
     def test_sorted_most_profitable_first(self, engine):
         nets = [p.net_cycles for p in engine.rule_profitability()]

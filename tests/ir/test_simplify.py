@@ -14,8 +14,8 @@ Z = ir.sym(32, "z")
 
 class TestCanonicalEquality:
     """Equivalent expressions must simplify to identical trees — this is
-    what lets most rule verifications succeed without the SAT/BDD
-    engines."""
+    what lets most rule verifications succeed without the BDD
+    engine."""
 
     def test_commutative_add(self):
         assert simplify(ir.add(X, Y)) == simplify(ir.add(Y, X))
@@ -64,8 +64,8 @@ class TestCanonicalEquality:
         assert simplify(a) == simplify(b)
 
     def test_neg_never_becomes_mul_by_minus_one(self):
-        # mul by 0xffffffff would force a full multiplier in the BDD/SAT
-        # engines (regression: exponential blowup).
+        # mul by 0xffffffff would force a full multiplier in the BDD
+        # engine (regression: exponential blowup).
         text = str(simplify(ir.sub(X, ir.mul(Y, ir.bv(32, 1)))))
         assert "0xffffffff" not in text
 

@@ -1,4 +1,4 @@
-"""The equivalence portfolio: syntactic / random / BDD / SAT paths."""
+"""The equivalence checker: syntactic / random / BDD stages."""
 
 from hypothesis import given, settings, strategies as st
 
@@ -75,13 +75,17 @@ class TestWidthHandling:
         with pytest.raises(ValueError):
             check_equal(ir.bv(8, 1), ir.bv(32, 1))
 
-    def test_narrow_widths_use_sat_fallback(self):
+    def test_narrow_budget_overflow_reports_unknown(self):
+        """A BDD that outgrows its budget is UNKNOWN at every width."""
         a8 = ir.sym(8, "a")
         b8 = ir.sym(8, "b")
         result = check_equal(
-            ir.mul(a8, b8), ir.mul(b8, a8), bdd_budget=16
+            ir.mul(a8, ir.add(b8, ir.bv(8, 1))),
+            ir.add(ir.mul(a8, b8), a8),
+            bdd_budget=16,
         )
-        assert result.verdict is Verdict.EQUAL
+        assert result.verdict is Verdict.UNKNOWN
+        assert result.method == "budget"
 
     def test_budget_exhaustion_reports_unknown(self):
         z = ir.sym(32, "z")

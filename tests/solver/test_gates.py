@@ -1,5 +1,5 @@
-"""Circuit construction checked against the evaluator over both
-backends (CNF and BDD give the same verdicts)."""
+"""Circuit construction checked against the evaluator through the
+BDD equivalence checker."""
 
 from hypothesis import given, settings, strategies as st
 
