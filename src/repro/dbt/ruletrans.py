@@ -2,8 +2,8 @@
 
 For each guest block the translator selects a *cover*: which guest
 instructions are translated by learned rules (instantiating the rule's
-precompiled host emitter, bypassing TCG) and which go through the
-normal TCG path.  The cover is the paper's Section 4 scheme: at every
+host template, bypassing TCG) and which go through the normal TCG
+path.  The cover is the paper's Section 4 scheme: at every
 position take the longest matching rule, and on a miss send one
 instruction through TCG.  With no rule table every instruction misses,
 so this translator *is* the QEMU baseline: the engine's ``qemu`` mode
@@ -21,19 +21,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.guest_arm import isa as arm_isa
+from repro.host_x86 import isa as x86_isa
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Label
+from repro.learning import rule as rule_template
+from repro.learning.direction import HostConstraintError, \
+    x86_host_constraints
 from repro.learning.rule import Binding, Rule
 from repro.learning.store import RuleMatch, RuleStore
 from repro.minic.compile import CompiledProgram
 from repro.dbt import codegen
 from repro.dbt.codegen import BlockAssembler, tb_label
-from repro.dbt.emitter import RuleApplicationError, get_emitter
 from repro.dbt.frontend import discover_block, translate_instruction
 from repro.dbt.tcg import TcgBlock, TcgOp
 
 __all__ = [
-    "RuleApplicationError", "BlockTranslation", "HitProfile",
+    "BlockTranslation", "HitProfile",
     "translate_block_with_rules", "instantiate_host", "flags_dead_after",
     "MISS_REASONS", "MAX_GAP_LENGTH",
 ]
@@ -122,16 +125,36 @@ def instantiate_host(
 ) -> tuple[list[Instruction], str | None]:
     """Materialize the rule's host template into the assembler's vregs.
 
-    Returns (non-branch host instructions appended, taken-branch label
-    or None).  Branch instructions are returned to the caller (they
-    must go after the block's write-back).
+    Returns (non-branch host instructions appended, taken-branch
+    condition mnemonic or None).  Branch instructions are returned to
+    the caller (they must go after the block's write-back).
 
-    The per-hit work is one precompiled
-    :class:`~repro.dbt.emitter.BoundEmitter` call: operand dispatch,
-    host-constraint checks and the host-ISA import all happened once at
-    install time.
+    The x86 host constraints are checked on the static template first
+    (binding never changes a ``Mem.scale``), so a violating rule raises
+    :class:`~repro.learning.direction.HostConstraintError` before any
+    guest register is loaded into the assembler.
     """
-    return get_emitter(rule)(binding, assembler)
+    for template in rule.host:
+        x86_host_constraints(template)
+    reg_map = {
+        param: assembler.guest_vreg(guest_reg)
+        for param, guest_reg in binding.regs.items()
+    }
+    for temp in rule.temps:
+        reg_map[temp] = assembler.new_vreg()
+    emitted = []
+    branch_cc = None
+    for instr in rule_template.instantiate_host(
+        rule, binding, reg_map, check_constraints=False
+    ):
+        if x86_isa.is_branch(instr):
+            branch_cc = instr.mnemonic
+        else:
+            emitted.append(instr)
+    assembler.instrs.extend(emitted)
+    for param in rule.written_params:
+        assembler.mark_dirty(binding.regs[param])
+    return emitted, branch_cc
 
 
 #: Attribute on the program holding { (window signature, ends_block)
@@ -166,10 +189,7 @@ def _counterfactual_tcg(
     cache = getattr(program, _COUNTERFACTUAL_ATTR, None)
     if cache is None:
         cache = {}
-        try:
-            object.__setattr__(program, _COUNTERFACTUAL_ATTR, cache)
-        except (AttributeError, TypeError):  # slotted/frozen program
-            pass
+        setattr(program, _COUNTERFACTUAL_ATTR, cache)
     ends_block = start + length == len(block)
     key = (
         tuple(str(instr) for instr in block[start : start + length]),
@@ -203,8 +223,6 @@ def translate_block_with_rules(
     failed to cover — the translation-gap capture hook the rule-service
     client uses to drive online learning.
     """
-    from repro.obs.trace import get_tracer
-
     from repro.dbt.perf import instruction_cycles
 
     block = discover_block(program, start_index)
@@ -215,7 +233,6 @@ def translate_block_with_rules(
     miss_reasons: dict[str, int] = {}
     tcg_ops_total = 0
     lookups = 0
-    tracer = get_tracer()
 
     i = 0
     ended = False
@@ -239,16 +256,10 @@ def translate_block_with_rules(
                 _, branch_cc = instantiate_host(
                     match.rule, match.binding, assembler
                 )
-            except RuleApplicationError:
+            except HostConstraintError:
                 match, reason = None, MISS_APPLY_ERROR
-                del assembler.instrs[hit_host_start:]
             else:
                 length = match.length
-                if tracer.enabled:
-                    tracer.event(
-                        "dbt.rule.hit", addr=guest_addr + 4 * i,
-                        length=length,
-                    )
                 covered[i : i + length] = [True] * length
                 if match.rule.has_branch:
                     taken = program.addr_of(match.binding.label)
@@ -281,11 +292,6 @@ def translate_block_with_rules(
             miss_reasons[reason] = miss_reasons.get(reason, 0) + 1
             if gap_sink is not None:
                 gap_sink(block[i : i + MAX_GAP_LENGTH])
-            if tracer.enabled:
-                tracer.event(
-                    "dbt.rule.miss", addr=guest_addr + 4 * i,
-                    reason=reason,
-                )
         ops, instr_ended = _emit_tcg_instruction(
             program, block, assembler, i, guest_addr
         )

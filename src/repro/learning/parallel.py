@@ -182,7 +182,8 @@ class _PoolScheduler:
     def __init__(self, workers: int, budget: DeadlineBudget | None,
                  plan: FaultPlan, journal: OutcomeJournal | None,
                  resolved: dict[str, CandidateOutcome],
-                 max_retries: int, backoff_seconds: float,
+                 max_retries: int = DEFAULT_MAX_RETRIES,
+                 backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
                  profile_hz: int = 0) -> None:
         self.workers = workers
         self.budget = budget

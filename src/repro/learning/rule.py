@@ -216,14 +216,19 @@ def instantiate_host(rule: Rule, binding: Binding,
     """Materialize the rule's host side as concrete instructions.
 
     ``reg_assignment`` maps every rule parameter (including temps) to a
-    concrete *host* register name.  Host-ISA encoding constraints
+    concrete *host* register name.  An instruction that selects a
+    parameter's low-8 alias (``p0.b``) carries that parameter's
+    register in its ``needs_low8`` meta, the allocator's hint (meta is
+    not part of instruction equality).  Host-ISA encoding constraints
     (paper Section 5) are checked unless disabled — e.g. an
     ARM-as-host rule binding an immediate outside the modified-immediate
     range raises :class:`~repro.learning.direction.HostConstraintError`.
     """
-    from repro.learning.direction import DIRECTIONS
+    host_constraints = None
+    if check_constraints:
+        from repro.learning.direction import DIRECTIONS
 
-    direction = DIRECTIONS[rule.direction]
+        host_constraints = DIRECTIONS[rule.direction].host_constraints
 
     def reg(name: str) -> Reg:
         if name.endswith(".b"):
@@ -239,8 +244,11 @@ def instantiate_host(rule: Rule, binding: Binding,
     result: list[Instruction] = []
     for template in rule.host:
         operands = []
+        low8_parents: list[str] = []
         for op in template.operands:
             if isinstance(op, Reg):
+                if op.name.endswith(".b"):
+                    low8_parents.append(reg_assignment[op.name[:-2]])
                 operands.append(reg(op.name))
             elif isinstance(op, SymImm):
                 operands.append(Imm(binding.immediate(op.expr)))
@@ -263,9 +271,11 @@ def instantiate_host(rule: Rule, binding: Binding,
                 operands.append(Label(binding.label or op.name))
             else:
                 operands.append(op)
-        instr = Instruction(template.mnemonic, tuple(operands))
-        if check_constraints:
-            direction.host_constraints(instr)
+        meta = {"needs_low8": tuple(low8_parents)} if low8_parents \
+            else None
+        instr = Instruction(template.mnemonic, tuple(operands), meta=meta)
+        if host_constraints is not None:
+            host_constraints(instr)
         result.append(instr)
     return result
 

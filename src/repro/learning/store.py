@@ -124,7 +124,6 @@ class RuleStore:
         node.rules.append(rule)
         self._max_length = max(self._max_length, rule.length)
         self._count += 1
-        self._precompile(rule)
         return True
 
     def _trie_insert(self, rule: Rule) -> _TrieNode:
@@ -138,15 +137,6 @@ class RuleStore:
                 child = node.children[mnemonic] = _TrieNode()
             node = child
         return node
-
-    def _precompile(self, rule: Rule) -> None:
-        """Warm the bound-emitter cache at install time (arm-x86 only:
-        that is the direction the DBT engine executes)."""
-        if rule.direction != "arm-x86":
-            return
-        from repro.dbt.emitter import get_emitter
-
-        get_emitter(rule)
 
     def install(self, rules) -> list[Rule]:
         """Idempotently insert ``rules``; returns those actually new.

@@ -16,20 +16,26 @@ canonical (:mod:`repro.learning.canon`), settled verdicts live in the
 same persistent :class:`~repro.learning.cache.VerificationCache` the
 offline pipeline uses, an in-process memo dedups within the service's
 lifetime, and with ``jobs > 1`` unsettled candidates fan out through
-:func:`repro.learning.parallel._resolve_chunk` on a process pool —
-the same worker entry point parallel offline learning runs.
+the corpus learner's crash-isolating pool scheduler
+(:class:`repro.learning.parallel._PoolScheduler`): retries, bisection,
+and quarantine of a candidate that kills its worker as ``EC``, under
+the active fault plan.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
+from repro.faults.plan import get_fault_plan
 from repro.learning.cache import VerificationCache
 from repro.learning.canon import CandidateOutcome
 from repro.learning.direction import ARM_TO_X86
-from repro.learning.parallel import DEFAULT_CHUNK_SIZE, _resolve_chunk
+from repro.learning.parallel import (
+    DEFAULT_CHUNK_SIZE,
+    _PoolScheduler,
+    _resolve_chunk,
+)
 from repro.learning.pipeline import Candidate, stage_candidates
 from repro.learning.rule import Rule, dedup_rules
 from repro.minic.compile import CompiledProgram
@@ -169,9 +175,10 @@ class OnlineLearner:
         """One learning round: verify the candidates ``gaps`` select.
 
         Settled digests (memo or persistent cache) replay for free;
-        the remainder resolves through ``_resolve_chunk`` — on a
-        process pool when ``jobs > 1``, inline otherwise.  Returns the
-        round summary with the (deduped) newly learned rules.
+        the remainder resolves through ``_resolve_chunk`` — on the
+        crash-isolating pool scheduler when ``jobs > 1``, inline
+        otherwise.  Returns the round summary with the (deduped) newly
+        learned rules.
         """
         round_ = LearnRound(gaps=len(gaps))
         selected = self.match_candidates(gaps)
@@ -216,20 +223,25 @@ class OnlineLearner:
         ]
         if not chunks:
             return
-        metrics = get_metrics()
+        resolved: dict[str, CandidateOutcome] = {}
         if self.jobs > 1 and len(chunks) > 1:
-            workers = min(self.jobs, len(chunks))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outputs = list(pool.map(_resolve_chunk, chunks))
+            _PoolScheduler(
+                min(self.jobs, len(chunks)), None, get_fault_plan(), None,
+                resolved,
+            ).run(chunks)
         else:
-            outputs = [_resolve_chunk(chunk) for chunk in chunks]
-        for chunk_result, snapshot in outputs:
-            metrics.merge(snapshot)
-            for digest, outcome in chunk_result:
-                self.memo[digest] = outcome
-                round_.resolved += 1
-                round_.verify_calls += outcome.calls
-                if self.cache is not None:
-                    self.cache.put(digest, outcome)
+            metrics = get_metrics()
+            for chunk in chunks:
+                chunk_result, snapshot = _resolve_chunk(chunk)
+                metrics.merge(snapshot)
+                resolved.update(chunk_result)
+        for _, candidate in unsettled:
+            digest = candidate.digest
+            outcome = resolved[digest]
+            self.memo[digest] = outcome
+            round_.resolved += 1
+            round_.verify_calls += outcome.calls
+            if self.cache is not None:
+                self.cache.put(digest, outcome)
         if self.cache is not None:
             self.cache.save()

@@ -6,15 +6,24 @@ import pytest
 
 from repro.benchsuite import benchmark_source
 from repro.dbt import perf
+from repro.dbt.codegen import BlockAssembler
 from repro.dbt.engine import DBTEngine
 from repro.dbt.ruletrans import (
+    _COUNTERFACTUAL_ATTR,
     MAX_GAP_LENGTH,
+    MISS_APPLY_ERROR,
     MISS_FLAGS_LIVE,
+    _counterfactual_tcg,
     flags_dead_after,
+    instantiate_host,
     translate_block_with_rules,
 )
 from repro.guest_arm import parse_instruction as parse_arm
 from repro.host_x86 import parse_instruction as parse_x86
+from repro.isa.instruction import Instruction
+from repro.isa.operands import Mem, Reg
+from repro.learning import rule as rule_template
+from repro.learning.direction import HostConstraintError
 from repro.learning.extract import SnippetPair
 from repro.learning.paramize import analyze_pair, generate_mappings
 from repro.learning.store import RuleStore
@@ -152,6 +161,122 @@ class TestBlockTranslation:
         assert not any(result.rule_covered)
         assert result.miss_reasons[MISS_FLAGS_LIVE] == 1
         assert gaps[0] == block[:MAX_GAP_LENGTH]
+
+
+class TestInstantiateHost:
+    def _bind(self, rule, guest_lines):
+        store = RuleStore.from_rules([rule])
+        match = store.match_at([parse_arm(s) for s in guest_lines], 0)
+        assert match is not None
+        return match
+
+    def test_emits_bound_template(self):
+        match = self._bind(ADD_RULE, ["add r4, r4, r5", "sub r4, r4, #1"])
+        assembler = BlockAssembler()
+        emitted, branch_cc = instantiate_host(
+            ADD_RULE, match.binding, assembler
+        )
+        assert branch_cc is None
+        assert [i.mnemonic for i in emitted] == \
+            [t.mnemonic for t in ADD_RULE.host]
+        assert assembler.instrs[-len(emitted):] == emitted
+        # Written params propagate to the assembler's dirty set.
+        vreg = assembler.guest_vreg("r4")
+        assert any(vreg in str(i) for i in emitted)
+        assert assembler._dirty == {"r4"}
+
+    def test_branch_cc_returned(self):
+        match = self._bind(CMP_RULE, ["cmp r2, r3", "blt .L"])
+        assembler = BlockAssembler()
+        emitted, branch_cc = instantiate_host(
+            CMP_RULE, match.binding, assembler
+        )
+        assert branch_cc == "jl"
+        # The branch goes to the caller, after the block's write-back.
+        assert [i.mnemonic for i in emitted] == ["cmpl"]
+
+    def test_learned_rules_pass_host_constraints(self):
+        for rule, lines in (
+            (ADD_RULE, ["add r4, r4, r5", "sub r4, r4, #1"]),
+            (MOV_RULE, ["mov r7, r2"]),
+            (CMP_RULE, ["cmp r2, r3", "blt .L"]),
+        ):
+            match = self._bind(rule, lines)
+            instantiate_host(rule, match.binding, BlockAssembler())
+
+    def test_binds_through_the_learning_instantiation(self):
+        """The DBT binds a hit with the learner's template instantiation
+        over the assembler's vregs: one implementation of the step."""
+        match = self._bind(MOV_RULE, ["mov r7, r2"])
+        assembler = BlockAssembler()
+        emitted, _ = instantiate_host(MOV_RULE, match.binding, assembler)
+        reg_map = {
+            param: assembler._cached[guest_reg]
+            for param, guest_reg in match.binding.regs.items()
+        }
+        assert emitted == rule_template.instantiate_host(
+            MOV_RULE, match.binding, reg_map
+        )
+
+    def test_constraint_check_precedes_binding(self):
+        """A violating rule raises before any guest register is loaded:
+        no env load, no cached vreg, nothing marked dirty."""
+        match = self._bind(MOV_RULE, ["mov r7, r2"])
+        assembler = BlockAssembler()
+        with pytest.raises(HostConstraintError):
+            instantiate_host(_scale16(MOV_RULE), match.binding, assembler)
+        assert assembler.instrs == []
+        assert assembler._cached == {}
+        assert assembler._dirty == set()
+
+
+def _scale16(rule):
+    """``rule`` with a host template x86 cannot encode (SIB scale 16)."""
+    return dataclasses.replace(rule, host=(Instruction(
+        "movl", (Mem(Reg("p0"), Reg("p1"), 16, 0), Reg("p1")),
+    ),))
+
+
+class TestConstraintViolationMisses:
+    def test_position_misses_as_apply_error(self):
+        """A rule whose host template breaks an x86 encoding limit
+        misses cleanly: the window goes to the gap sink and the block's
+        host code is exactly the qemu-mode translation."""
+        block = [parse_arm(line)
+                 for line in ("mov r4, r5", "add r4, r4, r6", "bx lr")]
+        base = TestBlockTranslation()._program()
+        program = dataclasses.replace(base, code=block,
+                                      labels={"main": 0})
+        store = RuleStore.from_rules([_scale16(MOV_RULE)])
+        assert store.match_at(block, 0) is not None
+        gaps = []
+        result = translate_block_with_rules(program, 0, store,
+                                            gap_sink=gaps.append)
+        assert not any(result.rule_covered)
+        assert result.hit_profiles == []
+        assert result.miss_reasons[MISS_APPLY_ERROR] == 1
+        assert gaps[0] == block[:MAX_GAP_LENGTH]
+        reference = translate_block_with_rules(program, 0, None)
+        assert result.host_instrs == reference.host_instrs
+        assert result.tcg_op_count == reference.tcg_op_count
+
+
+class TestCounterfactualMemo:
+    def test_repeat_windows_hit_the_cache(self):
+        program = compile_source("""
+        int main(void) {
+          int a = 1;
+          int b = 2;
+          return a + b;
+        }
+        """, "arm", 2, "llvm")
+        block = program.code[:2]
+        first = _counterfactual_tcg(program, block, 0, 1, 0x8000)
+        cache = getattr(program, _COUNTERFACTUAL_ATTR)
+        assert len(cache) == 1
+        again = _counterfactual_tcg(program, block, 0, 1, 0x8000)
+        assert again is first
+        assert len(cache) == 1
 
 
 class TestEmptyTableIsQemu:

@@ -4,7 +4,15 @@ from repro.guest_arm import parse_instruction as parse_arm
 from repro.host_x86 import parse_instruction as parse_x86
 from repro.learning.extract import SnippetPair
 from repro.learning.paramize import analyze_pair, generate_mappings
-from repro.learning.rule import dedup_rules, match_rule
+from repro.isa.instruction import Instruction
+from repro.isa.operands import Reg
+from repro.learning.rule import (
+    Binding,
+    Rule,
+    dedup_rules,
+    instantiate_host,
+    match_rule,
+)
 from repro.learning.store import RuleStore
 from repro.learning.verify import verify_candidate
 
@@ -103,6 +111,35 @@ class TestLabelBinding:
         ])
         assert binding is not None
         assert binding.label == ".elsewhere"
+
+
+class TestInstantiateHost:
+    #: Zero-extends the low byte of p0 into p1.
+    LOW8_RULE = Rule(
+        guest=(parse_arm("and r1, r0, #255"),),
+        host=(Instruction("movzbl", (Reg("p0.b"), Reg("p1"))),),
+        params=("p0", "p1"),
+        written_params=("p1",),
+        temps=(),
+    )
+
+    def test_low8_operand_carries_needs_low8(self):
+        instrs = instantiate_host(self.LOW8_RULE, Binding(),
+                                  {"p0": "%v1", "p1": "%v2"})
+        assert instrs[0].operands == (Reg("%v1.b"), Reg("%v2"))
+        assert instrs[0].meta == {"needs_low8": ("%v1",)}
+
+    def test_physical_parent_uses_its_alias(self):
+        instrs = instantiate_host(self.LOW8_RULE, Binding(),
+                                  {"p0": "eax", "p1": "esi"})
+        assert instrs[0].meta == {"needs_low8": ("eax",)}
+        # Meta is an allocator hint, not part of instruction equality.
+        assert instrs[0] == Instruction("movzbl", (Reg("al"), Reg("esi")))
+
+    def test_plain_operands_carry_no_meta(self):
+        instrs = instantiate_host(LEA_RULE, Binding(slots={"ig0": 1}),
+                                  {"p0": "edx", "p1": "eax"})
+        assert instrs[0].meta is None
 
 
 class TestDedup:

@@ -1,6 +1,9 @@
 """Gap-driven online learning: candidate selection and verdict reuse."""
 
+from repro.faults.plan import FaultPlan, fault_plan_scope
 from repro.learning.cache import VerificationCache
+from repro.learning.verify import VerifyFailure
+from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.service.gaps import canonical_gap
 from repro.service.learner import OnlineLearner, _has_window
 
@@ -89,3 +92,35 @@ class TestOnlineLearner:
         round_ = learner.learn(_gaps_for(guest, count=0))
         assert round_.rules
         assert all(rule.origin == "mcf" for rule in round_.rules)
+
+
+class TestCrashIsolation:
+    def test_worker_crash_is_quarantined_as_ec(self, mcf_pair):
+        """A candidate that kills its pool worker is quarantined as EC;
+        the round completes with every other verdict unchanged."""
+        guest, host = mcf_pair
+        gaps = _gaps_for(guest, count=16)
+        clean = OnlineLearner({"mcf": (guest, host)})
+        clean_round = clean.learn(gaps)
+        poison = next(
+            digest for digest, outcome in clean.memo.items()
+            if outcome.rule is None
+        )
+        set_metrics(MetricsRegistry())
+        try:
+            learner = OnlineLearner({"mcf": (guest, host)}, jobs=2,
+                                    chunk_size=4)
+            plan = FaultPlan(crash_digests=frozenset([poison]))
+            with fault_plan_scope(plan):
+                round_ = learner.learn(gaps)
+            counters = get_metrics().snapshot()["counters"]
+        finally:
+            set_metrics(None)
+        assert learner.memo[poison].failure is VerifyFailure.ENGINE_CRASH
+        assert counters.get("learning.pool.quarantined", 0) == 1
+        assert round_.resolved == clean_round.resolved
+        assert sorted(map(str, round_.rules)) == \
+            sorted(map(str, clean_round.rules))
+        for digest, outcome in clean.memo.items():
+            if digest != poison:
+                assert learner.memo[digest] == outcome
