@@ -33,11 +33,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.guest_arm.isa import split_mnemonic
 from repro.host_x86 import execute as execute_x86
 from repro.isa.alu import ConcreteALU
 from repro.isa.operands import Label
+from repro.learning.serialize import rule_digest
 from repro.learning.store import RuleStore
 from repro.minic.compile import (
     CODE_BASE,
@@ -63,7 +65,7 @@ from repro.dbt.fastexec import (
     fuse_block,
     fuse_region,
 )
-from repro.dbt.frontend import translate_block
+from repro.dbt.frontend import discover_block, translate_block
 from repro.dbt.guard import GuardPolicy, GuardStats, copy_state, states_agree
 from repro.dbt.llvmjit import optimize_tcg
 from repro.dbt.machine import ConcreteState
@@ -142,12 +144,12 @@ class DBTStats:
 class RuleProfile:
     """Lifetime profitability ledger for one learned rule.
 
-    Translation-time entries accrue every time the rule is
-    instantiated into a block (re-translations after invalidation
-    re-pay, which is correct — the costs really recur); execution-time
-    entries accrue per dispatch of a block containing the hit.  The
-    cycle model is :mod:`repro.dbt.perf`'s; "saved" always means
-    *relative to the TCG counterfactual captured at the hit site*.
+    Recorded as the engine runs: each instantiation of the rule into a
+    block (re-translations re-pay, which is correct — the costs really
+    recur) and, at each run's end, that block's dispatches.  Every
+    figure below, the digest included, is derived on read; "saved"
+    always means *relative to the TCG counterfactual* of each hit,
+    priced by :mod:`repro.dbt.perf`'s cycle model when first read.
 
     Lookup-cost attribution: every successful hit is charged exactly
     one probe at ``probe_cost``, the store matcher's
@@ -157,16 +159,44 @@ class RuleProfile:
     already visible in ``translation_cycles``.
     """
 
-    digest: str
     rule: object
     probe_cost: float              #: cycles per lookup probe
-    hits: int = 0                  #: translate-time instantiations
-    exec_hits: int = 0             #: dispatches of blocks with this hit
-    guest_covered: int = 0         #: guest instrs covered, translate-time
-    host_emitted: int = 0          #: host template instrs emitted
-    tcg_ops_avoided: int = 0       #: TCG micro-ops never generated
-    translation_cycles_saved: float = 0.0
-    exec_cycles_saved: float = 0.0
+    #: Every instantiation -> dispatches of its block, over all runs.
+    hit_execs: dict = field(default_factory=dict)
+
+    @cached_property
+    def digest(self) -> str:
+        return rule_digest(self.rule)
+
+    @property
+    def hits(self) -> int:  # translate-time instantiations
+        return len(self.hit_execs)
+
+    @property
+    def exec_hits(self) -> int:  # dispatches of blocks with this hit
+        return sum(self.hit_execs.values())
+
+    @property
+    def guest_covered(self) -> int:  # guest instrs covered, translate-time
+        return sum(hit.length for hit in self.hit_execs)
+
+    @property
+    def host_emitted(self) -> int:  # host template instrs emitted
+        return sum(hit.rule_host_len for hit in self.hit_execs)
+
+    @property
+    def tcg_ops_avoided(self) -> int:  # TCG micro-ops never generated
+        return sum(hit.tcg_ops for hit in self.hit_execs)
+
+    @property
+    def translation_cycles_saved(self) -> float:
+        return (perf.TCG_OP_COST * self.tcg_ops_avoided
+                - perf.RULE_EMIT_COST * self.host_emitted)
+
+    @property
+    def exec_cycles_saved(self) -> float:
+        return sum((hit.tcg_host_cycles - hit.host_cycles) * count
+                   for hit, count in self.hit_execs.items())
 
     @property
     def lookup_cost(self) -> float:
@@ -186,20 +216,12 @@ class RuleProfile:
 
     def count_fields(self) -> dict:
         """Flat numeric summary (trace payloads, report tables)."""
-        return {
-            "digest": self.digest,
-            "hits": self.hits,
-            "exec_hits": self.exec_hits,
-            "guest_covered": self.guest_covered,
-            "host_emitted": self.host_emitted,
-            "tcg_ops_avoided": self.tcg_ops_avoided,
-            "translation_cycles_saved": self.translation_cycles_saved,
-            "exec_cycles_saved": self.exec_cycles_saved,
-            "lookup_cost": self.lookup_cost,
-            "cycles_saved": self.cycles_saved,
-            "net_cycles": self.net_cycles,
-            "profitable": self.profitable,
-        }
+        return {name: getattr(self, name) for name in (
+            "digest", "hits", "exec_hits", "guest_covered", "host_emitted",
+            "tcg_ops_avoided", "translation_cycles_saved",
+            "exec_cycles_saved", "lookup_cost", "cycles_saved",
+            "net_cycles", "profitable",
+        )}
 
 
 @dataclass
@@ -359,7 +381,11 @@ class DBTEngine:
                 )
             miss_reasons = result.miss_reasons
             for hit in result.hit_profiles:
-                self._account_hit(hit)
+                profile = self.rule_profiles.get(hit.rule)
+                if profile is None:
+                    profile = self.rule_profiles[hit.rule] = RuleProfile(
+                        hit.rule, perf.lookup_cost(store.matcher))
+                profile.hit_execs[hit] = 0
             for view in self._translation_views():
                 for hit in result.hit_profiles:
                     view.hit_rules.add(hit.rule)
@@ -413,29 +439,6 @@ class DBTEngine:
         return tb
 
     # -- per-rule profitability --------------------------------------------------
-
-    def _rule_profile(self, rule) -> RuleProfile:
-        profile = self.rule_profiles.get(rule)
-        if profile is None:
-            from repro.learning.serialize import rule_digest
-
-            profile = self.rule_profiles[rule] = RuleProfile(
-                digest=rule_digest(rule), rule=rule,
-                probe_cost=perf.lookup_cost(self.rule_store.matcher),
-            )
-        return profile
-
-    def _account_hit(self, hit) -> None:
-        """Fold one translate-time rule application into its ledger."""
-        profile = self._rule_profile(hit.rule)
-        profile.hits += 1
-        profile.guest_covered += hit.length
-        profile.host_emitted += hit.rule_host_len
-        profile.tcg_ops_avoided += hit.tcg_ops
-        profile.translation_cycles_saved += (
-            perf.TCG_OP_COST * hit.tcg_ops
-            - perf.RULE_EMIT_COST * hit.rule_host_len
-        )
 
     def rule_profitability(self) -> list[RuleProfile]:
         """Lifetime per-rule ledgers, most profitable first."""
@@ -869,8 +872,6 @@ class DBTEngine:
     def _block_matches_windows(self, guest_addr: int,
                                windows: set[tuple]) -> bool:
         """Could any mnemonic window cover part of this cached block?"""
-        from repro.dbt.frontend import discover_block
-
         block = discover_block(
             self.program, self.program.index_of_addr(guest_addr)
         )
@@ -898,12 +899,8 @@ class DBTEngine:
                 tb.exec_count * sum(tb.rule_covered)
             if tb.exec_count:
                 for hit in tb.hit_profiles:
-                    profile = self._rule_profile(hit.rule)
-                    profile.exec_hits += tb.exec_count
-                    profile.exec_cycles_saved += (
-                        (hit.tcg_host_cycles - hit.host_cycles)
-                        * tb.exec_count
-                    )
+                    self.rule_profiles[hit.rule].hit_execs[hit] += \
+                        tb.exec_count
         lifetime = self.lifetime
         lifetime.dynamic_host_instructions += \
             active.dynamic_host_instructions

@@ -19,6 +19,7 @@ does not materialize are dead before applying it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.guest_arm import isa as arm_isa
 from repro.host_x86 import isa as x86_isa
@@ -33,6 +34,7 @@ from repro.minic.compile import CompiledProgram
 from repro.dbt import codegen
 from repro.dbt.codegen import BlockAssembler, tb_label
 from repro.dbt.frontend import discover_block, translate_instruction
+from repro.dbt.perf import instruction_cycles
 from repro.dbt.tcg import TcgBlock, TcgOp
 
 __all__ = [
@@ -58,25 +60,47 @@ MISS_REASONS = (
 MAX_GAP_LENGTH = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HitProfile:
     """One rule application and its profitability evidence; a block's
     list of these is its only record of the rules it used.
 
-    Captured at translation time: what the rule actually emitted, and
-    what TCG *would have* emitted for the same guest instructions (the
-    counterfactual).  The engine combines these with per-block
-    execution counts to attribute cycles saved (or wasted) per rule —
-    the "did this rule pay for its lookup probe" question the
-    evaluation turns on.
+    Recorded at the hit: the rule, the span it covered, the host code
+    it actually emitted, and where the span sits (program, block, start
+    index, guest address).  Derived on first read: the cycles of that
+    host code and what TCG *would have* emitted for the same guest
+    instructions (the counterfactual, through the per-program memo).
+    The engine combines these with per-block execution counts to
+    attribute cycles saved (or wasted) per rule — the "did this rule
+    pay for its lookup probe" question the evaluation turns on.
+    Compared by identity: each instance is one application.
     """
 
     rule: Rule
     length: int                #: guest instructions the rule covered
     rule_host_len: int         #: host template length (emit-cost basis)
-    host_cycles: float         #: exec cycles/visit of the rule's host code
-    tcg_ops: int               #: TCG micro-ops the rule avoided
-    tcg_host_cycles: float     #: exec cycles/visit of that TCG host code
+    host: list[Instruction]    #: host code the hit emitted (pre-regalloc)
+    program: CompiledProgram = field(repr=False)
+    block: list[Instruction] = field(repr=False)
+    start: int                 #: index of the span in ``block``
+    guest_addr: int            #: guest address of ``block``
+
+    @cached_property
+    def host_cycles(self) -> float:  # exec cycles/visit of ``host``
+        return sum(map(instruction_cycles, self.host))
+
+    @cached_property
+    def _counterfactual(self) -> tuple[int, float]:
+        return _counterfactual_tcg(self.program, self.block, self.start,
+                                   self.length, self.guest_addr)
+
+    @property
+    def tcg_ops(self) -> int:  # TCG micro-ops the rule avoided
+        return self._counterfactual[0]
+
+    @property
+    def tcg_host_cycles(self) -> float:  # exec cycles/visit of TCG's code
+        return self._counterfactual[1]
 
 
 @dataclass
@@ -158,13 +182,14 @@ def instantiate_host(
 
 
 #: Attribute on the program holding { (window signature, ends_block)
-#: -> (tcg_ops, host_len, host_cycles) }.  The TCG counterfactual for
-#: a covered window depends only on the window's instructions and
-#: whether it ends its block (addresses only rename branch labels), so
+#: -> (tcg_ops, host_cycles) }.  The TCG counterfactual for a covered
+#: window depends only on the window's instructions and whether it
+#: ends its block (addresses only rename branch labels), so
 #: profitability evidence is computed once per distinct window — not
-#: per rule application.  Living on the program object, the cache has
-#: exactly the program's lifetime (CompiledProgram is unhashable, so a
-#: WeakKeyDictionary cannot key it).
+#: per rule application — and only when a ledger is read.  Living on
+#: the program object, the cache has exactly the program's lifetime
+#: (CompiledProgram is unhashable, so a WeakKeyDictionary cannot key
+#: it).
 _COUNTERFACTUAL_ATTR = "_tcg_counterfactuals"
 
 
@@ -181,33 +206,22 @@ def _counterfactual_tcg(
     :func:`_emit_tcg_instruction`, into a throwaway assembler, so
     branch rules are compared against the branch lowering they
     displaced.  Returns ``(tcg_ops, host_cycles)``.
-    Memoized per (program, window, ends-block): the first application
-    of a window pays one extra translation, repeats are a dict hit.
+    Memoized per (program, window, ends-block): the first read of a
+    window pays one extra translation, repeats are a dict hit.
     """
-    from repro.dbt.perf import instruction_cycles
-
-    cache = getattr(program, _COUNTERFACTUAL_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(program, _COUNTERFACTUAL_ATTR, cache)
-    ends_block = start + length == len(block)
+    cache = vars(program).setdefault(_COUNTERFACTUAL_ATTR, {})
     key = (
         tuple(str(instr) for instr in block[start : start + length]),
-        ends_block,
+        start + length == len(block),
     )
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    shadow = BlockAssembler()
-    ops_total = 0
-    for j in range(start, start + length):
-        ops_total += _emit_tcg_instruction(
-            program, block, shadow, j, guest_addr
-        )[0]
-    cycles = sum(instruction_cycles(instr) for instr in shadow.instrs)
-    result = (ops_total, cycles)
-    cache[key] = result
-    return result
+    if key not in cache:
+        shadow = BlockAssembler()
+        ops = sum(
+            _emit_tcg_instruction(program, block, shadow, j, guest_addr)[0]
+            for j in range(start, start + length)
+        )
+        cache[key] = (ops, sum(map(instruction_cycles, shadow.instrs)))
+    return cache[key]
 
 
 def translate_block_with_rules(
@@ -223,8 +237,6 @@ def translate_block_with_rules(
     failed to cover — the translation-gap capture hook the rule-service
     client uses to drive online learning.
     """
-    from repro.dbt.perf import instruction_cycles
-
     block = discover_block(program, start_index)
     guest_addr = 0x8000 + 4 * start_index
     assembler = BlockAssembler()
@@ -248,7 +260,7 @@ def translate_block_with_rules(
                 match.rule, block, i + match.length
             ):
                 match, reason = None, MISS_FLAGS_LIVE
-            elif not _binding_applicable(match):
+            elif "pc" in match.binding.regs.values():
                 match, reason = None, MISS_BINDING
         if match is not None:
             hit_host_start = len(assembler.instrs)
@@ -270,21 +282,16 @@ def translate_block_with_rules(
                     ended = True
                 # Profitability evidence: the rule's actual host code
                 # (including any block-ending writeback + branch it
-                # forced) vs. the memoized TCG counterfactual for the
-                # same span.
-                tcg_ops, tcg_cycles = _counterfactual_tcg(
-                    program, block, i, length, guest_addr
-                )
+                # forced); it is priced against TCG when read.
                 hit_profiles.append(HitProfile(
                     rule=match.rule,
                     length=length,
                     rule_host_len=len(match.rule.host),
-                    host_cycles=sum(
-                        instruction_cycles(instr)
-                        for instr in assembler.instrs[hit_host_start:]
-                    ),
-                    tcg_ops=tcg_ops,
-                    tcg_host_cycles=tcg_cycles,
+                    host=assembler.instrs[hit_host_start:],
+                    program=program,
+                    block=block,
+                    start=i,
+                    guest_addr=guest_addr,
                 ))
                 i += length
                 continue
@@ -336,11 +343,3 @@ def _emit_tcg_instruction(
         if op.op in ("brcond", "goto_tb", "exit_indirect"):
             ended = True
     return len(tcg.ops), ended
-
-
-def _binding_applicable(match: RuleMatch) -> bool:
-    """Reject bindings touching registers the DBT handles specially."""
-    for guest_reg in match.binding.regs.values():
-        if guest_reg == "pc":
-            return False
-    return True

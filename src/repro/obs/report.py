@@ -355,8 +355,9 @@ _MISSING = {
 def _expected(kind: str, scope: Scope) -> dict | None:
     """What a scope's derived tallies are checked against."""
     if kind == "profile":
-        # The per-rule ledgers (the engine's _account_hit path) count
-        # every translate-time instantiation the translate events do.
+        # The per-rule ledgers (filled in the engine's _translate_miss)
+        # count every translate-time instantiation the translate events
+        # do.
         profiles = scope.maps["rule_profiles"].values()
         return {name: sum(p.get(name, 0) for p in profiles)
                 for name in ("hits", "guest_covered")} if profiles else None
