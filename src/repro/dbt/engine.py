@@ -78,7 +78,7 @@ MODES = ("qemu", "rules", "llvmjit")
 
 _ENGINE_IDS = itertools.count()
 
-#: Dispatch count at which a block's closures are fused into one
+#: Dispatch count at which a block leaves its closures for one fused
 #: generated function (see DESIGN.md, "Execution tiers").
 HOT_BLOCK_THRESHOLD = 64
 #: Dispatch count at which a fused block seeds a fused region (see
@@ -617,8 +617,7 @@ class DBTEngine:
         fused; it then stays on its closures)."""
         addr = tb.guest_start
         try:
-            fused = fuse_block(tb.host_instrs, self._steps_cache[addr],
-                               self._cycles_cache[addr])
+            fused = fuse_block(tb.host_instrs, self._cycles_cache[addr])
         except FastExecError:
             return None
         self._fused_cache[addr] = fused
@@ -653,7 +652,6 @@ class DBTEngine:
         try:
             region = fuse_region(
                 members,
-                [self._steps_cache[member.guest_start] for member in members],
                 [self._cycles_cache[member.guest_start]
                  for member in members],
                 (state.regs, state.flags, state.memory),

@@ -1,13 +1,15 @@
-"""Closure-compiled host-code execution (the engine's fast path).
+"""Closure-compiled and fused host-code execution (the engine's fast path).
 
 The generic path interprets every host instruction through the
 single-source semantics; that is the oracle, but it costs several
 dict/dataclass hops per instruction.  For the benchmark harness each
 translated block is instead *pre-compiled* into a list of Python
 closures — one per host instruction — operating directly on the
-register/flag/memory dicts.  A differential test
-(``tests/dbt/test_fastexec.py``) checks the two paths instruction by
-instruction.
+register/flag/memory dicts.  The closures are the one hand-written copy
+of the x86 semantics, kept because building one is far cheaper than
+compiling generated source; a differential test
+(``tests/dbt/test_fastexec.py``) checks them against the semantics
+instruction by instruction.
 
 Each step closure returns ``None`` to fall through or a branch-target
 token (the ``Label`` name) when a (taken) control transfer occurs.
@@ -19,7 +21,9 @@ them back at each exit, and returns ``(next guest pc, exit index)``.
 The hottest fused blocks and their successors are then fused again,
 into one *region* (:func:`fuse_region`) that keeps those locals across
 the edges between its blocks and writes them back only when control
-leaves it.
+leaves it.  Fused code is generated from the semantics itself: each
+instruction runs through ``host_x86.execute`` on a :class:`SourceState`
+with a :class:`SourceALU`, whose values are Python source.
 """
 
 from __future__ import annotations
@@ -29,15 +33,15 @@ from typing import Callable, NamedTuple
 from repro.dbt.codegen import ENV_BASE, EXIT_LABEL, NEXT_PC_OFFSET
 from repro.host_x86.isa import (
     CMOV_OPS,
-    CONDITION_FLAGS,
     JCC_OPS,
     SETCC_OPS,
     defined_flags,
-    defined_registers,
     used_flags,
-    used_registers,
 )
 from repro.host_x86.registers import is_low8, parent_of
+from repro.host_x86.semantics import execute
+from repro.ir.expr import mask
+from repro.isa.alu import ConcreteALU
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg
 
@@ -406,31 +410,10 @@ def compile_instruction(instr: Instruction) -> Step:
 def _compile_shift(name: str, ops) -> Step:
     dest_read = _reader(ops[1])
     dest_write = _writer(ops[1])
-    if isinstance(ops[0], Imm):
-        count = ops[0].value & 31
+    fixed = ops[0].value & 31 if isinstance(ops[0], Imm) else None
 
-        def step_shift_imm(regs, flags, mem):
-            if count == 0:
-                return None
-            value = dest_read(regs, flags, mem)
-            if name == "shll":
-                result = (value << count) & _MASK
-                last_out = (value >> (32 - count)) & 1
-            elif name == "shrl":
-                result = value >> count
-                last_out = (value >> (count - 1)) & 1
-            else:
-                signed = value - (1 << 32) if value >> 31 else value
-                result = (signed >> count) & _MASK
-                last_out = (signed >> (count - 1)) & 1
-            dest_write(regs, flags, mem, result)
-            flags["SF"] = result >> 31
-            flags["ZF"] = 1 if result == 0 else 0
-            flags["CF"] = last_out
-        return step_shift_imm
-
-    def step_shift_cl(regs, flags, mem):
-        count = regs.get("ecx", 0) & 31
+    def step_shift(regs, flags, mem):
+        count = regs.get("ecx", 0) & 31 if fixed is None else fixed
         if count == 0:
             return None
         value = dest_read(regs, flags, mem)
@@ -448,7 +431,7 @@ def _compile_shift(name: str, ops) -> Step:
         flags["SF"] = result >> 31
         flags["ZF"] = 1 if result == 0 else 0
         flags["CF"] = last_out
-    return step_shift_cl
+    return step_shift
 
 
 def compile_block(instrs: list[Instruction]) -> list[Step]:
@@ -459,27 +442,6 @@ def compile_block(instrs: list[Instruction]) -> list[Step]:
 # -- fused blocks and regions ---------------------------------------------------
 
 _FLAGS = ("OF", "SF", "ZF", "CF")
-
-#: Python source of each condition code over the flag locals; the same
-#: comparisons as :func:`_cond_fn`.
-_COND_SOURCE = {
-    "o": "f_OF == 1",
-    "no": "f_OF == 0",
-    "e": "f_ZF == 1",
-    "ne": "f_ZF == 0",
-    "s": "f_SF == 1",
-    "ns": "f_SF == 0",
-    "b": "f_CF == 1",
-    "ae": "f_CF == 0",
-    "a": "f_CF == 0 and f_ZF == 0",
-    "be": "f_CF == 1 or f_ZF == 1",
-    "l": "f_SF != f_OF",
-    "ge": "f_SF == f_OF",
-    "g": "f_ZF == 0 and f_SF == f_OF",
-    "le": "f_ZF == 1 or f_SF != f_OF",
-}
-
-_LOGIC_SOURCE = {"andl": "&", "orl": "|", "xorl": "^", "testl": "&"}
 
 
 class FusedBlock(NamedTuple):
@@ -524,34 +486,28 @@ def _exit_cycles(cycles: list[float]) -> list[float]:
     return exit_cycles
 
 
-def fuse_block(instrs: list[Instruction], steps: list[Step],
-               cycles: list[float]) -> FusedBlock:
+def fuse_block(instrs: list[Instruction], cycles: list[float]) -> FusedBlock:
     """Fuse a block's host code into one generated function.
 
-    ``steps`` are the block's closures from :func:`compile_block`;
-    the forms the generator does not inline (``idivl``, shifts by
-    ``%cl``) call theirs.  Raises
-    :class:`FastExecError` for a branch to anything but the exit stub
-    or another translated block.
+    Raises :class:`FastExecError` for a branch to anything but the exit
+    stub or another translated block.
     """
-    fuser = _Fuser(steps)
+    fuser = _Fuser()
     fuser.block(instrs)
     namespace = fuser.namespace
     exec(compile("\n".join(fuser.lines), "<fused block>", "exec"), namespace)
     return FusedBlock(namespace["fused"], _exit_cycles(cycles))
 
 
-def fuse_region(blocks: list, steps: list[list[Step]],
-                cycles: list[list[float]],
+def fuse_region(blocks: list, cycles: list[list[float]],
                 state: tuple[dict, dict, dict]) -> Region:
     """Fuse hot blocks into one :class:`Region` function.
 
     ``blocks`` are translated blocks (``guest_start``, ``host_instrs``
     and the ``exec_count``/``exec_cycles`` counters the region updates),
-    each ending in a ``jmp``; ``steps[k]`` and ``cycles[k]`` are block
-    ``k``'s closures and per-instruction cycle costs.  An exit to a
-    member, through ``TB@`` or through ``NEXT_PC``, stays inside the
-    function.
+    each ending in a ``jmp``; ``cycles[k]`` are block ``k``'s
+    per-instruction cycle costs.  An exit to a member, through ``TB@``
+    or through ``NEXT_PC``, stays inside the function.
 
     Every register, flag and static word the members touch whose keys
     ``state`` (``regs, flags, memory``) holds is *carried*: preloaded
@@ -563,10 +519,10 @@ def fuse_region(blocks: list, steps: list[list[Step]],
         if not tb.host_instrs or tb.host_instrs[-1].mnemonic != "jmp":
             raise FastExecError(
                 f"region member {tb.guest_start:#x} does not end in a jmp")
-    probe = _RegionFuser(blocks, steps, cycles, frozenset(), frozenset())
+    probe = _RegionFuser(blocks, cycles, frozenset(), frozenset())
     probe.region()
     carried = _carriable(probe.touched, state)
-    fuser = _RegionFuser(blocks, steps, cycles, carried,
+    fuser = _RegionFuser(blocks, cycles, carried,
                          carried.intersection(probe.written))
     fuser.region()
     namespace = fuser.namespace
@@ -624,6 +580,226 @@ def _live_flags(instrs: list[Instruction]) -> list[frozenset]:
     return out
 
 
+class _Value:
+    """A value of the generated code.  ``template`` formats the rendered
+    ``args`` into its source or, when callable, returns the source of a
+    read (emitting its load); see :meth:`SourceState.render`."""
+
+    __slots__ = ("template", "args", "ring", "uses", "source")
+
+    def __init__(self, template, args: tuple, ring: bool = False) -> None:
+        self.template = template
+        self.args = args
+        #: Arithmetic mod 2**32: the template is exact once masked, and
+        #: its args may be rendered unmasked.
+        self.ring = ring
+        self.uses = 0
+        self.source: str | None = None
+
+
+_CONCRETE = ConcreteALU()
+_SIGNED = "(({} ^ 2147483648) - 2147483648)"
+
+
+def _op(name: str, template: str, *args, ring: bool = False):
+    """``ConcreteALU.<name>(*args)`` when every operand is a constant,
+    else a :class:`_Value`."""
+    for arg in args:
+        if type(arg) is _Value:
+            return _Value(template, args, ring)
+    return getattr(_CONCRETE, name)(*args)
+
+
+class SourceALU:
+    """:class:`ConcreteALU`'s operations written as Python source: the
+    ALU the fused tiers run :func:`execute` on.
+
+    A value is an ``int`` constant or a :class:`_Value`.  Operations on
+    constants fold through ``ConcreteALU``, so a static address stays a
+    digit literal, and every rendered operation evaluates to what
+    ``ConcreteALU`` computes from the same operands, which keep its
+    discipline: words are 32-bit and conditions 1-bit."""
+
+    def const(self, width: int, value: int) -> int:
+        return value & (1 << width) - 1
+
+    def add(self, a, b):
+        return _op("add", "{} + {}", a, b, ring=True)
+
+    def sub(self, a, b):
+        return _op("sub", "{} - {}", a, b, ring=True)
+
+    def mul(self, a, b):
+        return _op("mul", "{} * {}", a, b, ring=True)
+
+    def neg(self, a):
+        return _op("neg", "-{}", a, ring=True)
+
+    def not_(self, a):
+        return _op("not_", "~{}", a, ring=True)
+
+    def and_(self, a, b):
+        return _op("and_", "{} & {}", a, b)
+
+    def or_(self, a, b):
+        return _op("or_", "{} | {}", a, b)
+
+    def xor(self, a, b):
+        return _op("xor", "{} ^ {}", a, b)
+
+    bool_and, bool_or = and_, or_
+
+    def bool_not(self, a):
+        return _op("bool_not", "{} ^ 1", a)
+
+    def shl(self, a, b):
+        if type(b) is not int or type(a) is int:
+            # min: a count of 0xffffffff would build a 4 GiB int.
+            return _op("shl", "({} << min({}, 32)) & 4294967295", a, b)
+        return _Value(f"{{}} << {b}", (a,), ring=True) if b < 32 else 0
+
+    def lshr(self, a, b):
+        return _op("lshr", "{} >> {}", a, b)
+
+    def ashr(self, a, b):
+        return _op("ashr", f"({_SIGNED} >> {{}}) & 4294967295", a, b)
+
+    def eq(self, a, b):
+        return _op("eq", "1 if {} == {} else 0", a, b)
+
+    def ult(self, a, b):
+        return _op("ult", "1 if {} < {} else 0", a, b)
+
+    def ite(self, cond, then, other):
+        if type(cond) is int:
+            return then if cond else other
+        if (then, other) == (1, 0):
+            return cond
+        return _Value("{1} if {0} else {2}", (cond, then, other))
+
+    def extract(self, hi: int, lo: int, a):
+        if type(a) is int:
+            return _CONCRETE.extract(hi, lo, a)
+        template = (f"{{}} >> {lo}" if lo else "{}") + (
+            f" & {mask(hi - lo + 1)}" if hi < 31 else "")
+        return a if template == "{}" else _Value(template, (a,))
+
+    def zext(self, width: int, a):
+        return a
+
+    def sext_from(self, src_width: int, dst_width: int, a):
+        sign = 1 << src_width - 1
+        return _op("sext_from", f"((({{2}} & {2 * sign - 1}) ^ {sign}) - "
+                   f"{sign}) & {mask(dst_width)}", src_width, dst_width, a)
+
+    def mul_overflow_signed(self, a, b):
+        return _op("mul_overflow_signed",
+                   f"0 if -2147483648 <= {_SIGNED} * {_SIGNED} < 2147483648"
+                   " else 1", a, b)
+
+    def divmod_signed_64(self, hi, lo, divisor):
+        pair = _op("divmod_signed_64", "DIV({}, {}, {})", hi, lo, divisor)
+        if type(pair) is tuple:
+            return pair
+        return _Value("{}[0]", (pair,)), _Value("{}[1]", (pair,))
+
+
+_SOURCE_ALU = SourceALU()
+
+
+def _count(value) -> None:
+    """Count one more use of ``value``, and of its operands the first
+    time."""
+    if type(value) is _Value:
+        value.uses += 1
+        if value.uses == 1:
+            for arg in value.args:
+                if type(arg) is _Value:
+                    _count(arg)
+
+
+class SourceState:
+    """The machine state :func:`execute` writes one instruction of a
+    :class:`_Fuser` through, with :class:`SourceALU`.
+
+    A read is a :class:`_Value` that loads its local only when rendered,
+    so a read nothing consumes loads nothing.  A write is kept as an
+    effect (a write to a flag dead after the instruction is dropped)
+    until the instruction is done; then :meth:`render` writes each
+    effect's value, binding a value used more than once to a temp."""
+
+    def __init__(self, fuser: "_Fuser") -> None:
+        self.fuser = fuser
+        self.live: frozenset = frozenset()
+        self.effects: list = []
+        #: The locals this instruction has set so far.
+        self.assigned: set[str] = set()
+
+    def get_reg(self, name: str) -> _Value:
+        return _Value(self.fuser.reg, (name,))
+
+    def get_flag(self, name: str) -> _Value:
+        return _Value(self.fuser.flag, (name,))
+
+    def load(self, addr, size: int) -> _Value:
+        if type(addr) is int and size == 4:
+            return _Value(self.fuser.word, (addr,))
+        return _Value(self.load_source, (addr, size))
+
+    # An effect (write, args, value) runs write(*args, <value's source>).
+
+    def set_reg(self, name: str, value) -> None:
+        _count(value)
+        self.effects.append((self.fuser._set, (f"r_{name}",), value))
+
+    def set_flag(self, name: str, value) -> None:
+        if name in self.live:
+            _count(value)
+            self.effects.append((self.fuser._set, (f"f_{name}",), value))
+
+    def store(self, addr, value, size: int) -> None:
+        _count(value)
+        if type(addr) is int and size == 4:
+            self.effects.append((self.fuser.set_word, (addr,), value))
+        else:
+            _count(addr)
+            self.effects.append((self.store_source, (addr, size), value))
+
+    def load_source(self, addr, size: int) -> str:
+        addr = self.fuser.bind(self.render(addr))
+        self.fuser.before_load(addr, size)
+        return _word_source(addr) if size == 4 else f"mem.get({addr}, 0)"
+
+    def store_source(self, addr, size: int, value: str) -> None:
+        addr = self.fuser.bind(self.render(addr))
+        if size == 4:
+            value = self.fuser.bind(value)
+        self.fuser.guarded_store(addr, size, value)
+
+    def render(self, value, loose: bool = False) -> str:
+        """Source for ``value``: a temp once it is used twice, and equal
+        to it only mod 2**32 when ``loose`` and nothing else reads it."""
+        if type(value) is int:
+            return str(value)
+        if value.source is not None:
+            return value.source
+        template = value.template
+        if type(template) is not str:
+            source = template(*value.args)
+        else:
+            args = []
+            for arg in value.args:
+                text = self.render(arg, value.ring)
+                args.append(text if text.isidentifier() or text.isdigit()
+                            else f"({text})")
+            source = template.format(*args)
+            if value.ring and not (loose and value.uses <= 1):
+                source = f"({source}) & {_MASK}"
+        if value.uses > 1:
+            value.source = source = self.fuser.bind(source)
+        return source
+
+
 class _Fuser:
     """Emits one block's Python source, instruction by instruction.
 
@@ -631,7 +807,7 @@ class _Fuser:
     4-byte word at each static address (env slots, spill slots,
     ``NEXT_PC``) in ``m_<addr>``.  A local is loaded on first read
     (``valid``); a written local is *dirty* until every exit writes it
-    back.  Temporaries (``x``, ``t<n>``) never collide with any of them.
+    back.  Temporaries (``t<n>``) never collide with any of them.
 
     Word locals must never disagree with memory read another way.  A
     load through a computed address first writes back the dirty words
@@ -643,12 +819,12 @@ class _Fuser:
     bytes.
     """
 
-    def __init__(self, steps: list[Step]) -> None:
-        self.steps = steps
+    def __init__(self) -> None:
         self.lines = ["def fused(regs, flags, mem):"]
         self.indent = 1
         self.namespace: dict = {"SW": _store_words, "LW": _load_words,
-                                "FW": _flush_words}
+                                "FW": _flush_words,
+                                "DIV": _CONCRETE.divmod_signed_64}
         self.consts: dict = {}
         self.valid: set[str] = set()
         #: local -> the statement writing it back, for locals newer than
@@ -658,6 +834,7 @@ class _Fuser:
         self.touched: set[str] = set()
         self.written: set[str] = set()
         self.temps = 0
+        self.state = SourceState(self)
 
     def emit(self, line: str, depth: int = 0) -> None:
         self.lines.append("    " * (self.indent + depth) + line)
@@ -673,6 +850,9 @@ class _Fuser:
     # -- state ----------------------------------------------------------------
 
     def _load(self, local: str) -> str:
+        if local in self.state.assigned:
+            # Rendered this late, a read would see the new value.
+            raise FastExecError(f"{local} is read after it is set")
         if local not in self.valid:
             self.emit(f"{local} = {_load_source(local)}")
             self.valid.add(local)
@@ -695,24 +875,18 @@ class _Fuser:
         self.valid.add(local)
         self.touched.add(local)
         self.written.add(local)
-        self.dirty[local] = _writeback(local)
-
-    def set_reg(self, name: str, expr: str) -> None:
-        self._set(f"r_{name}", expr)
-
-    def set_flags(self, live: frozenset, **exprs: str) -> None:
-        """Set the flags in ``live``; the rest are dead here."""
-        for name, expr in exprs.items():
-            if name in live:
-                self._set(f"f_{name}", expr)
+        if local not in self.dirty:
+            self.dirty[local] = _writeback(local)
+        self.state.assigned.add(local)
 
     def set_word(self, addr: int, expr: str) -> None:
         self._set(self._word_local(addr), expr)
 
     def _word_local(self, addr: int) -> str:
         """``m_<addr>``, once no tracked word overlaps it in part."""
-        for local in self._words(lambda word: 0 < abs(word - addr) < 4):
-            self._forget(local)
+        for near in (-3, -2, -1, 1, 2, 3):
+            if f"m_{addr + near}" in self.valid:
+                self._forget(f"m_{addr + near}")
         return f"m_{addr}"
 
     def _words(self, overlaps) -> list[str]:
@@ -769,16 +943,6 @@ class _Fuser:
         for line in stores:
             self.emit(line, 1)
 
-    def cond(self, cc: str) -> str:
-        for name in CONDITION_FLAGS[cc]:
-            self.flag(name)
-        return _COND_SOURCE[cc]
-
-    def flush(self, depth: int = 0) -> None:
-        """Write every dirty local back to its dict."""
-        for writeback in self.dirty.values():
-            self.emit(writeback, depth)
-
     def const(self, value) -> str:
         """A name the generated code reads ``value`` by."""
         name = self.consts.get(value)
@@ -798,8 +962,9 @@ class _Fuser:
 
     def leave(self, target: str, index: int, depth: int = 0) -> None:
         """Leave the block at instruction ``index`` for guest pc
-        ``target``."""
-        self.flush(depth)
+        ``target``, writing every dirty local back first."""
+        for writeback in self.dirty.values():
+            self.emit(writeback, depth)
         self.emit(f"return ({target}, {index})", depth)
 
     def bind(self, expr: str) -> str:
@@ -811,212 +976,35 @@ class _Fuser:
         self.emit(f"{temp} = {expr}")
         return temp
 
-    # -- operands -------------------------------------------------------------
-
-    def addr(self, op: Mem) -> str:
-        """Address source: a literal when static, else a bound temp."""
-        disp = op.disp & _MASK
-        base = op.base.name if op.base else None
-        index = op.index.name if op.index else None
-        if base is None and index is None:
-            return str(disp)
-        terms = []
-        if base:
-            terms.append(self.reg(base))
-        if index:
-            terms.append(f"{self.reg(index)} * {op.scale}")
-        terms.append(str(disp))
-        return self.bind(f"({' + '.join(terms)}) & {_MASK}")
-
-    def value(self, op) -> str:
-        """A 32-bit source operand, as in :func:`_reader`."""
-        if isinstance(op, Imm):
-            return str(op.value & _MASK)
-        if isinstance(op, Reg):
-            if is_low8(op.name):
-                return f"({self.reg(parent_of(op.name))} & 255)"
-            return self.reg(op.name)
-        if isinstance(op, Mem):
-            if _static(op):
-                return self.word(op.disp & _MASK)
-            addr = self.addr(op)
-            self.before_load(addr, 4)
-            return _word_source(addr)
-        raise FastExecError(f"unreadable operand {op!r}")
-
-    def byte(self, op) -> str:
-        """An 8-bit source operand, as in :func:`_byte_reader`."""
-        if isinstance(op, Imm):
-            return str(op.value & 0xFF)
-        if isinstance(op, Reg):
-            return f"({self.reg(parent_of(op.name))} & 255)"
-        if isinstance(op, Mem):
-            addr = self.addr(op)
-            self.before_load(addr, 1)
-            return f"mem.get({addr}, 0)"
-        raise FastExecError(f"unreadable byte operand {op!r}")
-
-    def store(self, op, expr: str) -> None:
-        """Write a 32-bit value, as in :func:`_writer`."""
-        if isinstance(op, Reg):
-            if is_low8(op.name):
-                self.store_byte(op, expr)
-            else:
-                self.set_reg(op.name, expr)
-            return
-        if isinstance(op, Mem):
-            if _static(op):
-                self.set_word(op.disp & _MASK, expr)
-                return
-            value = self.bind(expr)
-            self.guarded_store(self.addr(op), 4, value)
-            return
-        raise FastExecError(f"unwritable operand {op!r}")
-
-    def store_byte(self, op, expr: str) -> None:
-        """Write the low byte of a value, as in :func:`_byte_writer`."""
-        if isinstance(op, Reg):
-            parent = parent_of(op.name)
-            self.set_reg(parent,
-                         f"{self.reg(parent)} & 4294967040 | ({expr}) & 255")
-            return
-        if isinstance(op, Mem):
-            self.guarded_store(self.addr(op), 1, expr)
-            return
-        raise FastExecError(f"unwritable byte operand {op!r}")
-
-    # -- instructions ---------------------------------------------------------
-
-    def call_step(self, index: int, instr: Instruction) -> None:
-        """Run an instruction through its closure, which works on the
-        dicts: write back the locals it may read or leave alone, and
-        forget the ones it may write.  One with a memory operand does so
-        for every word."""
-        reads = {f"r_{name}" for name in used_registers(instr)} | \
-            {f"f_{name}" for name in used_flags(instr)}
-        writes = {f"r_{name}" for name in defined_registers(instr)} | \
-            {f"f_{name}" for name in defined_flags(instr)}
-        if any(isinstance(op, Mem) for op in instr.operands):
-            words = {local for local in self.valid if local[0] == "m"}
-            reads |= words
-            writes |= words
-        for local in sorted(self.dirty.keys() & (reads | writes)):
-            self.emit(self.dirty.pop(local))
-        self.valid -= writes
-        name = f"s{len(self.namespace)}"
-        self.namespace[name] = self.steps[index]
-        self.emit(f"{name}(regs, flags, mem)")
-
     def target(self, label) -> str:
         if not isinstance(label, Label):
             raise FastExecError(f"cannot fuse a branch to {label!r}")
         if label.name == EXIT_LABEL:
-            return self.value(Mem(base=None, disp=ENV_BASE + NEXT_PC_OFFSET))
+            return self.word(ENV_BASE + NEXT_PC_OFFSET)
         if label.name.startswith("TB@"):
             return str(int(label.name[3:], 16))
         raise FastExecError(f"unexpected host branch target {label.name!r}")
 
     def instruction(self, index: int, instr: Instruction,
                     live: frozenset) -> None:
-        name = instr.mnemonic
-        ops = instr.operands
-
-        if name == "movl":
-            self.store(ops[1], self.value(ops[0]))
-        elif name in ("addl", "subl", "cmpl", "andl", "orl", "xorl",
-                      "testl"):
-            src = self.bind(self.value(ops[0]))
-            dst = self.bind(self.value(ops[1]))
-            if name in ("addl", "subl", "cmpl"):
-                sign = "+" if name == "addl" else "-"
-                self.emit(f"x = ({dst} {sign} {src}) & {_MASK}")
-                if name == "addl":
-                    carry = f"1 if x < {dst} else 0"
-                    overflow = f"(({dst} ^ x) & ~({dst} ^ {src})) >> 31 & 1"
-                else:
-                    carry = f"1 if {dst} < {src} else 0"
-                    overflow = f"(({dst} ^ {src}) & ({dst} ^ x)) >> 31 & 1"
-            else:
-                self.emit(f"x = {dst} {_LOGIC_SOURCE[name]} {src}")
-                carry = overflow = "0"
-            self.set_flags(live, SF="x >> 31", ZF="1 if x == 0 else 0",
-                           CF=carry, OF=overflow)
-            if name not in ("cmpl", "testl"):
-                self.store(ops[1], "x")
-        elif name == "imull":
-            src = self.bind(self.value(ops[0]))
-            dst = self.bind(self.value(ops[1]))
-            self.emit(
-                f"x = ({dst} - 4294967296 if {dst} >> 31 else {dst})"
-                f" * ({src} - 4294967296 if {src} >> 31 else {src})"
-            )
-            overflow = "0 if -2147483648 <= x < 2147483648 else 1"
-            self.set_flags(live, OF=overflow, CF=overflow)
-            self.store(ops[1], f"x & {_MASK}")
-        elif name == "leal":
-            self.store(ops[1], self.addr(ops[0]))
-        elif name in ("movzbl", "movsbl"):
-            value = self.byte(ops[0])
-            if name == "movsbl":
-                value = self.bind(value)
-                value = f"{value} | 4294967040 if {value} & 128 else {value}"
-            self.store(ops[1], value)
-        elif name == "movb":
-            self.store_byte(ops[1], self.byte(ops[0]))
-        elif name == "negl":
-            value = self.bind(self.value(ops[0]))
-            self.emit(f"x = -{value} & {_MASK}")
-            self.set_flags(live, SF="x >> 31", ZF="1 if x == 0 else 0",
-                           CF=f"1 if 0 < {value} else 0",
-                           OF=f"({value} & x) >> 31 & 1")
-            self.store(ops[0], "x")
-        elif name == "notl":
-            self.store(ops[0], f"~{self.value(ops[0])} & {_MASK}")
-        elif name in ("incl", "decl"):
-            value = self.bind(self.value(ops[0]))
-            delta, edge = (1, 0x7FFFFFFF) if name == "incl" else \
-                (-1, 0x80000000)
-            self.emit(f"x = ({value} + {delta}) & {_MASK}")
-            self.set_flags(live, SF="x >> 31", ZF="1 if x == 0 else 0",
-                           OF=f"1 if {value} == {edge} else 0")
-            self.store(ops[0], "x")
-        elif name in ("shll", "shrl", "sarl") and isinstance(ops[0], Imm):
-            count = ops[0].value & 31
-            if count:
-                value = self.bind(self.value(ops[1]))
-                if name == "shll":
-                    self.emit(f"x = ({value} << {count}) & {_MASK}")
-                    carry = f"({value} >> {32 - count}) & 1"
-                elif name == "shrl":
-                    self.emit(f"x = {value} >> {count}")
-                    carry = f"({value} >> {count - 1}) & 1"
-                else:
-                    signed = self.bind(
-                        f"{value} - 4294967296 if {value} >> 31 else {value}"
-                    )
-                    self.emit(f"x = ({signed} >> {count}) & {_MASK}")
-                    carry = f"({signed} >> {count - 1}) & 1"
-                self.set_flags(live, SF="x >> 31",
-                               ZF="1 if x == 0 else 0", CF=carry)
-                self.store(ops[1], "x")
-        elif name in SETCC_OPS:
-            self.store_byte(ops[0], f"1 if {self.cond(name[3:])} else 0")
-        elif name in CMOV_OPS:
-            value = self.bind(self.value(ops[0]))
-            old = self.value(ops[1])
-            self.store(ops[1],
-                       f"{value} if {self.cond(name[4:])} else {old}")
-        elif name in JCC_OPS:
-            target = self.target(ops[0])
-            self.emit(f"if {self.cond(name[1:])}:")
-            self.leave(target, index, 1)
-        elif name == "jmp":
-            self.leave(self.target(ops[0]), index)
-        elif name == "cltd":
-            self.set_reg("edx",
-                         f"{_MASK} if {self.reg('eax')} >> 31 else 0")
+        """Write ``instr`` as :func:`execute` runs it on a
+        :class:`SourceState`, with ``live`` the flags live after it; a
+        branch's target is computed before its ``if``."""
+        state = self.state
+        state.live, state.effects = live, []
+        state.assigned.clear()
+        branch = execute(instr, state, _SOURCE_ALU).branch
+        for write, args, value in state.effects:
+            write(*args, state.render(value))
+        if branch is None:
+            return
+        target = self.target(branch.target)
+        if type(branch.cond) is int:
+            self.leave(target, index)
         else:
-            self.call_step(index, instr)
+            _count(branch.cond)
+            self.emit(f"if {state.render(branch.cond)}:")
+            self.leave(target, index, 1)
 
 
 class _RegionFuser(_Fuser):
@@ -1028,16 +1016,14 @@ class _RegionFuser(_Fuser):
     path led there, they hold the values memory should hold, and a
     write-back of one that is in fact clean stores what its keys already
     hold.  Every exit writes back the uncarried dirty locals and reloads
-    the carried ones a closure call or byte store made invalid; leaving
-    the region then writes back ``stored``.
+    the carried words a byte store or an overlapping word made invalid;
+    leaving the region then writes back ``stored``.
     """
 
-    def __init__(self, blocks: list, steps: list[list[Step]],
-                 cycles: list[list[float]], carried: frozenset,
-                 stored: frozenset) -> None:
-        super().__init__([])
+    def __init__(self, blocks: list, cycles: list[list[float]],
+                 carried: frozenset, stored: frozenset) -> None:
+        super().__init__()
         self.blocks = blocks
-        self.block_steps = steps
         self.block_exit_cycles = [_exit_cycles(costs) for costs in cycles]
         self.members = {tb.guest_start: k for k, tb in enumerate(blocks)}
         self.carried = carried
@@ -1078,7 +1064,6 @@ class _RegionFuser(_Fuser):
             self.emit("d += 1")
             self.k = k
             self.temps = 0
-            self.steps = self.block_steps[k]
             self.exit_cycles = self.block_exit_cycles[k]
             self.valid = set(self.carried)
             self.dirty = {local: _writeback(local) for local in self.stored}
@@ -1152,10 +1137,6 @@ def _flush_words(mem: dict, values: dict, words: tuple[str, ...]) -> None:
     generated function's ``locals()``."""
     _store_words(mem, tuple(int(local[2:]) for local in words),
                  *[values[local] for local in words])
-
-
-def _static(op: Mem) -> bool:
-    return op.base is None and op.index is None
 
 
 def _overlap(word: int, addr: int, width: int) -> bool:

@@ -6,6 +6,8 @@ import itertools
 import pytest
 
 from repro.benchsuite import benchmark_source
+from repro.corpus.generate import generate_program
+from repro.corpus.grammar import REGIONS
 from repro.dbt import engine as engine_module
 from repro.dbt.codegen import ENV_BASE, SPILL_BASE
 from repro.dbt.direct import run_arm_program
@@ -16,6 +18,7 @@ from repro.faults.plan import corrupt_rule
 from repro.learning import learn_rules
 from repro.learning.store import RuleStore
 from repro.minic import compile_source
+from repro.minic.interp import run_tac
 
 
 def build(source):
@@ -561,3 +564,20 @@ class TestFusedTier:
             tb.exec_count for addr, tb in fast._cache.items()
             if addr in fast._fused_cache)
         assert_same_run(fast, oracle)
+
+    def test_generated_programs_match_oracle(self, monkeypatch):
+        # Three programs per grammar region, with thresholds low enough
+        # that their short loops fuse blocks and form regions.
+        monkeypatch.setattr(engine_module, "HOT_BLOCK_THRESHOLD", 2)
+        monkeypatch.setattr(engine_module, "HOT_REGION_THRESHOLD", 4)
+        fused = regions = 0
+        for name, index in itertools.product(sorted(REGIONS), range(3)):
+            program = build(generate_program(REGIONS[name], 5, name, index))
+            fast = DBTEngine(program, "qemu")
+            oracle = DBTEngine(program, "qemu", fast=False)
+            assert fast.run().return_value == oracle.run().return_value == \
+                run_tac(program.tac) & 0xFFFFFFFF, (name, index)
+            assert_same_run(fast, oracle)
+            fused += len(fast._fused_cache)
+            regions += len(fast._regions)
+        assert fused > 100 and regions > 30, (fused, regions)

@@ -6,23 +6,28 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.benchsuite import benchmark_source
 from repro.dbt.codegen import (
     ENV_BASE,
     EXIT_LABEL,
     NEXT_PC_OFFSET,
     TranslatedBlock,
 )
+from repro.dbt.engine import DBTEngine
 from repro.dbt.fastexec import (
     FastExecError,
-    compile_block,
+    SourceALU,
+    _Fuser,
     compile_instruction,
     fuse_block,
     fuse_region,
 )
 from repro.dbt.machine import ConcreteState
+from repro.experiments.common import ExperimentContext
 from repro.host_x86 import execute, parse_instruction as parse
 from repro.isa.alu import ConcreteALU
-from repro.isa.operands import Label
+from repro.isa.operands import Label, Mem
+from repro.minic import compile_source
 
 ALU = ConcreteALU()
 
@@ -135,6 +140,121 @@ def test_uncompilable_raises():
         compile_instruction(parse("pushl %eax"))  # engine never emits it
 
 
+# -- the source ALU ---------------------------------------------------------
+
+WORDS = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF) + tuple(
+    random.Random(7).getrandbits(32) for _ in range(5))
+SHIFT_COUNTS = (0, 1, 31, 32, 33, 0xFFFFFFFF)
+SOURCE_ALU = SourceALU()
+
+
+def rendered(build):
+    """Compile the values ``build(alu, state)`` returns as a fused block
+    writes them, each into a register: a function from ``regs`` and
+    ``flags`` (the operands' locals are loaded from them) to the
+    values."""
+    fuser = _Fuser()
+    state = fuser.state
+    values = build(SOURCE_ALU, state)
+    for k, value in enumerate(values):
+        state.set_reg(f"out{k}", value)
+    for write, args, value in state.effects:
+        write(*args, state.render(value))
+    fuser.leave("None", 0)
+    exec(compile("\n".join(fuser.lines), "<rendered>", "exec"),
+         fuser.namespace)
+
+    def run(regs, flags=()):
+        regs = dict(regs)
+        fuser.namespace["fused"](regs, dict(flags), {})
+        return tuple(regs[f"out{k}"] for k in range(len(values)))
+    return run
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "and_", "or_", "xor",
+                                "eq", "ult", "mul_overflow_signed"])
+def test_source_alu_word_ops_match_concrete(op):
+    run = rendered(lambda alu, st: [getattr(alu, op)(st.get_reg("a"),
+                                                     st.get_reg("b"))])
+    for a in WORDS:
+        for b in WORDS:
+            expected = getattr(ALU, op)(a, b)
+            assert run({"a": a, "b": b}) == (expected,), (op, a, b)
+            assert getattr(SOURCE_ALU, op)(a, b) == expected, (op, a, b)
+
+
+@pytest.mark.parametrize("op", ["shl", "lshr", "ashr"])
+def test_source_alu_shifts_match_concrete(op):
+    run = rendered(lambda alu, st: [getattr(alu, op)(st.get_reg("a"),
+                                                     st.get_reg("n"))])
+    for count in SHIFT_COUNTS:
+        by_literal = rendered(
+            lambda alu, st: [getattr(alu, op)(st.get_reg("a"), count)])
+        for a in WORDS:
+            expected = getattr(ALU, op)(a, count)
+            assert run({"a": a, "n": count}) == (expected,), (op, a, count)
+            assert by_literal({"a": a}) == (expected,), (op, a, count)
+            assert getattr(SOURCE_ALU, op)(a, count) == expected
+
+
+@pytest.mark.parametrize("op, args", [
+    ("neg", ()), ("not_", ()), ("zext", (32,)), ("sext_from", (8, 32)),
+    ("extract", (31, 31)), ("extract", (31, 0)), ("extract", (7, 0)),
+    ("extract", (0, 0)), ("extract", (15, 8)),
+])
+def test_source_alu_unary_ops_match_concrete(op, args):
+    run = rendered(lambda alu, st: [getattr(alu, op)(*args,
+                                                     st.get_reg("a"))])
+    for a in WORDS:
+        expected = getattr(ALU, op)(*args, a)
+        assert run({"a": a}) == (expected,), (op, args, a)
+        assert getattr(SOURCE_ALU, op)(*args, a) == expected, (op, args, a)
+
+
+def test_source_alu_conditions_match_concrete():
+    def build(alu, st):
+        p, q = st.get_flag("P"), st.get_flag("Q")
+        a, b = st.get_reg("a"), st.get_reg("b")
+        one, zero = alu.const(8, 1), alu.const(8, 0)
+        return [alu.bool_and(p, q), alu.bool_or(p, q), alu.bool_not(p),
+                alu.ite(p, a, b), alu.ite(q, one, zero), alu.ite(q, zero, one)]
+    run = rendered(build)
+    for p in (0, 1):
+        for q in (0, 1):
+            for a, b in zip(WORDS, reversed(WORDS)):
+                assert run({"a": a, "b": b}, {"P": p, "Q": q}) == (
+                    ALU.bool_and(p, q), ALU.bool_or(p, q), ALU.bool_not(p),
+                    ALU.ite(p, a, b), ALU.ite(q, 1, 0), ALU.ite(q, 0, 1))
+                assert SOURCE_ALU.ite(p, a, b) == ALU.ite(p, a, b)
+
+
+def test_source_alu_divmod_matches_concrete():
+    run = rendered(lambda alu, st: alu.divmod_signed_64(
+        st.get_reg("hi"), st.get_reg("lo"), st.get_reg("d")))
+    for hi in WORDS:
+        for lo in WORDS:
+            for d in WORDS:
+                expected = ALU.divmod_signed_64(hi, lo, d)
+                assert run({"hi": hi, "lo": lo, "d": d}) == expected
+                assert SOURCE_ALU.divmod_signed_64(hi, lo, d) == expected
+
+
+def test_source_alu_nested_and_shared_values_match_concrete():
+    # Sums of sums render unmasked inside one mask; a value read twice
+    # is bound to a temp once, masked even when a sum reads it first.
+    def build(alu, a, b):
+        shared = alu.add(a, alu.shl(b, alu.const(32, 2)))
+        total = alu.sub(alu.add(shared, alu.mul(alu.neg(a), alu.not_(b))),
+                        a)
+        return [total, alu.ult(shared, a), alu.xor(total, shared)]
+    run = rendered(lambda alu, st: build(alu, st.get_reg("a"),
+                                         st.get_reg("b")))
+    for a in WORDS:
+        for b in WORDS:
+            assert run({"a": a, "b": b}) == tuple(build(ALU, a, b))
+            assert tuple(build(SOURCE_ALU, a, b)) == tuple(build(ALU, a, b))
+
+
 # -- fused blocks -----------------------------------------------------------
 
 NEXT_PC = ENV_BASE + NEXT_PC_OFFSET
@@ -184,7 +304,7 @@ def oracle_block(instrs, state):
 
 
 def assert_fused_matches(instrs, rng):
-    fused = fuse_block(instrs, compile_block(instrs), [1.0] * len(instrs))
+    fused = fuse_block(instrs, [1.0] * len(instrs))
     slow = random_state(rng)
     slow.store(NEXT_PC, rng.getrandbits(32), 4)
     fast = clone(slow)
@@ -216,8 +336,8 @@ def test_fused_blocks_match_semantics(seed, body, tail):
 
 # Forms that reach the words at 0x3000 and 0x3004 every way the fuser
 # must keep coherent: as word locals (whole and overlapping), by the
-# byte, through %esi once it is pinned to alias them, and inside the
-# closures of idivl and shifts by %cl.
+# byte, through %esi once it is pinned to alias them, and as the
+# operands of idivl and of shifts by %cl.
 ALIAS_FORMS = [
     "movl $0x2000, %esi",
     "movl %eax, 0x3000()",
@@ -247,8 +367,8 @@ def test_fused_word_aliasing_matches_semantics(seed, body, tail):
 
 # Blocks where a flag, register or memory result must survive an
 # instruction that may leave it alone: zero-count shifts, an untaken
-# cmov, the closures (shift by %cl, idivl) that the fused code calls,
-# and memory that a word local aliases.
+# cmov, a shift by %cl (of count 0 too) and idivl (by zero too), and
+# memory that a word local aliases.
 EDGE_BLOCKS = [
     ("cmpl %ecx, %eax", "shll $0, %eax", "jmp TB@0x10"),
     ("cmpl %ebx, %eax", "movl $0, %ecx", "shll %cl, %eax", "jmp TB@0x10"),
@@ -262,8 +382,8 @@ EDGE_BLOCKS = [
     # A static word kept in a local, aliased by memory reached another
     # way: a computed store over it (then a computed store overlapping
     # it), a computed load of it, a byte load of it, an overlapping
-    # static word, closures that read or write it, and the next-pc slot
-    # read by the exit.
+    # static word, idivl and a shift by %cl that read or write it, and
+    # the next-pc slot read by the exit.
     ("movl %eax, 0x3000()", "movl $0x2000, %esi", "movl %ecx, 0x1000(%esi)",
      "movl 0x3000(), %edx", "jmp TB@0x10"),
     ("movl 0x3000(), %edx", "movl $0x2000, %esi", "movl %ecx, 0x1002(%esi)",
@@ -289,12 +409,30 @@ def test_fused_edge_blocks_match_semantics(block):
         assert_fused_matches([parse(text) for text in block], rng)
 
 
+def test_fused_exit_target_loads_before_its_branch():
+    # The first EXIT loads NEXT_PC; the fall-through path reads it too.
+    block = [parse(text) for text in ("cmpl $0, %eax", f"je {EXIT_LABEL}",
+                                      "movl %ecx, %edx", f"jmp {EXIT_LABEL}")]
+    rng = random.Random(3)
+    for eax in (0, 1):
+        for _ in range(5):
+            slow = random_state(rng)
+            slow.set_reg("eax", eax)
+            slow.store(NEXT_PC, rng.getrandbits(32), 4)
+            fast = clone(slow)
+            fused = fuse_block(block, [1.0] * len(block))
+            assert fused.run(fast.regs, fast.flags, fast.memory) == \
+                oracle_block(block, slow)
+            assert (fast.regs, fast.flags, fast.memory) == \
+                (slow.regs, slow.flags, slow.memory)
+
+
 def test_fused_exit_cycles_sum_in_loop_order():
     instrs = [parse(text) for text in
               ("addl %ecx, %eax", "cmpl $0, %eax", "je TB@0x10",
                "jmp TB@0x20")]
     cycles = [0.1, 0.7, 0.2, 1.3]
-    fused = fuse_block(instrs, compile_block(instrs), cycles)
+    fused = fuse_block(instrs, cycles)
     expected, total = [], 0.0
     for cost in cycles:
         total += cost
@@ -305,7 +443,47 @@ def test_fused_exit_cycles_sum_in_loop_order():
 def test_fuse_rejects_unknown_branch_targets():
     instrs = [parse("jne .L1"), parse("jmp TB@0x20")]
     with pytest.raises(FastExecError):
-        fuse_block(instrs, compile_block(instrs), [1.0, 1.0])
+        fuse_block(instrs, [1.0, 1.0])
+
+
+@pytest.fixture(scope="module")
+def translated_blocks():
+    """The host code of every block a qemu run and a leave-one-out rules
+    run of mcf, sjeng and libquantum (test inputs, llvm) translate."""
+    context = ExperimentContext()
+    blocks = []
+    for name in ("mcf", "sjeng", "libquantum"):
+        program = compile_source(benchmark_source(name, "test"), "arm", 2,
+                                 "llvm")
+        for mode in ("qemu", "rules"):
+            store = context.rule_store_excluding(name) \
+                if mode == "rules" else None
+            engine = DBTEngine(program, mode, store)
+            engine.run()
+            blocks += [tb.host_instrs for tb in engine._cache.values()]
+    return blocks
+
+
+def test_fused_translated_blocks_match_semantics(translated_blocks):
+    rng = random.Random(0)
+    assert len(translated_blocks) > 200
+    for instrs in translated_blocks:
+        fused = fuse_block(instrs, [1.0] * len(instrs))
+        for _ in range(3):
+            # The env words the block names hold values too.
+            slow = random_state(rng)
+            slow.store(NEXT_PC, rng.getrandbits(32), 4)
+            for instr in instrs:
+                for op in instr.operands:
+                    if isinstance(op, Mem) and not (op.base or op.index):
+                        slow.store(op.disp, rng.choice(WORDS), 4)
+            fast = clone(slow)
+            expected = oracle_block(instrs, slow)
+            label = "; ".join(str(instr) for instr in instrs)
+            assert fused.run(fast.regs, fast.flags, fast.memory) == \
+                expected, label
+            assert (fast.regs, fast.flags, fast.memory) == \
+                (slow.regs, slow.flags, slow.memory), label
 
 
 # -- fused regions ----------------------------------------------------------
@@ -366,9 +544,8 @@ def assert_region_matches(blocks, rng, start=0, budget=40, form=None,
     cycles = [[rng.choice(CYCLE_COSTS) for _ in texts] for texts in blocks]
     fast_tbs = region_blocks(blocks)
     slow_tbs = region_blocks(blocks)
-    region = fuse_region(fast_tbs,
-                         [compile_block(tb.host_instrs) for tb in fast_tbs],
-                         cycles, (form.regs, form.flags, form.memory))
+    region = fuse_region(fast_tbs, cycles,
+                         (form.regs, form.flags, form.memory))
     slow, fast = state, clone(state)
     expected, counts = oracle_region(slow_tbs, cycles, slow, start, budget,
                                      0.1)
@@ -510,8 +687,7 @@ def test_fused_region_writes_carried_words_back_once_per_entry():
     state = random_state(rng)
     state.set_reg("ecx", 10)
     tbs = region_blocks(blocks)
-    region = fuse_region(tbs, [compile_block(tb.host_instrs) for tb in tbs],
-                         [[1.0] * len(tb.host_instrs) for tb in tbs],
+    region = fuse_region(tbs, [[1.0] * len(tb.host_instrs) for tb in tbs],
                          (state.regs, state.flags, state.memory))
     regs, flags, mem = (CountingDict(state.regs), CountingDict(state.flags),
                         CountingDict(state.memory))
@@ -530,8 +706,7 @@ def test_fused_region_declines_entry_when_a_carried_key_is_absent():
     del state.regs["ebx"]
     del state.memory[0x3001]
     tbs = region_blocks(blocks)
-    region = fuse_region(tbs, [compile_block(tb.host_instrs) for tb in tbs],
-                         [[1.0] * len(tb.host_instrs) for tb in tbs],
+    region = fuse_region(tbs, [[1.0] * len(tb.host_instrs) for tb in tbs],
                          (form.regs, form.flags, form.memory))
     before = clone(state)
     assert region.run(state.regs, state.flags, state.memory, 0, 10,
@@ -546,5 +721,4 @@ def test_fused_region_declines_entry_when_a_carried_key_is_absent():
 def test_fuse_region_needs_members_ending_in_jmp():
     tbs = region_blocks([["addl %ecx, %eax", "jne TB@0x8000"]])
     with pytest.raises(FastExecError):
-        fuse_region(tbs, [compile_block(tbs[0].host_instrs)], [[1.0, 1.0]],
-                    ({}, {}, {}))
+        fuse_region(tbs, [[1.0, 1.0]], ({}, {}, {}))
