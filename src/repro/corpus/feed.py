@@ -33,6 +33,7 @@ from repro.learning.cache import VerificationCache
 from repro.learning.canon import CandidateOutcome
 from repro.learning.pipeline import LearningReport, learn_rules
 from repro.learning.rule import Rule
+from repro.learning.verify import query_scope
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 
@@ -109,15 +110,16 @@ class LocalFeed:
             program.origin, LearningReport(benchmark=program.origin)
         )
         rules: list[Rule] = []
-        for style, (guest, host) in program.builds.items():
-            outcome = learn_rules(
-                guest, host, benchmark=program.origin,
-                cache=self.cache, _memo=self.memo,
-            )
-            rules.extend(outcome.rules)
-            merged.merge(outcome.report)
-            result.verify_calls += outcome.report.verify_calls
-            result.cache_hits += outcome.report.cache_hits
+        with query_scope():
+            for style, (guest, host) in program.builds.items():
+                outcome = learn_rules(
+                    guest, host, benchmark=program.origin,
+                    cache=self.cache, _memo=self.memo,
+                )
+                rules.extend(outcome.rules)
+                merged.merge(outcome.report)
+                result.verify_calls += outcome.report.verify_calls
+                result.cache_hits += outcome.report.cache_hits
         result.rules = rules
         result.novel_rules = self.novelty.split(rules)
         if self.cache is not None:

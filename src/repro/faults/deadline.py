@@ -8,9 +8,10 @@ such hangs into a deterministic timeout verdict:
 
 * ``max_steps`` is the deterministic proxy — one step per solver-backed
   equivalence query (:func:`repro.learning.verify._exprs_equal` ticks
-  the active deadline once per query), so the same candidate times out
-  at the same point on every machine, keeping sequential/parallel and
-  cached/uncached runs byte-identical;
+  the active deadline once per query, a hit in the run's query memo
+  included), so the same candidate times out at the same point on
+  every machine, keeping sequential/parallel and cached/uncached runs
+  byte-identical;
 * ``max_seconds`` is the real-time guard for hangs the step proxy
   cannot see (e.g. one enormous query).  It trades determinism for
   liveness, so equivalence gates should use step budgets only.

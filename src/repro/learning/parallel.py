@@ -75,7 +75,7 @@ from repro.learning.pipeline import (
     learn_corpus,
 )
 from repro.learning.rule import dedup_rules
-from repro.learning.verify import VerifyFailure
+from repro.learning.verify import VerifyFailure, query_scope
 from repro.minic.compile import CompiledProgram
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.profiler import SamplingProfiler, get_profiler, phase
@@ -151,7 +151,7 @@ def _resolve_chunk(
     start = time.perf_counter()
     results = []
     try:
-        with phase("learn.verify"):
+        with phase("learn.verify"), query_scope():
             for digest, context, mappings in chunk:
                 outcome = resolve_candidate(
                     context, mappings, budget=budget,

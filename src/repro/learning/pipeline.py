@@ -35,7 +35,7 @@ from repro.learning.paramize import (
     generate_mappings,
 )
 from repro.learning.rule import Rule, dedup_rules
-from repro.learning.verify import VerifyFailure
+from repro.learning.verify import VerifyFailure, query_scope
 from repro.minic.compile import CompiledProgram
 from repro.obs.metrics import get_metrics
 from repro.obs.profiler import phase
@@ -372,8 +372,9 @@ def learn_rules(
     pairs = _extract_stage(guest_program, host_program, direction, report)
     candidates = _paramize_stage(pairs, direction, report)
     memo = _memo if _memo is not None else {}
-    rules = _verify_stage(candidates, report, benchmark, cache, memo,
-                          budget=budget, journal=journal)
+    with query_scope():
+        rules = _verify_stage(candidates, report, benchmark, cache, memo,
+                              budget=budget, journal=journal)
     rules = dedup_rules(rules)
     report.rules = len(rules)
     report.learn_seconds = time.perf_counter() - start
@@ -417,14 +418,16 @@ def learn_corpus(
 
     ``builds`` maps benchmark name -> (guest build, host build).  The
     pre-verification dedup memo is shared across benchmarks, so a
-    candidate appearing in several benchmarks is verified once.
+    candidate appearing in several benchmarks is verified once; so is
+    the equivalence-query memo, so a query they share is decided once.
     """
     memo: dict[str, CandidateOutcome] = {}
-    outcomes = {
-        name: learn_rules(guest, host, benchmark=name, cache=cache,
-                          budget=budget, journal=journal, _memo=memo)
-        for name, (guest, host) in builds.items()
-    }
+    with query_scope():
+        outcomes = {
+            name: learn_rules(guest, host, benchmark=name, cache=cache,
+                              budget=budget, journal=journal, _memo=memo)
+            for name, (guest, host) in builds.items()
+        }
     if cache is not None:
         cache.save()
     return outcomes

@@ -17,12 +17,12 @@ Two symbolic runs per candidate:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 from repro import ir
 from repro.faults import deadline as _deadline
 from repro.ir.expr import Expr
-from repro.ir.simplify import simplify
 from repro.learning.extract import SnippetPair
 from repro.learning.paramize import InitialMapping, ParamContext
 from repro.learning.rule import Rule
@@ -63,16 +63,47 @@ class VerifyResult:
     detail: str = ""
 
 
+#: The active query memo, ``(a, b) -> verdict`` (see query_scope).
+_QUERIES: dict[tuple[Expr, Expr], bool] | None = None
+
+
+@contextmanager
+def query_scope():
+    """Settle each distinct equivalence query once inside the scope.
+
+    A verdict is a pure function of ``(a, b)``, so candidates that pose
+    the same query share one solver call.  A nested scope reuses the
+    outer memo and nothing survives the outermost: one learning run,
+    never a process (a memo that outlived its run would turn the next
+    cold run warm).
+    """
+    global _QUERIES
+    if _QUERIES is not None:
+        yield _QUERIES
+        return
+    _QUERIES = {}
+    try:
+        yield _QUERIES
+    finally:
+        _QUERIES = None
+
+
 def _exprs_equal(a: Expr, b: Expr) -> bool:
-    # One deterministic deadline step per solver-backed query: the unit
-    # the TO budget counts (see repro.faults.deadline).
+    # One deterministic deadline step per query, memo hit or not: the
+    # unit the TO budget counts (see repro.faults.deadline).
     _deadline.tick()
     if a.width != b.width:
         return False  # e.g. a byte store paired against a word store
-    if simplify(a) == simplify(b):
-        return True
-    result = check_equal(a, b, bdd_budget=_BDD_BUDGET)
-    return result.verdict is Verdict.EQUAL
+    queries = _QUERIES
+    if queries is not None:
+        verdict = queries.get((a, b))
+        if verdict is not None:
+            return verdict
+    verdict = check_equal(a, b, bdd_budget=_BDD_BUDGET).verdict \
+        is Verdict.EQUAL
+    if queries is not None:
+        queries[(a, b)] = verdict
+    return verdict
 
 
 def verify_candidate(

@@ -38,6 +38,7 @@ from repro.learning.parallel import (
 )
 from repro.learning.pipeline import Candidate, stage_candidates
 from repro.learning.rule import Rule, dedup_rules
+from repro.learning.verify import query_scope
 from repro.minic.compile import CompiledProgram
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
@@ -186,7 +187,7 @@ class OnlineLearner:
         tracer = get_tracer()
         metrics = get_metrics()
         with tracer.span("service.learn", gaps=len(gaps),
-                         candidates=len(selected)):
+                         candidates=len(selected)), query_scope():
             unsettled: list[tuple[str, Candidate]] = []
             for name, candidate in selected:
                 if candidate.digest in self.memo:

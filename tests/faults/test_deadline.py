@@ -1,5 +1,6 @@
 """Deadline mechanics and the TO (timeout) outcome."""
 
+import contextlib
 import time
 
 import pytest
@@ -13,14 +14,19 @@ from repro.faults.deadline import (
     tick,
 )
 from repro.faults.plan import simulated_hang
+from repro.learning import parallel, pipeline
 from repro.learning.canon import resolve_candidate
 from repro.learning.direction import ARM_TO_X86
 from repro.learning.pipeline import (
     LearningReport,
     _extract_stage,
     _paramize_stage,
+    learn_corpus,
 )
 from repro.learning.verify import VerifyFailure
+from repro.service import learner
+from repro.service.gaps import canonical_gap
+from repro.service.learner import OnlineLearner
 
 from .conftest import CHAOS_BENCHMARKS
 
@@ -103,3 +109,78 @@ class TestTimeoutOutcome:
             assert (bounded.rule is None) == (unbounded.rule is None)
             assert bounded.failure == unbounded.failure
             assert bounded.calls == unbounded.calls
+
+
+#: A step budget that times out some chaos candidates but not all.
+MEMO_STEPS = 6
+
+
+def _without_query_memo(monkeypatch, *modules):
+    for module in modules:
+        monkeypatch.setattr(module, "query_scope", contextlib.nullcontext)
+
+
+class TestQueryMemoDeterminism:
+    """The query memo saves solver calls and changes nothing else:
+    every query still ticks the deadline, so a step budget times out
+    the same candidates at the same attempt."""
+
+    def _bounded_run(self, builds, monkeypatch):
+        outcomes_by_digest = {}
+        resolve = pipeline.resolve_candidate
+
+        def recording(context, mappings, **kwargs):
+            outcome = resolve(context, mappings, **kwargs)
+            outcomes_by_digest[kwargs["digest"]] = (
+                outcome.failure, outcome.calls, outcome.rule)
+            return outcome
+
+        monkeypatch.setattr(pipeline, "resolve_candidate", recording)
+        outcomes = learn_corpus(
+            builds, budget=DeadlineBudget(max_steps=MEMO_STEPS))
+        monkeypatch.setattr(pipeline, "resolve_candidate", resolve)
+        reports = [o.report.count_signature() for o in outcomes.values()]
+        rules = {name: o.rules for name, o in outcomes.items()}
+        return outcomes_by_digest, reports, rules
+
+    def test_step_budget_times_out_the_same_candidates(
+            self, chaos_builds, monkeypatch, solver_queries):
+        memo_run = self._bounded_run(chaos_builds, monkeypatch)
+        memo_calls = len(solver_queries)
+        solver_queries.clear()
+        _without_query_memo(monkeypatch, pipeline)
+        plain_run = self._bounded_run(chaos_builds, monkeypatch)
+        plain_calls = len(solver_queries)
+
+        by_digest, reports, rules = memo_run
+        timed_out = {digest for digest, (failure, _, _) in by_digest.items()
+                     if failure is VerifyFailure.TIMEOUT}
+        assert timed_out and len(timed_out) < len(by_digest)
+        assert by_digest == plain_run[0]
+        assert reports == plain_run[1]
+        assert rules == plain_run[2]
+        assert memo_calls < plain_calls
+
+    def test_online_round_decides_each_query_once(
+            self, chaos_builds, monkeypatch, solver_queries):
+        name = CHAOS_BENCHMARKS[0]
+        guest, host = chaos_builds[name]
+        gaps = [canonical_gap(guest.code[start:start + 8])
+                for start in range(0, len(guest.code), 4)]
+
+        def round_():
+            online = OnlineLearner({name: (guest, host)}, jobs=1)
+            selected = [candidate.digest for _, candidate
+                        in online.match_candidates(gaps)]
+            return selected, online.learn(gaps).rules
+
+        memo_round = round_()
+        assert memo_round[0] and memo_round[1]
+        assert solver_queries
+        assert len(set(solver_queries)) == len(solver_queries)
+        memo_calls = len(solver_queries)
+        solver_queries.clear()
+        _without_query_memo(monkeypatch, learner, parallel)
+        plain_round = round_()
+        assert memo_round == plain_round
+        assert memo_calls < len(solver_queries)

@@ -2,11 +2,21 @@
 
 import pytest
 
+from repro import ir
+from repro.benchsuite.suite import benchmark_source
+from repro.faults.deadline import Deadline, DeadlineBudget, deadline_scope
 from repro.guest_arm import parse_instruction as parse_arm
 from repro.host_x86 import parse_instruction as parse_x86
+from repro.learning import verify
 from repro.learning.extract import SnippetPair
 from repro.learning.paramize import analyze_pair, generate_mappings
-from repro.learning.verify import VerifyFailure, verify_candidate
+from repro.learning.pipeline import learn_corpus
+from repro.learning.verify import VerifyFailure, query_scope, verify_candidate
+from repro.minic.compile import compile_pairs
+
+#: A small fixed slice for the query-memo tests: four benchmarks at
+#: O2, both codegen styles.
+MEMO_SLICE = ("mcf", "sjeng", "libquantum", "bzip2")
 
 
 def learn(guest_lines, host_lines, allow_param_failure=False):
@@ -161,3 +171,65 @@ class TestFlagAnalysis:
         # ARM C after cmp #0 is always 1; x86 CF after test is 0.
         assert rule.cc_info.get("C") == "inverted" or \
             "C" in rule.unemulated_flags
+
+
+@pytest.fixture(scope="module")
+def slice_builds():
+    builds = {}
+    for name in MEMO_SLICE:
+        pairs = compile_pairs(benchmark_source(name, "ref"), 2,
+                              ("llvm", "gcc"))
+        for style, pair in pairs.items():
+            builds[f"{name}-{style}"] = pair
+    return builds
+
+
+def _rules(outcomes):
+    return {name: outcome.rules for name, outcome in outcomes.items()}
+
+
+class TestQueryMemo:
+    def test_run_decides_each_query_once(self, slice_builds,
+                                         solver_queries):
+        learn_corpus(slice_builds)
+        assert solver_queries
+        assert len(set(solver_queries)) == len(solver_queries)
+
+    def test_memo_does_not_outlive_a_run(self, slice_builds,
+                                         solver_queries):
+        first = learn_corpus(slice_builds)
+        calls = len(solver_queries)
+        assert verify._QUERIES is None
+        second = learn_corpus(slice_builds)
+        # A memo carried over would turn the second cold run warm.
+        assert len(solver_queries) == 2 * calls
+        assert _rules(second) == _rules(first)
+
+    def test_no_memo_after_a_run_raises(self, slice_builds, monkeypatch):
+        def broken(a, b, **kwargs):
+            raise RuntimeError("solver down")
+
+        monkeypatch.setattr(verify, "check_equal", broken)
+        with pytest.raises(RuntimeError, match="solver down"):
+            learn_corpus(slice_builds)
+        assert verify._QUERIES is None
+
+    def test_nested_scopes_share_one_memo(self):
+        assert verify._QUERIES is None
+        with query_scope() as outer:
+            assert verify._QUERIES is outer
+            with query_scope() as inner:
+                assert inner is outer
+            assert verify._QUERIES is outer
+        assert verify._QUERIES is None
+
+    def test_memo_hit_still_ticks_the_deadline(self, solver_queries):
+        x = ir.sym(32, "x")
+        a, b = ir.add(x, ir.bv(32, 1)), ir.sub(x, ir.bv(32, -1))
+        deadline = Deadline(DeadlineBudget(max_steps=100))
+        with deadline_scope(deadline), query_scope() as memo:
+            assert verify._exprs_equal(a, b)
+            assert verify._exprs_equal(a, b)
+        assert solver_queries == [(a, b)]
+        assert memo == {(a, b): True}
+        assert deadline.steps == 2
