@@ -5,6 +5,7 @@ invocations, dedup savings, cache hit rate, sequential vs parallel
 wall-clock) so future PRs have a perf trajectory to compare against.
 """
 
+import gc
 import io
 import json
 import os
@@ -73,19 +74,25 @@ def test_learning_throughput(benchmark, tmp_path):
     builds = {name: build_learning_pair(name) for name in BENCHMARK_NAMES}
 
     def measure():
+        # Each window starts from a fresh collection, so a full
+        # collection owed by earlier allocation never lands in it.
+        gc.collect()
         t0 = time.perf_counter()
         sequential = learn_corpus(builds)
         sequential_seconds = time.perf_counter() - t0
 
+        gc.collect()
         t0 = time.perf_counter()
         cold = learn_corpus(builds, cache=VerificationCache.at_dir(tmp_path))
         cold_seconds = time.perf_counter() - t0
 
         warm_cache = VerificationCache.at_dir(tmp_path)
+        gc.collect()
         t0 = time.perf_counter()
         warm = learn_corpus(builds, cache=warm_cache)
         warm_seconds = time.perf_counter() - t0
 
+        gc.collect()
         t0 = time.perf_counter()
         parallel = learn_corpus_parallel(builds, jobs=JOBS)
         parallel_seconds = time.perf_counter() - t0

@@ -16,8 +16,9 @@ Layers:
 * :mod:`repro.dbt.llvmjit` — the HQEMU-style optimizing backend model.
 * :mod:`repro.dbt.engine` — translation cache, dispatch loop, rule
   hot-install, dynamic statistics.
-* :mod:`repro.dbt.fastexec` — closure-compiled host-code execution,
-  fused blocks and fused regions (the engine's fast path).
+* :mod:`repro.dbt.fastexec` — host code compiled from the x86
+  semantics: per-instruction steps, fused blocks and fused regions
+  (the engine's fast path).
 * :mod:`repro.dbt.guard` — differential execution guard that
   quarantines a rule whose translation diverges from the reference.
 * :mod:`repro.dbt.perf` — the cycle model turning instruction counts

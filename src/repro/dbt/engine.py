@@ -78,7 +78,7 @@ MODES = ("qemu", "rules", "llvmjit")
 
 _ENGINE_IDS = itertools.count()
 
-#: Dispatch count at which a block leaves its closures for one fused
+#: Dispatch count at which a block leaves its steps for one fused
 #: generated function (see DESIGN.md, "Execution tiers").
 HOT_BLOCK_THRESHOLD = 64
 #: Dispatch count at which a fused block seeds a fused region (see
@@ -284,8 +284,9 @@ class DBTEngine:
         #: where a hot block seeded no region); see :meth:`_form_region`.
         self._regions: list[Region] = []
         self._region_entries: dict[int, tuple | None] = {}
-        #: qemu-mode reference translations (guard comparisons).
-        self._ref_cache: dict[int, tuple] = {}
+        #: Host code of qemu-mode reference translations (guard
+        #: comparisons).
+        self._ref_cache: dict[int, list] = {}
         #: Blocks invalidated mid-run after executing: their dynamic
         #: counters must still be accounted at run end.
         self._retired_blocks: list[TranslatedBlock] = []
@@ -505,24 +506,19 @@ class DBTEngine:
                 tb = self._guard_check(tb, state)
             tb.exec_count += 1
             active.perf.dispatches += 1
-            cycles = self._cycles_cache[pc]
+            index, next_pc = self._exec_block_raw(tb.host_instrs, state)
             cycle_sum = 0.0
-            for index, instr in enumerate(tb.host_instrs):
-                cycle_sum += cycles[index]
-                branch = execute_x86(instr, state, _ALU).branch
-                if branch is not None and branch.cond:
-                    break
-            else:
-                raise DBTError(f"translated block {pc:#x} fell off its end")
+            for cost in self._cycles_cache[pc][:index + 1]:
+                cycle_sum += cost
             active.dynamic_host_instructions += index + 1
             active.perf.exec_cycles += cycle_sum
             tb.exec_cycles += cycle_sum
-            pc = self._exit_pc(branch.target, state)
+            pc = next_pc
 
     def _dispatch_fast(self, state: ConcreteState, pc: int,
                        block_limit: int) -> None:
         """Run the guest from ``pc`` until it halts: fused regions,
-        fused blocks and closure blocks, with the hot counters in locals
+        fused blocks and step blocks, with the hot counters in locals
         until the loop ends.  Statistics match :meth:`_dispatch_generic`
         exactly.  Regions run only while no ``tick`` hook and no guard
         must see each dispatch."""
@@ -614,7 +610,7 @@ class DBTEngine:
 
     def _fuse(self, tb: TranslatedBlock) -> FusedBlock | None:
         """Promote a hot block to the fused tier (None if it cannot be
-        fused; it then stays on its closures)."""
+        fused; it then stays on its steps)."""
         addr = tb.guest_start
         try:
             fused = fuse_block(tb.host_instrs, self._cycles_cache[addr])
@@ -692,13 +688,9 @@ class DBTEngine:
             metrics.inc("dbt.guard.checks")
             trial = copy_state(state)
             reference = copy_state(state)
-            trial_pc = self._exec_block_raw(
-                tb.host_instrs,
-                self._steps_cache.get(tb.guest_start) if self.fast else None,
-                trial,
-            )
-            ref_instrs, ref_steps = self._reference_block(tb.guest_start)
-            ref_pc = self._exec_block_raw(ref_instrs, ref_steps, reference)
+            _, trial_pc = self._exec_block_raw(tb.host_instrs, trial)
+            _, ref_pc = self._exec_block_raw(
+                self._reference_block(tb.guest_start), reference)
             if trial_pc == ref_pc and states_agree(trial, reference):
                 return tb
             suspects = {
@@ -736,40 +728,28 @@ class DBTEngine:
             tb = self.translate(tb.guest_start)
         return tb
 
-    def _exec_block_raw(self, instrs, steps, state: ConcreteState) -> int:
-        """Execute one translated block on ``state`` with no stats
-        side effects; return the next guest pc."""
-        if steps is not None:
-            regs, flags, mem = state.regs, state.flags, state.memory
-            for step in steps:
-                target = step(regs, flags, mem)
-                if target is not None:
-                    return self._exit_pc(target, state)
-        else:
-            for instr in instrs:
-                branch = execute_x86(instr, state, _ALU).branch
-                if branch is not None and branch.cond:
-                    return self._exit_pc(branch.target, state)
-        raise DBTError("guard trial block fell off its end")
+    def _exec_block_raw(self, instrs, state: ConcreteState
+                        ) -> tuple[int, int]:
+        """Execute one translated block's host code on ``state`` through
+        the generic semantics (the oracle), with no stats side effects:
+        ``(exit index, next guest pc)``."""
+        for index, instr in enumerate(instrs):
+            branch = execute_x86(instr, state, _ALU).branch
+            if branch is not None and branch.cond:
+                return index, self._exit_pc(branch.target, state)
+        raise DBTError("translated block fell off its end")
 
-    def _reference_block(self, guest_addr: int) -> tuple:
-        """The qemu-mode translation of the guest block at
-        ``guest_addr`` (the guard's ground truth), cached separately
+    def _reference_block(self, guest_addr: int) -> list:
+        """The host code of the qemu-mode translation of the guest block
+        at ``guest_addr`` (the guard's ground truth), cached separately
         from the main translation cache and charged to no stats view."""
-        cached = self._ref_cache.get(guest_addr)
-        if cached is not None:
-            return cached
-        host_instrs = translate_block_with_rules(
-            self.program, self.program.index_of_addr(guest_addr), None
-        ).host_instrs
-        steps = None
-        if self.fast:
-            from repro.dbt.fastexec import compile_block
-
-            steps = compile_block(host_instrs)
-        reference = (host_instrs, steps)
-        self._ref_cache[guest_addr] = reference
-        return reference
+        host_instrs = self._ref_cache.get(guest_addr)
+        if host_instrs is None:
+            index = self.program.index_of_addr(guest_addr)
+            host_instrs = translate_block_with_rules(
+                self.program, index, None).host_instrs
+            self._ref_cache[guest_addr] = host_instrs
+        return host_instrs
 
     def _retire_blocks(self, doomed: list[int]) -> int:
         """Drop cached blocks by guest address (shared by the guard's

@@ -1,18 +1,20 @@
-"""Closure-compiled and fused host-code execution (the engine's fast path).
+"""Host code compiled from the x86 semantics (the engine's fast path).
 
 The generic path interprets every host instruction through the
 single-source semantics; that is the oracle, but it costs several
-dict/dataclass hops per instruction.  For the benchmark harness each
-translated block is instead *pre-compiled* into a list of Python
-closures — one per host instruction — operating directly on the
-register/flag/memory dicts.  The closures are the one hand-written copy
-of the x86 semantics, kept because building one is far cheaper than
-compiling generated source; a differential test
-(``tests/dbt/test_fastexec.py``) checks them against the semantics
-instruction by instruction.
+dict/dataclass hops per instruction.  The fast path runs code generated
+from that same semantics: each instruction runs through
+``host_x86.execute`` on a :class:`SourceState` with a
+:class:`SourceALU`, whose values are Python source.  There is no
+hand-written copy of the x86 semantics.
 
-Each step closure returns ``None`` to fall through or a branch-target
-token (the ``Label`` name) when a (taken) control transfer occurs.
+Each translated block is *compiled* into a list of steps, one per host
+instruction (:func:`compile_block`), operating directly on the
+register/flag/memory dicts.  A step returns ``None`` to fall through or
+the ``Label`` name a taken control transfer leads to.  Steps share
+compiled code by instruction *shape* (see :func:`compile_instruction`):
+each shape's factory is generated and compiled once per process, and
+building a step costs one factory call.
 
 Blocks the engine finds hot are then *fused* (:func:`fuse_block`): the
 whole block becomes one generated Python function, compiled once, that
@@ -21,9 +23,7 @@ them back at each exit, and returns ``(next guest pc, exit index)``.
 The hottest fused blocks and their successors are then fused again,
 into one *region* (:func:`fuse_region`) that keeps those locals across
 the edges between its blocks and writes them back only when control
-leaves it.  Fused code is generated from the semantics itself: each
-instruction runs through ``host_x86.execute`` on a :class:`SourceState`
-with a :class:`SourceALU`, whose values are Python source.
+leaves it.
 """
 
 from __future__ import annotations
@@ -31,19 +31,13 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from repro.dbt.codegen import ENV_BASE, EXIT_LABEL, NEXT_PC_OFFSET
-from repro.host_x86.isa import (
-    CMOV_OPS,
-    JCC_OPS,
-    SETCC_OPS,
-    defined_flags,
-    used_flags,
-)
-from repro.host_x86.registers import is_low8, parent_of
+from repro.host_x86.isa import JCC_OPS, defined_flags, used_flags
+from repro.host_x86.registers import is_low8
 from repro.host_x86.semantics import execute
 from repro.ir.expr import mask
 from repro.isa.alu import ConcreteALU
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Imm, Label, Mem, Reg
+from repro.isa.operands import Imm, Label, Mem, Reg, SymImm
 
 _MASK = 0xFFFFFFFF
 
@@ -54,388 +48,116 @@ class FastExecError(Exception):
     """An instruction form the fast path cannot compile."""
 
 
-def _reader(op) -> Callable[[dict, dict, dict], int]:
-    """Closure producing a 32-bit source value."""
-    if isinstance(op, Imm):
-        value = op.value & _MASK
-        return lambda regs, flags, mem: value
-    if isinstance(op, Reg):
-        if is_low8(op.name):
-            parent = parent_of(op.name)
-            return lambda regs, flags, mem: regs.get(parent, 0) & 0xFF
-        name = op.name
-        return lambda regs, flags, mem: regs.get(name, 0)
-    if isinstance(op, Mem):
-        addr = _addr_fn(op)
-        return lambda regs, flags, mem: (
-            mem.get((a := addr(regs)), 0)
-            | mem.get(a + 1, 0) << 8
-            | mem.get(a + 2, 0) << 16
-            | mem.get(a + 3, 0) << 24
-        )
-    raise FastExecError(f"unreadable operand {op!r}")
-
-
-def _byte_reader(op) -> Callable[[dict, dict, dict], int]:
-    if isinstance(op, Imm):
-        value = op.value & 0xFF
-        return lambda regs, flags, mem: value
-    if isinstance(op, Reg):
-        parent = parent_of(op.name)
-        return lambda regs, flags, mem: regs.get(parent, 0) & 0xFF
-    if isinstance(op, Mem):
-        addr = _addr_fn(op)
-        return lambda regs, flags, mem: mem.get(addr(regs), 0)
-    raise FastExecError(f"unreadable byte operand {op!r}")
-
-
-def _addr_fn(mem_op: Mem) -> Callable[[dict], int]:
-    base = mem_op.base.name if mem_op.base else None
-    index = mem_op.index.name if mem_op.index else None
-    scale = mem_op.scale
-    disp = mem_op.disp & _MASK
-    if base and index:
-        return lambda regs: (
-            regs.get(base, 0) + regs.get(index, 0) * scale + disp
-        ) & _MASK
-    if base:
-        return lambda regs: (regs.get(base, 0) + disp) & _MASK
-    if index:
-        return lambda regs: (regs.get(index, 0) * scale + disp) & _MASK
-    return lambda regs: disp
-
-
-def _writer(op) -> Callable[[dict, dict, dict, int], None]:
-    """Closure storing a 32-bit value into a destination."""
-    if isinstance(op, Reg):
-        if is_low8(op.name):
-            parent = parent_of(op.name)
-
-            def write_low8(regs, flags, mem, value):
-                regs[parent] = (regs.get(parent, 0) & 0xFFFFFF00) | (
-                    value & 0xFF
-                )
-
-            return write_low8
-        name = op.name
-        def write_reg(regs, flags, mem, value):
-            regs[name] = value
-        return write_reg
-    if isinstance(op, Mem):
-        addr = _addr_fn(op)
-
-        def write_mem(regs, flags, mem, value):
-            a = addr(regs)
-            mem[a] = value & 0xFF
-            mem[a + 1] = (value >> 8) & 0xFF
-            mem[a + 2] = (value >> 16) & 0xFF
-            mem[a + 3] = (value >> 24) & 0xFF
-
-        return write_mem
-    raise FastExecError(f"unwritable operand {op!r}")
-
-
-def _byte_writer(op) -> Callable[[dict, dict, dict, int], None]:
-    if isinstance(op, Reg):
-        parent = parent_of(op.name)
-
-        def write_low8(regs, flags, mem, value):
-            regs[parent] = (regs.get(parent, 0) & 0xFFFFFF00) | (value & 0xFF)
-
-        return write_low8
-    if isinstance(op, Mem):
-        addr = _addr_fn(op)
-
-        def write_mem(regs, flags, mem, value):
-            mem[addr(regs)] = value & 0xFF
-
-        return write_mem
-    raise FastExecError(f"unwritable byte operand {op!r}")
-
-
-def _cond_fn(cc: str) -> Callable[[dict], bool]:
-    if cc == "o":
-        return lambda flags: flags.get("OF", 0) == 1
-    if cc == "no":
-        return lambda flags: flags.get("OF", 0) == 0
-    if cc == "e":
-        return lambda flags: flags.get("ZF", 0) == 1
-    if cc == "ne":
-        return lambda flags: flags.get("ZF", 0) == 0
-    if cc == "s":
-        return lambda flags: flags.get("SF", 0) == 1
-    if cc == "ns":
-        return lambda flags: flags.get("SF", 0) == 0
-    if cc == "b":
-        return lambda flags: flags.get("CF", 0) == 1
-    if cc == "ae":
-        return lambda flags: flags.get("CF", 0) == 0
-    if cc == "a":
-        return lambda flags: flags.get("CF", 0) == 0 and \
-            flags.get("ZF", 0) == 0
-    if cc == "be":
-        return lambda flags: flags.get("CF", 0) == 1 or \
-            flags.get("ZF", 0) == 1
-    if cc == "l":
-        return lambda flags: flags.get("SF", 0) != flags.get("OF", 0)
-    if cc == "ge":
-        return lambda flags: flags.get("SF", 0) == flags.get("OF", 0)
-    if cc == "g":
-        return lambda flags: flags.get("ZF", 0) == 0 and \
-            flags.get("SF", 0) == flags.get("OF", 0)
-    if cc == "le":
-        return lambda flags: flags.get("ZF", 0) == 1 or \
-            flags.get("SF", 0) != flags.get("OF", 0)
-    raise FastExecError(f"unknown condition {cc!r}")
-
-
 def compile_instruction(instr: Instruction) -> Step:
-    """Compile one host instruction into a step closure."""
+    """Compile one host instruction into a step.
+
+    The instruction is reduced to its *shape*: registers become
+    placeholders ``R0, R1, ...`` by first appearance (so the shape keeps
+    which operands name the same register), and immediates,
+    displacements and branch labels become parameters ``K0, K1, ...``.
+    Low-8 register names, shift counts and the registers the semantics
+    name implicitly stay in the shape.  Each shape's step factory is
+    generated from :func:`execute` once per process (:class:`_StepFuser`);
+    every instruction of that shape is then one factory call.
+    """
     name = instr.mnemonic
-    ops = instr.operands
-
-    if name == "movl":
-        read = _reader(ops[0])
-        write = _writer(ops[1])
-
-        def step_movl(regs, flags, mem):
-            write(regs, flags, mem, read(regs, flags, mem))
-        return step_movl
-
-    if name in ("addl", "subl", "imull", "andl", "orl", "xorl"):
-        read_src = _reader(ops[0])
-        read_dst = _reader(ops[1])
-        write = _writer(ops[1])
-        if name == "addl":
-            def step_addl(regs, flags, mem):
-                dst = read_dst(regs, flags, mem)
-                src = read_src(regs, flags, mem)
-                result = (dst + src) & _MASK
-                write(regs, flags, mem, result)
-                flags["SF"] = result >> 31
-                flags["ZF"] = 1 if result == 0 else 0
-                flags["CF"] = 1 if result < dst else 0
-                flags["OF"] = ((dst ^ result) & ~(dst ^ src)) >> 31 & 1
-            return step_addl
-        if name == "subl":
-            def step_subl(regs, flags, mem):
-                dst = read_dst(regs, flags, mem)
-                src = read_src(regs, flags, mem)
-                result = (dst - src) & _MASK
-                write(regs, flags, mem, result)
-                flags["SF"] = result >> 31
-                flags["ZF"] = 1 if result == 0 else 0
-                flags["CF"] = 1 if dst < src else 0
-                flags["OF"] = ((dst ^ src) & (dst ^ result)) >> 31 & 1
-            return step_subl
-        if name == "imull":
-            def step_imull(regs, flags, mem):
-                dst = read_dst(regs, flags, mem)
-                src = read_src(regs, flags, mem)
-                sd = dst - (1 << 32) if dst >> 31 else dst
-                ss = src - (1 << 32) if src >> 31 else src
-                product = sd * ss
-                write(regs, flags, mem, product & _MASK)
-                overflow = 0 if -(1 << 31) <= product < (1 << 31) else 1
-                flags["OF"] = overflow
-                flags["CF"] = overflow
-            return step_imull
-        pyop = {"andl": "&", "orl": "|", "xorl": "^"}[name]
-
-        def step_logic(regs, flags, mem, _op=pyop):
-            dst = read_dst(regs, flags, mem)
-            src = read_src(regs, flags, mem)
-            if _op == "&":
-                result = dst & src
-            elif _op == "|":
-                result = dst | src
-            else:
-                result = dst ^ src
-            write(regs, flags, mem, result)
-            flags["SF"] = result >> 31
-            flags["ZF"] = 1 if result == 0 else 0
-            flags["CF"] = 0
-            flags["OF"] = 0
-        return step_logic
-
-    if name in ("cmpl", "testl"):
-        read_src = _reader(ops[0])
-        read_dst = _reader(ops[1])
-        if name == "cmpl":
-            def step_cmpl(regs, flags, mem):
-                dst = read_dst(regs, flags, mem)
-                src = read_src(regs, flags, mem)
-                result = (dst - src) & _MASK
-                flags["SF"] = result >> 31
-                flags["ZF"] = 1 if result == 0 else 0
-                flags["CF"] = 1 if dst < src else 0
-                flags["OF"] = ((dst ^ src) & (dst ^ result)) >> 31 & 1
-            return step_cmpl
-
-        def step_testl(regs, flags, mem):
-            result = read_dst(regs, flags, mem) & read_src(regs, flags, mem)
-            flags["SF"] = result >> 31
-            flags["ZF"] = 1 if result == 0 else 0
-            flags["CF"] = 0
-            flags["OF"] = 0
-        return step_testl
-
-    if name == "leal":
-        addr = _addr_fn(ops[0])
-        write = _writer(ops[1])
-
-        def step_leal(regs, flags, mem):
-            write(regs, flags, mem, addr(regs))
-        return step_leal
-
-    if name in ("movzbl", "movsbl"):
-        read = _byte_reader(ops[0])
-        write = _writer(ops[1])
-        signed = name == "movsbl"
-
-        def step_movxbl(regs, flags, mem):
-            value = read(regs, flags, mem)
-            if signed and value & 0x80:
-                value |= 0xFFFFFF00
-            write(regs, flags, mem, value)
-        return step_movxbl
-
-    if name == "movb":
-        read = _byte_reader(ops[0])
-        write = _byte_writer(ops[1])
-
-        def step_movb(regs, flags, mem):
-            write(regs, flags, mem, read(regs, flags, mem))
-        return step_movb
-
-    if name in ("negl", "notl", "incl", "decl"):
-        read = _reader(ops[0])
-        write = _writer(ops[0])
-        if name == "negl":
-            def step_negl(regs, flags, mem):
-                value = read(regs, flags, mem)
-                result = (-value) & _MASK
-                write(regs, flags, mem, result)
-                flags["SF"] = result >> 31
-                flags["ZF"] = 1 if result == 0 else 0
-                flags["CF"] = 1 if 0 < value else 0
-                flags["OF"] = (value & result) >> 31 & 1
-            return step_negl
-        if name == "notl":
-            def step_notl(regs, flags, mem):
-                write(regs, flags, mem, ~read(regs, flags, mem) & _MASK)
-            return step_notl
-        delta = 1 if name == "incl" else -1
-
-        def step_incdec(regs, flags, mem, _d=delta):
-            value = read(regs, flags, mem)
-            result = (value + _d) & _MASK
-            write(regs, flags, mem, result)
-            flags["SF"] = result >> 31
-            flags["ZF"] = 1 if result == 0 else 0
-            if _d == 1:
-                flags["OF"] = 1 if value == 0x7FFFFFFF else 0
-            else:
-                flags["OF"] = 1 if value == 0x80000000 else 0
-        return step_incdec
-
-    if name in ("shll", "shrl", "sarl"):
-        return _compile_shift(name, ops)
-
-    if name in SETCC_OPS:
-        cond = _cond_fn(name[3:])
-        write = _byte_writer(ops[0])
-
-        def step_setcc(regs, flags, mem):
-            write(regs, flags, mem, 1 if cond(flags) else 0)
-        return step_setcc
-
-    if name in CMOV_OPS:
-        cond = _cond_fn(name[4:])
-        read = _reader(ops[0])
-        write = _writer(ops[1])
-
-        def step_cmov(regs, flags, mem):
-            if cond(flags):
-                write(regs, flags, mem, read(regs, flags, mem))
-        return step_cmov
-
-    if name in JCC_OPS and isinstance(ops[0], Label):
-        cond = _cond_fn(name[1:])
-        target = ops[0].name
-
-        def step_jcc(regs, flags, mem):
-            return target if cond(flags) else None
-        return step_jcc
-
-    if name == "jmp" and isinstance(ops[0], Label):
-        target = ops[0].name
-
-        def step_jmp(regs, flags, mem):
-            return target
-        return step_jmp
-
-    if name == "cltd":
-        def step_cltd(regs, flags, mem):
-            regs["edx"] = _MASK if regs.get("eax", 0) >> 31 else 0
-        return step_cltd
-
-    if name == "idivl":
-        read = _reader(ops[0])
-
-        def step_idivl(regs, flags, mem):
-            lo = regs.get("eax", 0)
-            hi = regs.get("edx", 0)
-            dividend = (hi << 32) | lo
-            if dividend >> 63:
-                dividend -= 1 << 64
-            divisor = read(regs, flags, mem)
-            if divisor >> 31:
-                divisor -= 1 << 32
-            if divisor == 0:
-                regs["eax"] = _MASK
-                regs["edx"] = lo
-                return None
-            quotient = abs(dividend) // abs(divisor)
-            if (dividend < 0) != (divisor < 0):
-                quotient = -quotient
-            remainder = dividend - quotient * divisor
-            regs["eax"] = quotient & _MASK
-            regs["edx"] = remainder & _MASK
-        return step_idivl
-
-    raise FastExecError(f"fast path cannot compile {instr}")
-
-
-def _compile_shift(name: str, ops) -> Step:
-    dest_read = _reader(ops[1])
-    dest_write = _writer(ops[1])
-    fixed = ops[0].value & 31 if isinstance(ops[0], Imm) else None
-
-    def step_shift(regs, flags, mem):
-        count = regs.get("ecx", 0) & 31 if fixed is None else fixed
-        if count == 0:
-            return None
-        value = dest_read(regs, flags, mem)
-        if name == "shll":
-            result = (value << count) & _MASK
-            last_out = (value >> (32 - count)) & 1
-        elif name == "shrl":
-            result = value >> count
-            last_out = (value >> (count - 1)) & 1
+    if name in _STACK_OPS:
+        raise FastExecError(f"fast path cannot compile {instr}")
+    implicit = _IMPLICIT.get(name, ())
+    regs: list[str] = []
+    params: list = []
+    key: list = [name]
+    for op in instr.operands:
+        kind = type(op)
+        if kind is Reg:
+            key.append(_slot(op, regs, implicit))
+        elif kind is Mem and op.disp_param is None:
+            key.append((_slot(op.base, regs, implicit),
+                        _slot(op.index, regs, implicit), op.scale))
+            params.append(op.disp & _MASK)
+        elif kind is Imm and name in _SHIFTS:
+            key.append(f"${op.value & 31}")
+        elif kind is Imm:
+            key.append("$")
+            params.append(op.value & _MASK)
+        elif kind is Label:
+            key.append("@")
+            params.append(op.name)
         else:
-            signed = value - (1 << 32) if value >> 31 else value
-            result = (signed >> count) & _MASK
-            last_out = (signed >> (count - 1)) & 1
-        dest_write(regs, flags, mem, result)
-        flags["SF"] = result >> 31
-        flags["ZF"] = 1 if result == 0 else 0
-        flags["CF"] = last_out
-    return step_shift
+            raise FastExecError(f"fast path cannot compile {instr}")
+    shape = tuple(key)
+    make = _SHAPES.get(shape)
+    if make is None:
+        make = _SHAPES[shape] = _step_factory(shape, len(regs))
+    return make(*regs, *params)
+
+
+def _slot(reg: Reg | None, regs: list[str], implicit: tuple):
+    """The shape token of a register operand: its name if it stays
+    concrete, else its placeholder's index in ``regs`` (added on first
+    appearance)."""
+    if reg is None:
+        return None
+    name = reg.name
+    if name in implicit or is_low8(name):
+        return name
+    if name not in regs:
+        regs.append(name)
+    return regs.index(name)
+
+
+#: Step factories by instruction shape, built on first use.  The shape
+#: holds a mnemonic and operand kinds, so the x86 subset bounds it.
+_SHAPES: dict[tuple, Callable[..., Step]] = {}
+
+_SHIFTS = ("shll", "shrl", "sarl")
+#: The stack forms, which the engine never emits.
+_STACK_OPS = ("pushl", "popl", "call", "ret")
+#: Registers the semantics name besides the operands: a placeholder
+#: never stands for one of them.
+_IMPLICIT = {"idivl": ("eax", "edx"), "shll": ("ecx",), "shrl": ("ecx",),
+             "sarl": ("ecx",)}
+
+
+def _step_factory(shape: tuple, placeholders: int) -> Callable[..., Step]:
+    """Generate and compile the step factory of ``shape``, whose
+    registers include ``placeholders`` placeholders (see
+    :func:`compile_instruction`)."""
+    regs = [f"R{k}" for k in range(placeholders)]
+    params: list[str] = []
+
+    def reg(token) -> Reg | None:
+        if token is None:
+            return None
+        return Reg(token if type(token) is str else regs[token])
+
+    def param() -> str:
+        params.append(f"K{len(params)}")
+        return params[-1]
+
+    operands = []
+    for token in shape[1:]:
+        if type(token) is tuple:
+            base, index, scale = token
+            operands.append(Mem(reg(base), reg(index), scale,
+                                disp_param=("slot", param())))
+        elif token == "$":
+            operands.append(SymImm(("slot", param())))
+        elif token == "@":
+            operands.append(Label(param()))
+        elif type(token) is str and token[0] == "$":
+            operands.append(Imm(int(token[1:])))
+        else:
+            operands.append(reg(token))
+    fuser = _StepFuser(regs + params)
+    fuser.step(Instruction(shape[0], tuple(operands)))
+    namespace = fuser.namespace
+    exec(compile("\n".join(fuser.lines), "<step>", "exec"), namespace)
+    return namespace["make"]
 
 
 def compile_block(instrs: list[Instruction]) -> list[Step]:
-    """Compile a translated block's host code into step closures."""
+    """Compile a translated block's host code into steps."""
     return [compile_instruction(instr) for instr in instrs]
 
 
@@ -740,6 +462,10 @@ class SourceState:
 
     def get_flag(self, name: str) -> _Value:
         return _Value(self.fuser.flag, (name,))
+
+    def imm_value(self, expr: tuple) -> _Value:
+        """A parameter slot ``("slot", name)``: read by its name."""
+        return _Value(expr[1], ())
 
     def load(self, addr, size: int) -> _Value:
         if type(addr) is int and size == 4:
@@ -1107,6 +833,54 @@ class _RegionFuser(_Fuser):
         self.emit(f"b = {member}", depth)
         if depth or index != self.last or member <= self.k:
             self.emit("continue", depth)
+
+
+class _StepFuser(_Fuser):
+    """Emits the step factory of one instruction shape: ``make(R0, ...,
+    K0, ...)`` returns a step that reads ``regs``, ``flags`` and ``mem``
+    where the instruction reads them, writes every result straight back
+    to them, and returns the label name it branches to or ``None``."""
+
+    def __init__(self, params: list[str]) -> None:
+        super().__init__()
+        self.params = frozenset(params)
+        self.lines = [f"def make({', '.join(params)}):",
+                      "    def step(regs, flags, mem):"]
+        self.indent = 2
+
+    def step(self, instr: Instruction) -> None:
+        self.instruction(0, instr, frozenset(_FLAGS))
+        if len(self.lines) == 2:
+            self.emit("pass")  # a shift by 0 does nothing
+        self.indent = 1
+        self.emit("return step")
+
+    def _key(self, name: str) -> str:
+        return name if name in self.params else repr(name)
+
+    def reg(self, name: str) -> str:
+        if any(local[0] == "r" for local in self.state.assigned):
+            # A placeholder may stand for the register already set.
+            raise FastExecError(f"{name} is read after a register is set")
+        return f"regs.get({self._key(name)}, 0)"
+
+    def flag(self, name: str) -> str:
+        if f"f_{name}" in self.state.assigned:
+            raise FastExecError(f"{name} is read after it is set")
+        return f"flags.get({name!r}, 0)"
+
+    def _set(self, local: str, expr: str) -> None:
+        table = "regs" if local[0] == "r" else "flags"
+        self.emit(f"{table}[{self._key(local[2:])}] = {expr}")
+        self.state.assigned.add(local)
+
+    def target(self, label) -> str:
+        if not isinstance(label, Label):
+            raise FastExecError(f"cannot compile a branch to {label!r}")
+        return label.name
+
+    def leave(self, target: str, index: int, depth: int = 0) -> None:
+        self.emit(f"return {target}", depth)
 
 
 def _store_words(mem: dict, addrs: tuple[int, ...], *values: int) -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 import time
 
@@ -56,9 +55,9 @@ def main(argv: list[str] | None = None) -> int:
         help="which table/figure to regenerate",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=int, default=1, metavar="N",
         help="worker processes for rule learning "
-             "(default: all CPUs; 1 = sequential)",
+             "(default: 1 = sequential)",
     )
     parser.add_argument(
         "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
@@ -102,8 +101,7 @@ def main(argv: list[str] | None = None) -> int:
 
     set_metrics(None)  # a fresh registry per invocation
     context = shared_context()
-    context.jobs = args.jobs if args.jobs is not None else \
-        (os.cpu_count() or 1)
+    context.jobs = args.jobs
     if not args.no_cache:
         context.cache = VerificationCache.at_dir(args.cache_dir)
     if args.guard:

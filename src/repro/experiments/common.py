@@ -19,7 +19,6 @@ from repro.learning.cache import VerificationCache
 from repro.learning.parallel import learn_corpus_parallel
 from repro.learning.pipeline import (
     LearningOutcome,
-    learn_corpus,
     learn_rules,
     leave_one_out,
 )
@@ -109,9 +108,8 @@ class ExperimentContext:
                 name: self.build_pair(name, opt_level, style)
                 for name in missing
             }
-            learner = learn_corpus_parallel if self.jobs > 1 else learn_corpus
-            kwargs = {"jobs": self.jobs} if self.jobs > 1 else {}
-            outcomes = learner(builds, cache=self.cache, **kwargs)
+            outcomes = learn_corpus_parallel(builds, jobs=self.jobs,
+                                             cache=self.cache)
             for name, outcome in outcomes.items():
                 self._learning[(name, opt_level, style)] = outcome
         return {

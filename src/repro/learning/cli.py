@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 
 from repro.faults.deadline import DeadlineBudget
@@ -70,9 +69,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reformat", action="store_true",
                         help="reformat to one statement per line before "
                              "compiling (the paper's clang-format step)")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for candidate verification "
-                             "(default: all CPUs; 1 = sequential)")
+                             "(default: 1 = sequential)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help="persistent verification-cache directory "
@@ -143,10 +142,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"replayed ({journal.skipped} torn line(s) skipped)",
                 file=sys.stderr,
             )
-        jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-        if jobs > 1:
+        if args.jobs > 1:
             outcomes = learn_corpus_parallel(
-                {args.source: (guest, host)}, jobs=jobs, cache=cache,
+                {args.source: (guest, host)}, jobs=args.jobs, cache=cache,
                 budget=budget, journal=journal,
                 profile_hz=args.profile_hz if args.profile else 0,
             )

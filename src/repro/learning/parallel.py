@@ -46,7 +46,6 @@ Counters: ``learning.pool.retries`` / ``.bisections`` / ``.restarts`` /
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from concurrent.futures import (
@@ -331,7 +330,7 @@ class _PoolScheduler:
 
 def learn_corpus_parallel(
     builds: dict[str, tuple[CompiledProgram, CompiledProgram]],
-    jobs: int | None = None,
+    jobs: int = 1,
     cache: VerificationCache | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     budget: DeadlineBudget | None = None,
@@ -342,13 +341,11 @@ def learn_corpus_parallel(
 ) -> dict[str, LearningOutcome]:
     """Parallel drop-in for :func:`~repro.learning.pipeline.learn_corpus`.
 
-    ``jobs`` defaults to ``os.cpu_count()``; ``jobs <= 1`` falls back to
-    the sequential path (same results, no pool overhead).  ``budget``
-    bounds each candidate's verification cost (hangs become ``TO``
-    outcomes); ``journal`` checkpoints verdicts for crash-safe resume.
+    ``jobs <= 1`` (the default) takes the sequential path (same
+    results, no pool overhead).  ``budget`` bounds each candidate's
+    verification cost (hangs become ``TO`` outcomes); ``journal``
+    checkpoints verdicts for crash-safe resume.
     """
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if jobs <= 1 or not builds:
         return learn_corpus(builds, cache=cache, budget=budget,
                             journal=journal)

@@ -1,5 +1,5 @@
-"""Differential tests: closure-compiled, fused-block and fused-region
-fast paths vs. the oracle semantics."""
+"""Differential tests: per-instruction steps, fused-block and
+fused-region fast paths vs. the oracle semantics."""
 
 import random
 
@@ -18,6 +18,7 @@ from repro.dbt.fastexec import (
     FastExecError,
     SourceALU,
     _Fuser,
+    compile_block,
     compile_instruction,
     fuse_block,
     fuse_region,
@@ -34,6 +35,7 @@ ALU = ConcreteALU()
 # One representative of every instruction form the DBT backend emits.
 INSTRUCTIONS = [
     "movl $42, %eax",
+    "movl $-1, %eax",
     "movl %ecx, %eax",
     "movl 0x1000(%esi), %eax",
     "movl %eax, 0x1000(%esi)",
@@ -49,6 +51,7 @@ INSTRUCTIONS = [
     "xorl %ecx, %eax",
     "cmpl %ecx, %eax",
     "cmpl $0, %eax",
+    "cmpl $-7, %eax",
     "testl %eax, %eax",
     "leal -0x4(%ecx,%eax,4), %edx",
     "movzbl %al, %edx",
@@ -73,6 +76,18 @@ INSTRUCTIONS = [
     "cmovge %ecx, %eax",
     "cltd",
     "idivl %ebx",
+    # Operands that name the same register (the shape keeps the
+    # pattern), and operands that are the registers idivl and shifts by
+    # %cl name implicitly.
+    "xorl %eax, %eax",
+    "imull %eax, %eax",
+    "movl (%eax), %eax",
+    "leal (%eax,%eax,2), %eax",
+    "movb %al, (%eax)",
+    "idivl %eax",
+    "idivl %edx",
+    "shll %cl, %ecx",
+    "cmovne %eax, %eax",
 ]
 
 
@@ -138,6 +153,37 @@ def test_branches_return_targets():
 def test_uncompilable_raises():
     with pytest.raises(FastExecError):
         compile_instruction(parse("pushl %eax"))  # engine never emits it
+
+
+def test_steps_share_one_factory_per_shape():
+    # Instructions differing only in registers, immediates,
+    # displacements or labels run one compiled function...
+    same = [
+        ("addl %ecx, %eax", "addl %esi, %ebx"),
+        ("cmpl $0, %eax", "cmpl $-7, %edi"),
+        ("movl 0x1000(%esi), %eax", "movl -0x4(%ebp), %edx"),
+        ("movl (%esi,%edi,4), %eax", "movl 0x8(%ebx,%ecx,4), %esi"),
+        ("movl 0x7f000000(), %edx", "movl 0x7f000010(), %eax"),
+        ("movb %cl, 0x1000(%esi)", "movb %cl, 0x8(%edi)"),
+        ("jne TB@0x10", "jne .L1"),
+        ("idivl %ebx", "idivl %esi"),
+    ]
+    for first, second in same:
+        assert compile_instruction(parse(first)).__code__ is \
+            compile_instruction(parse(second)).__code__, (first, second)
+    # ...but not across a register-equality pattern, a low-8 name, a
+    # shift count, a scale, or a register the semantics name implicitly.
+    different = [
+        ("xorl %ecx, %eax", "xorl %eax, %eax"),
+        ("sete %al", "sete %cl"),
+        ("shll $3, %eax", "shll $2, %eax"),
+        ("movl (%esi,%edi,4), %eax", "movl (%esi,%edi,2), %eax"),
+        ("idivl %ebx", "idivl %eax"),
+        ("shll %cl, %eax", "shll %cl, %ecx"),
+    ]
+    for first, second in different:
+        assert compile_instruction(parse(first)).__code__ is not \
+            compile_instruction(parse(second)).__code__, (first, second)
 
 
 # -- the source ALU ---------------------------------------------------------
@@ -482,6 +528,37 @@ def test_fused_translated_blocks_match_semantics(translated_blocks):
             label = "; ".join(str(instr) for instr in instrs)
             assert fused.run(fast.regs, fast.flags, fast.memory) == \
                 expected, label
+            assert (fast.regs, fast.flags, fast.memory) == \
+                (slow.regs, slow.flags, slow.memory), label
+
+
+def run_steps(steps, state):
+    """Run a block's steps as the dispatch loop does: ``(next pc, exit
+    index)``, or ``(None, len - 1)`` when control falls off the end."""
+    for index, step in enumerate(steps):
+        target = step(state.regs, state.flags, state.memory)
+        if target == EXIT_LABEL:
+            return state.load(NEXT_PC, 4), index
+        if target is not None:
+            return int(target[3:], 16), index
+    return None, len(steps) - 1
+
+
+def test_steps_translated_blocks_match_semantics(translated_blocks):
+    rng = random.Random(1)
+    for instrs in translated_blocks:
+        steps = compile_block(instrs)
+        for _ in range(3):
+            slow = random_state(rng)
+            slow.store(NEXT_PC, rng.getrandbits(32), 4)
+            for instr in instrs:
+                for op in instr.operands:
+                    if isinstance(op, Mem) and not (op.base or op.index):
+                        slow.store(op.disp, rng.choice(WORDS), 4)
+            fast = clone(slow)
+            expected = oracle_block(instrs, slow)
+            label = "; ".join(str(instr) for instr in instrs)
+            assert run_steps(steps, fast) == expected, label
             assert (fast.regs, fast.flags, fast.memory) == \
                 (slow.regs, slow.flags, slow.memory), label
 
