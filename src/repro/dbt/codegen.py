@@ -18,6 +18,7 @@ an env scratch area).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.host_x86 import isa as x86_isa
 from repro.isa.instruction import Instruction
@@ -29,7 +30,7 @@ from repro.minic.backend.mach import (
     rewrite_registers,
 )
 from repro.minic.backend.regalloc import allocate
-from repro.dbt.tcg import TcgBlock, TcgCond, TcgOp
+from repro.dbt.tcg import TcgCond, TcgOp
 
 # CPU env layout (absolute addresses in the shared flat memory).
 ENV_BASE = 0x7F00_0000
@@ -419,7 +420,9 @@ def finalize_block(assembler: BlockAssembler, guest_start: int
 
 @dataclass
 class TranslatedBlock:
-    """Final host code of one translation block."""
+    """One translation block: its final host code, the forms the engine
+    compiled it into, and its counters.  Retiring the block drops them
+    all."""
 
     guest_start: int
     host_instrs: list[Instruction]
@@ -427,5 +430,10 @@ class TranslatedBlock:
     rule_covered: list[bool] = field(default_factory=list)
     hit_profiles: list = field(default_factory=list)  # ruletrans.HitProfile
     translation_cost: float = 0.0
+    #: ``exit_cycles[i]``: the cycle cost of a pass that leaves at host
+    #: instruction ``i``, summed in instruction order.
+    exit_cycles: list[float] = field(default_factory=list)
+    steps: list | None = None  # fastexec steps (fast engines)
+    fused: Callable | None = None  # fastexec.fuse_block's function, once hot
     exec_count: int = 0
     exec_cycles: float = 0.0  # host cycles attributed to this block (per run)

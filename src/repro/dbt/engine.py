@@ -34,15 +34,16 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from repro.guest_arm.isa import split_mnemonic
 from repro.host_x86 import execute as execute_x86
 from repro.isa.alu import ConcreteALU
 from repro.isa.operands import Label
+from repro.learning.rule import has_window
 from repro.learning.serialize import rule_digest
 from repro.learning.store import RuleStore
 from repro.minic.compile import (
-    CODE_BASE,
     HALT_ADDRESS,
     STACK_TOP,
     CompiledProgram,
@@ -53,18 +54,11 @@ from repro.dbt import codegen, perf
 from repro.dbt.codegen import (
     ENV_BASE,
     EXIT_LABEL,
-    FLAG_OFFSET,
     NEXT_PC_OFFSET,
     REG_OFFSET,
     TranslatedBlock,
 )
-from repro.dbt.fastexec import (
-    FastExecError,
-    FusedBlock,
-    Region,
-    fuse_block,
-    fuse_region,
-)
+from repro.dbt.fastexec import FastExecError, Region, fuse_block, fuse_region
 from repro.dbt.frontend import discover_block, translate_block
 from repro.dbt.guard import GuardPolicy, GuardStats, copy_state, states_agree
 from repro.dbt.llvmjit import optimize_tcg
@@ -274,12 +268,8 @@ class DBTEngine:
         #: Rules the guard caught diverging from the TCG reference.
         self.quarantined_rules: set = set()
         self.engine_id = next(_ENGINE_IDS)
+        #: Every live block; its compiled forms live on it.
         self._cache: dict[int, TranslatedBlock] = {}
-        self._cycles_cache: dict[int, list[float]] = {}
-        self._steps_cache: dict[int, list] = {}
-        #: Hot blocks fused into one function; an entry lives and dies
-        #: with the block's ``_steps_cache`` entry.
-        self._fused_cache: dict[int, FusedBlock] = {}
         #: Fused regions, and each member's ``(run, index)`` entry (None
         #: where a hot block seeded no region); see :meth:`_form_region`.
         self._regions: list[Region] = []
@@ -397,15 +387,15 @@ class DBTEngine:
                     view.rule_miss_reasons[reason] = (
                         view.rule_miss_reasons.get(reason, 0) + count
                     )
-        self._cache[guest_addr] = tb
-        self._cycles_cache[guest_addr] = [
-            instruction_cycles(instr) for instr in tb.host_instrs
-        ]
+        cycle_sum = 0.0
+        for instr in tb.host_instrs:
+            cycle_sum += instruction_cycles(instr)
+            tb.exit_cycles.append(cycle_sum)
         if self.fast:
             from repro.dbt.fastexec import compile_block
 
-            self._steps_cache[guest_addr] = compile_block(tb.host_instrs)
-            self._fused_cache.pop(guest_addr, None)
+            tb.steps = compile_block(tb.host_instrs)
+        self._cache[guest_addr] = tb
         covered = sum(tb.rule_covered)
         for view in self._translation_views():
             view.translated_blocks += 1
@@ -507,9 +497,7 @@ class DBTEngine:
             tb.exec_count += 1
             active.perf.dispatches += 1
             index, next_pc = self._exec_block_raw(tb.host_instrs, state)
-            cycle_sum = 0.0
-            for cost in self._cycles_cache[pc][:index + 1]:
-                cycle_sum += cost
+            cycle_sum = tb.exit_cycles[index]
             active.dynamic_host_instructions += index + 1
             active.perf.exec_cycles += cycle_sum
             tb.exec_cycles += cycle_sum
@@ -523,8 +511,7 @@ class DBTEngine:
         exactly.  Regions run only while no ``tick`` hook and no guard
         must see each dispatch."""
         active = self._active
-        cache, fused_cache = self._cache, self._fused_cache
-        steps_cache, cycles_cache = self._steps_cache, self._cycles_cache
+        cache = self._cache
         guard = self.guard
         regions = self._region_entries if guard is None else {}
         region_threshold = HOT_REGION_THRESHOLD
@@ -560,7 +547,7 @@ class DBTEngine:
                     tb = self._guard_check(tb, state)
                 tb.exec_count += 1
                 dispatches += 1
-                fused = fused_cache.get(pc)
+                fused = tb.fused
                 if fused is None and tb.exec_count == HOT_BLOCK_THRESHOLD:
                     fused = self._fuse(tb)
                 if fused is not None:
@@ -568,21 +555,17 @@ class DBTEngine:
                             tick is None and guard is None and \
                             pc not in regions:
                         self._form_region(tb, state)
-                    run, exit_cycles = fused
-                    next_pc, exit_index = run(regs, flags, mem)
+                    next_pc, exit_index = fused(regs, flags, mem)
                     if next_pc is None:
                         raise DBTError(
                             f"translated block {pc:#x} fell off its end")
                     host_instrs += exit_index + 1
-                    cycle_sum = exit_cycles[exit_index]
+                    cycle_sum = tb.exit_cycles[exit_index]
                     exec_cycles += cycle_sum
                     tb.exec_cycles += cycle_sum
                     pc = next_pc
                     continue
-                cycles = cycles_cache[pc]
-                cycle_sum = 0.0
-                for index, step in enumerate(steps_cache[pc]):
-                    cycle_sum += cycles[index]
+                for index, step in enumerate(tb.steps):
                     target = step(regs, flags, mem)
                     if target is not None:
                         break
@@ -590,6 +573,7 @@ class DBTEngine:
                     raise DBTError(
                         f"translated block {pc:#x} fell off its end")
                 host_instrs += index + 1
+                cycle_sum = tb.exit_cycles[index]
                 exec_cycles += cycle_sum
                 tb.exec_cycles += cycle_sum
                 pc = self._exit_pc(target, state)
@@ -608,16 +592,14 @@ class DBTEngine:
             return int(name[3:], 16)
         raise DBTError(f"unexpected host branch target {target!r}")
 
-    def _fuse(self, tb: TranslatedBlock) -> FusedBlock | None:
-        """Promote a hot block to the fused tier (None if it cannot be
-        fused; it then stays on its steps)."""
-        addr = tb.guest_start
+    def _fuse(self, tb: TranslatedBlock) -> Callable | None:
+        """Promote a hot block to the fused tier: its fused function, or
+        None if it cannot be fused (it then stays on its steps)."""
         try:
-            fused = fuse_block(tb.host_instrs, self._cycles_cache[addr])
+            tb.fused = fuse_block(tb.host_instrs)
         except FastExecError:
-            return None
-        self._fused_cache[addr] = fused
-        return fused
+            pass
+        return tb.fused
 
     def _form_region(self, tb: TranslatedBlock,
                      state: ConcreteState) -> None:
@@ -635,7 +617,7 @@ class DBTEngine:
                     continue
                 seen.add(target)
                 succ = self._cache.get(target)
-                if succ is not None and target in self._fused_cache and \
+                if succ is not None and succ.fused is not None and \
                         succ.host_instrs[-1].mnemonic == "jmp" and \
                         len(succ.host_instrs) <= room:
                     members.append(succ)
@@ -646,12 +628,8 @@ class DBTEngine:
             self._region_entries[tb.guest_start] = None
             return
         try:
-            region = fuse_region(
-                members,
-                [self._cycles_cache[member.guest_start]
-                 for member in members],
-                (state.regs, state.flags, state.memory),
-            )
+            region = fuse_region(members,
+                                 (state.regs, state.flags, state.memory))
         except FastExecError:
             self._region_entries[tb.guest_start] = None
             return
@@ -752,16 +730,14 @@ class DBTEngine:
         return host_instrs
 
     def _retire_blocks(self, doomed: list[int]) -> int:
-        """Drop cached blocks by guest address (shared by the guard's
-        quarantine path and hot-install).
+        """Drop cached blocks, and with them their compiled forms, by
+        guest address (shared by the guard's quarantine path and
+        hot-install).
 
         Blocks that already executed this run are retired, not
         forgotten: their dynamic counters still belong to the run."""
         for addr in doomed:
             tb = self._cache.pop(addr)
-            self._cycles_cache.pop(addr, None)
-            self._steps_cache.pop(addr, None)
-            self._fused_cache.pop(addr, None)
             if tb.exec_count:
                 self._retired_blocks.append(tb)
         self._drop_regions(set(doomed))
@@ -854,14 +830,7 @@ class DBTEngine:
             self.program, self.program.index_of_addr(guest_addr)
         )
         mnemonics = tuple(instr.mnemonic for instr in block)
-        for window in windows:
-            span = len(window)
-            if span > len(mnemonics):
-                continue
-            for start in range(len(mnemonics) - span + 1):
-                if mnemonics[start : start + span] == window:
-                    return True
-        return False
+        return any(has_window(mnemonics, window) for window in windows)
 
     def _finalize_run(self) -> None:
         """Derive the run's guest-side dynamic counters, publish it as

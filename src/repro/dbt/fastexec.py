@@ -24,6 +24,11 @@ The hottest fused blocks and their successors are then fused again,
 into one *region* (:func:`fuse_region`) that keeps those locals across
 the edges between its blocks and writes them back only when control
 leaves it.
+
+This module only compiles.  The engine keeps a block's steps and fused
+function on its :class:`~repro.dbt.codegen.TranslatedBlock`, so retiring
+the block drops them, and every tier, regions included, charges a pass
+the block's ``exit_cycles[exit index]``.
 """
 
 from __future__ import annotations
@@ -166,20 +171,6 @@ def compile_block(instrs: list[Instruction]) -> list[Step]:
 _FLAGS = ("OF", "SF", "ZF", "CF")
 
 
-class FusedBlock(NamedTuple):
-    """One hot block compiled into a single function.
-
-    ``run(regs, flags, mem)`` executes the block and returns ``(next
-    guest pc, exit index)``, or ``(None, len - 1)`` if control falls
-    off the end.  ``exit_cycles[i]`` is the cycle cost of a pass that
-    leaves at instruction ``i``, summed in instruction order exactly as
-    the per-instruction loop sums it.
-    """
-
-    run: Callable[[dict, dict, dict], tuple[int | None, int]]
-    exit_cycles: list[float]
-
-
 class Region(NamedTuple):
     """Hot blocks compiled into one function.
 
@@ -198,18 +189,12 @@ class Region(NamedTuple):
     members: tuple[int, ...]
 
 
-def _exit_cycles(cycles: list[float]) -> list[float]:
-    """Prefix sums of ``cycles``, added in instruction order."""
-    exit_cycles = []
-    cycle_sum = 0.0
-    for cost in cycles:
-        cycle_sum += cost
-        exit_cycles.append(cycle_sum)
-    return exit_cycles
-
-
-def fuse_block(instrs: list[Instruction], cycles: list[float]) -> FusedBlock:
-    """Fuse a block's host code into one generated function.
+def fuse_block(instrs: list[Instruction]
+               ) -> Callable[[dict, dict, dict], tuple[int | None, int]]:
+    """Fuse a block's host code into one generated function
+    ``fused(regs, flags, mem)``, which runs the block and returns
+    ``(next guest pc, exit index)``, or ``(None, len - 1)`` if control
+    falls off the end.
 
     Raises :class:`FastExecError` for a branch to anything but the exit
     stub or another translated block.
@@ -218,18 +203,16 @@ def fuse_block(instrs: list[Instruction], cycles: list[float]) -> FusedBlock:
     fuser.block(instrs)
     namespace = fuser.namespace
     exec(compile("\n".join(fuser.lines), "<fused block>", "exec"), namespace)
-    return FusedBlock(namespace["fused"], _exit_cycles(cycles))
+    return namespace["fused"]
 
 
-def fuse_region(blocks: list, cycles: list[list[float]],
-                state: tuple[dict, dict, dict]) -> Region:
+def fuse_region(blocks: list, state: tuple[dict, dict, dict]) -> Region:
     """Fuse hot blocks into one :class:`Region` function.
 
-    ``blocks`` are translated blocks (``guest_start``, ``host_instrs``
-    and the ``exec_count``/``exec_cycles`` counters the region updates),
-    each ending in a ``jmp``; ``cycles[k]`` are block ``k``'s
-    per-instruction cycle costs.  An exit to a member, through ``TB@``
-    or through ``NEXT_PC``, stays inside the function.
+    ``blocks`` are translated blocks (``guest_start``, ``host_instrs``,
+    ``exit_cycles`` and the ``exec_count``/``exec_cycles`` counters the
+    region updates), each ending in a ``jmp``.  An exit to a member,
+    through ``TB@`` or through ``NEXT_PC``, stays inside the function.
 
     Every register, flag and static word the members touch whose keys
     ``state`` (``regs, flags, memory``) holds is *carried*: preloaded
@@ -241,10 +224,10 @@ def fuse_region(blocks: list, cycles: list[list[float]],
         if not tb.host_instrs or tb.host_instrs[-1].mnemonic != "jmp":
             raise FastExecError(
                 f"region member {tb.guest_start:#x} does not end in a jmp")
-    probe = _RegionFuser(blocks, cycles, frozenset(), frozenset())
+    probe = _RegionFuser(blocks, frozenset(), frozenset())
     probe.region()
     carried = _carriable(probe.touched, state)
-    fuser = _RegionFuser(blocks, cycles, carried,
+    fuser = _RegionFuser(blocks, carried,
                          carried.intersection(probe.written))
     fuser.region()
     namespace = fuser.namespace
@@ -340,15 +323,23 @@ class SourceALU:
     constants fold through ``ConcreteALU``, so a static address stays a
     digit literal, and every rendered operation evaluates to what
     ``ConcreteALU`` computes from the same operands, which keep its
-    discipline: words are 32-bit and conditions 1-bit."""
+    discipline: words are 32-bit and conditions 1-bit.  So identities
+    fold too: ``x + 0``, ``x - 0``, ``x ^ 0`` and ``x | 0`` are ``x``;
+    ``x & 0``, ``ult(x, 0)`` and ``x ^ x`` are 0."""
 
     def const(self, width: int, value: int) -> int:
         return value & (1 << width) - 1
 
     def add(self, a, b):
+        if b == 0:
+            return a
+        if a == 0:
+            return b
         return _op("add", "{} + {}", a, b, ring=True)
 
     def sub(self, a, b):
+        if b == 0:
+            return a
         return _op("sub", "{} - {}", a, b, ring=True)
 
     def mul(self, a, b):
@@ -361,12 +352,24 @@ class SourceALU:
         return _op("not_", "~{}", a, ring=True)
 
     def and_(self, a, b):
+        if a == 0 or b == 0:
+            return 0
         return _op("and_", "{} & {}", a, b)
 
     def or_(self, a, b):
+        if b == 0:
+            return a
+        if a == 0:
+            return b
         return _op("or_", "{} | {}", a, b)
 
     def xor(self, a, b):
+        if a is b:
+            return 0
+        if b == 0:
+            return a
+        if a == 0:
+            return b
         return _op("xor", "{} ^ {}", a, b)
 
     bool_and, bool_or = and_, or_
@@ -390,6 +393,8 @@ class SourceALU:
         return _op("eq", "1 if {} == {} else 0", a, b)
 
     def ult(self, a, b):
+        if b == 0:
+            return 0
         return _op("ult", "1 if {} < {} else 0", a, b)
 
     def ite(self, cond, then, other):
@@ -746,11 +751,10 @@ class _RegionFuser(_Fuser):
     leaving the region then writes back ``stored``.
     """
 
-    def __init__(self, blocks: list, cycles: list[list[float]],
-                 carried: frozenset, stored: frozenset) -> None:
+    def __init__(self, blocks: list, carried: frozenset,
+                 stored: frozenset) -> None:
         super().__init__()
         self.blocks = blocks
-        self.block_exit_cycles = [_exit_cycles(costs) for costs in cycles]
         self.members = {tb.guest_start: k for k, tb in enumerate(blocks)}
         self.carried = carried
         self.stored = sorted(stored)
@@ -790,7 +794,7 @@ class _RegionFuser(_Fuser):
             self.emit("d += 1")
             self.k = k
             self.temps = 0
-            self.exit_cycles = self.block_exit_cycles[k]
+            self.exit_cycles = tb.exit_cycles
             self.valid = set(self.carried)
             self.dirty = {local: _writeback(local) for local in self.stored}
             self.block(tb.host_instrs)

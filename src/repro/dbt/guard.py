@@ -33,7 +33,7 @@ The comparison deliberately ignores two things:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dbt.codegen import (
     ENV_BASE,

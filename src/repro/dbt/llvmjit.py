@@ -14,7 +14,7 @@ it has no cross-block scope, which caps its steady-state advantage.
 
 from __future__ import annotations
 
-from repro.dbt.tcg import TcgBlock, TcgOp
+from repro.dbt.tcg import TcgOp
 
 
 def optimize_tcg(ops: list[TcgOp]) -> list[TcgOp]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import cache
 
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Imm, Label, Mem, Reg, ShiftedReg
+from repro.isa.operands import Mem, Reg, ShiftedReg
 
 # Base opcode groups (operand shapes).
 DATA3 = ("add", "sub", "rsb", "and", "orr", "eor", "bic")  # rd, rn, op2

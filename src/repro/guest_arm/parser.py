@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from repro.guest_arm.isa import split_mnemonic
-from repro.guest_arm.registers import ALL_REGISTERS, canonical_register
+from repro.guest_arm.registers import canonical_register
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg, ShiftedReg
 

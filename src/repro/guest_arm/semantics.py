@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.guest_arm.isa import split_mnemonic
 from repro.guest_arm.registers import register_number
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Imm, Label, Mem, Reg, ShiftedReg, SymImm
+from repro.isa.operands import Imm, Mem, Reg, ShiftedReg, SymImm
 from repro.isa.state import BranchKind, BranchOutcome, StepOutcome
 
 _WORD = 4

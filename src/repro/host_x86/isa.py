@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from repro.host_x86.registers import parent_of
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Imm, Label, Mem, Reg
+from repro.isa.operands import Label, Mem, Reg
 
 CONDITIONS = ("e", "ne", "s", "ns", "l", "ge", "g", "le", "b", "ae", "a",
               "be", "o", "no")

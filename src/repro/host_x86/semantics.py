@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from repro.host_x86.isa import (
     CMOV_OPS,
-    CONDITIONS,
-    JCC_OPS,
     SETCC_OPS,
     branch_condition,
 )

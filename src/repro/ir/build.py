@@ -23,7 +23,6 @@ from repro.ir.expr import (
     Unary,
     mask,
     to_signed,
-    to_unsigned,
 )
 
 TRUE = Const(1, 1)

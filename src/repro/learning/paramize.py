@@ -22,7 +22,7 @@ import enum
 import itertools
 from dataclasses import dataclass, field
 
-from repro.isa.operands import Imm, Mem, Reg, ShiftedReg
+from repro.isa.operands import Imm
 from repro.learning.direction import ARM_TO_X86, Direction
 from repro.learning.addrnorm import (
     AccessInfo,

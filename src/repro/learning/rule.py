@@ -280,6 +280,20 @@ def instantiate_host(rule: Rule, binding: Binding,
     return result
 
 
+def has_window(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
+    """Does the mnemonic sequence ``needle`` occur contiguously inside
+    ``haystack``?  Rule matching binds operands but never mnemonics, so
+    this is the necessary condition for a rule with guest mnemonics
+    ``needle`` to match inside ``haystack``."""
+    span = len(needle)
+    if not span or span > len(haystack):
+        return False
+    return any(
+        haystack[start : start + span] == needle
+        for start in range(len(haystack) - span + 1)
+    )
+
+
 def dedup_rules(rules: list[Rule]) -> list[Rule]:
     """Among rules with identical guest sequences keep the one with the
     fewest host instructions (Section 6.1)."""

@@ -23,7 +23,6 @@ from dataclasses import dataclass, replace
 from repro.host_x86.registers import is_low8, parent_of
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg, ShiftedReg, SymImm
-from repro.learning.extract import SnippetPair
 from repro.learning.paramize import InitialMapping, ParamContext
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.expr import to_signed, to_unsigned
+from repro.ir.expr import to_signed
 from repro.minic.tac import Instr, TacFunction, TacProgram, TAddr
 
 _GLOBAL_BASE = 0x1000
@@ -56,7 +56,9 @@ def run_tac(program: TacProgram, entry: str = "main",
     return _call(program, machine, func, tuple(arg & _MASK for arg in args))
 
 
-def _binop(op: str, a: int, b: int) -> int:
+def binop(op: str, a: int, b: int) -> int:
+    """The word ``a <op> b`` computes (the constant folder's semantics
+    too); raises :class:`TacRuntimeError` where it has none."""
     sa, sb = to_signed(a, 32), to_signed(b, 32)
     if op == "+":
         return (a + b) & _MASK
@@ -93,7 +95,8 @@ def _binop(op: str, a: int, b: int) -> int:
     raise TacRuntimeError(f"unknown binary op {op!r}")
 
 
-def _compare(op: str, a: int, b: int) -> bool:
+def compare(op: str, a: int, b: int) -> bool:
+    """Does the comparison ``a <op> b`` hold?"""
     sa, sb = to_signed(a, 32), to_signed(b, 32)
     table = {
         "==": a == b, "!=": a != b,
@@ -161,8 +164,8 @@ def _call(program: TacProgram, machine: _Machine, func: TacFunction,
         elif op == "copy":
             env[instr.dest] = value_of(instr.a)
         elif op == "bin":
-            env[instr.dest] = _binop(instr.bin_op, value_of(instr.a),
-                                     value_of(instr.b))
+            env[instr.dest] = binop(instr.bin_op, value_of(instr.a),
+                                    value_of(instr.b))
         elif op == "un":
             value = value_of(instr.a)
             env[instr.dest] = (-value if instr.bin_op == "neg" else ~value) & _MASK
@@ -187,11 +190,11 @@ def _call(program: TacProgram, machine: _Machine, func: TacFunction,
             pc = labels[instr.label]
             continue
         elif op == "cbr":
-            taken = _compare(instr.bin_op, value_of(instr.a), value_of(instr.b))
+            taken = compare(instr.bin_op, value_of(instr.a), value_of(instr.b))
             pc = labels[instr.label if taken else instr.label2]
             continue
         elif op == "select":
-            taken = _compare(instr.bin_op, value_of(instr.a), value_of(instr.b))
+            taken = compare(instr.bin_op, value_of(instr.a), value_of(instr.b))
             env[instr.dest] = value_of(instr.tval if taken else instr.fval)
         else:
             raise TacRuntimeError(f"unknown TAC op {op!r}")

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.ir.expr import to_signed
-from repro.minic.tac import CMP_OPS, Instr, TacFunction, TacProgram
+from repro.minic.interp import TacRuntimeError, binop, compare
+from repro.minic.tac import Instr, TacFunction, TacProgram
 
 _MASK = 0xFFFFFFFF
 
@@ -119,50 +119,6 @@ def mem2reg(func: TacFunction) -> None:
 # -- folding / propagation ---------------------------------------------------
 
 
-def _fold_bin(op: str, a: int, b: int) -> int | None:
-    sa, sb = to_signed(a, 32), to_signed(b, 32)
-    if op == "+":
-        return (a + b) & _MASK
-    if op == "-":
-        return (a - b) & _MASK
-    if op == "*":
-        return (a * b) & _MASK
-    if op == "/":
-        if sb == 0:
-            return None
-        quotient = abs(sa) // abs(sb)
-        return (-quotient if (sa < 0) != (sb < 0) else quotient) & _MASK
-    if op == "%":
-        if sb == 0:
-            return None
-        quotient = abs(sa) // abs(sb)
-        if (sa < 0) != (sb < 0):
-            quotient = -quotient
-        return (sa - quotient * sb) & _MASK
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op == "^":
-        return a ^ b
-    if op == "<<":
-        return 0 if b >= 32 else (a << b) & _MASK
-    if op == ">>":
-        return (sa >> min(b, 31)) & _MASK
-    if op == "u>>":
-        return 0 if b >= 32 else (a & _MASK) >> b
-    return None
-
-
-def _fold_cmp(op: str, a: int, b: int) -> bool:
-    sa, sb = to_signed(a, 32), to_signed(b, 32)
-    return {
-        "==": a == b, "!=": a != b,
-        "<": sa < sb, "<=": sa <= sb, ">": sa > sb, ">=": sa >= sb,
-        "u<": a < b, "u<=": a <= b, "u>": a > b, "u>=": a >= b,
-    }[op]
-
-
 def _block_boundaries(func: TacFunction) -> list[tuple[int, int]]:
     """(start, end) index ranges of basic blocks."""
     leaders = {0}
@@ -197,8 +153,11 @@ def fold_and_propagate(func: TacFunction) -> None:
             if instr.op == "bin" and isinstance(instr.a, int) and isinstance(
                 instr.b, int
             ):
-                folded = _fold_bin(instr.bin_op, instr.a, instr.b)
-                if folded is not None:
+                try:
+                    folded = binop(instr.bin_op, instr.a, instr.b)
+                except TacRuntimeError:
+                    pass  # division by zero: left for run time
+                else:
                     instr.op = "const"
                     instr.a = folded
                     instr.b = None
@@ -213,7 +172,7 @@ def fold_and_propagate(func: TacFunction) -> None:
             if instr.op == "select" and isinstance(instr.a, int) and isinstance(
                 instr.b, int
             ):
-                value = instr.tval if _fold_cmp(instr.bin_op, instr.a, instr.b) \
+                value = instr.tval if compare(instr.bin_op, instr.a, instr.b) \
                     else instr.fval
                 instr.op = "copy" if isinstance(value, str) else "const"
                 instr.a = value

@@ -37,23 +37,12 @@ from repro.learning.parallel import (
     _resolve_chunk,
 )
 from repro.learning.pipeline import Candidate, stage_candidates
-from repro.learning.rule import Rule, dedup_rules
+from repro.learning.rule import Rule, dedup_rules, has_window
 from repro.learning.verify import query_scope
 from repro.minic.compile import CompiledProgram
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.service.gaps import Gap
-
-
-def _has_window(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
-    """Does ``needle`` occur contiguously inside ``haystack``?"""
-    span = len(needle)
-    if not span or span > len(haystack):
-        return False
-    return any(
-        haystack[start : start + span] == needle
-        for start in range(len(haystack) - span + 1)
-    )
 
 
 @dataclass
@@ -166,7 +155,7 @@ class OnlineLearner:
             needle = tuple(
                 instr.mnemonic for instr in candidate.pair.guest
             )
-            if any(_has_window(window, needle) for window in windows):
+            if any(has_window(window, needle) for window in windows):
                 selected[candidate.digest] = (name, candidate)
         return list(selected.values())
 

@@ -252,16 +252,22 @@ def hot_rules(hot_guest):
     return rules
 
 
+def fused_blocks(engine):
+    """``{guest address: fused function}`` of every cached fused block."""
+    return {addr: tb.fused for addr, tb in engine._cache.items()
+            if tb.fused is not None}
+
+
 def watch_fused(engine, calls):
     """Wrap every not-yet-wrapped fused block so that running it checks
     it was fused from the block the cache holds now (never a stale
     one), and logs its address in ``calls``."""
-    for addr, fused in list(engine._fused_cache.items()):
-        if getattr(fused.run, "watched", False):
+    for addr, fused in fused_blocks(engine).items():
+        if getattr(fused, "watched", False):
             continue
         origin = engine._cache[addr]
 
-        def run(regs, flags, mem, _run=fused.run, _addr=addr,
+        def run(regs, flags, mem, _run=fused, _addr=addr,
                 _origin=origin):
             assert engine._cache.get(_addr) is _origin, \
                 f"stale fused block {_addr:#x} ran"
@@ -269,7 +275,7 @@ def watch_fused(engine, calls):
             return _run(regs, flags, mem)
 
         run.watched = True
-        engine._fused_cache[addr] = fused._replace(run=run)
+        origin.fused = run
 
 
 def watch_regions(engine, calls):
@@ -329,13 +335,44 @@ def assert_same_run(fast, oracle):
     assert blocks(fast) == blocks(oracle)
 
 
+def guarded_corrupt_engine(guest, rules):
+    """A guarded rules engine whose store has one rule, used by a block
+    that fuses, corrupted so that the guard catches it only once the
+    block has been fused: ``(engine, bad rule, its block's address,
+    the clean return value)``."""
+    clean = DBTEngine(guest, "rules", RuleStore.from_rules(list(rules)))
+    expected = clean.run().return_value
+    for tb in clean._cache.values():
+        if tb.fused is None:
+            continue
+        for hit in tb.hit_profiles:
+            rule = hit.rule
+            try:
+                bad = corrupt_rule(rule)
+            except ValueError:
+                continue
+            bad_addr = tb.guest_start
+            break
+        else:
+            continue
+        break
+    else:
+        pytest.skip("no corruptible rule in a fused block")
+    rules = [bad if r == rule else r for r in rules]
+    policy = GuardPolicy(check_first=0,
+                         check_interval=HOT_BLOCK_THRESHOLD + 8)
+    engine = DBTEngine(guest, "rules", RuleStore.from_rules(rules),
+                       guard=policy)
+    return engine, bad, bad_addr, expected
+
+
 class TestFusedTier:
     def test_fused_run_matches_oracle_exactly(self, hot_guest):
         fused = DBTEngine(hot_guest, "qemu")
         oracle = DBTEngine(hot_guest, "qemu", fast=False)
         result = fused.run()
         expected = oracle.run()
-        assert fused._fused_cache, "no block crossed the hot threshold"
+        assert fused_blocks(fused), "no block crossed the hot threshold"
         assert result.return_value == expected.return_value == \
             run_arm_program(hot_guest).return_value
         assert fused.last_run.dynamic_host_instructions == \
@@ -349,23 +386,23 @@ class TestFusedTier:
         engine = DBTEngine(hot_guest, "qemu")
         engine.run()
         for addr, tb in engine._cache.items():
-            assert (addr in engine._fused_cache) == \
+            assert (tb.fused is not None) == \
                 (tb.exec_count >= HOT_BLOCK_THRESHOLD)
-        fused = dict(engine._fused_cache)
+        fused = fused_blocks(engine)
         engine.run()  # a warm run reuses the fused functions
-        assert engine._fused_cache == fused
+        assert fused_blocks(engine) == fused
 
     def test_hot_install_drops_fused_blocks(self, hot_guest, hot_rules):
         live = DBTEngine(hot_guest, "rules")
         baseline = live.run()
         calls = []
         watch_fused(live, calls)
-        fused_before = set(live._fused_cache)
+        fused_before = set(fused_blocks(live))
         _, invalidated = live.hot_install(list(hot_rules))
         assert invalidated
         dropped = fused_before - set(live._cache)
         assert dropped, "hot-install invalidated no fused block"
-        assert not dropped & set(live._fused_cache)
+        assert not dropped & set(fused_blocks(live))
         live.tick = lambda engine: watch_fused(engine, calls)
         rerun = live.run()
         assert rerun.return_value == baseline.return_value
@@ -381,32 +418,8 @@ class TestFusedTier:
 
     def test_guard_quarantine_drops_fused_blocks(self, hot_guest,
                                                  hot_rules):
-        clean = DBTEngine(hot_guest, "rules",
-                          RuleStore.from_rules(list(hot_rules)))
-        expected = clean.run().return_value
-        # Corrupt a rule that a fused block uses, and check each block
-        # only once it has been fused.
-        for tb in clean._cache.values():
-            if tb.guest_start not in clean._fused_cache:
-                continue
-            for hit in tb.hit_profiles:
-                rule = hit.rule
-                try:
-                    bad = corrupt_rule(rule)
-                except ValueError:
-                    continue
-                bad_addr = tb.guest_start
-                break
-            else:
-                continue
-            break
-        else:
-            pytest.skip("no corruptible rule in a fused block")
-        rules = [bad if r == rule else r for r in hot_rules]
-        policy = GuardPolicy(check_first=0,
-                             check_interval=HOT_BLOCK_THRESHOLD + 8)
-        engine = DBTEngine(hot_guest, "rules", RuleStore.from_rules(rules),
-                           guard=policy)
+        engine, bad, bad_addr, expected = guarded_corrupt_engine(
+            hot_guest, hot_rules)
         calls = []
         engine.tick = lambda eng: watch_fused(eng, calls)
         engine.run()  # the unchecked dispatches before the catch miscompute
@@ -418,6 +431,35 @@ class TestFusedTier:
         assert engine.run().return_value == expected
         assert bad_addr in calls  # fused again, from the clean translation
 
+    @pytest.mark.parametrize("cause", ["hot_install", "quarantine"])
+    def test_retired_blocks_take_their_compiled_forms(self, hot_guest,
+                                                      hot_rules, cause):
+        if cause == "hot_install":
+            engine = DBTEngine(hot_guest, "rules")
+            engine.run()
+        else:
+            engine, *_ = guarded_corrupt_engine(hot_guest, hot_rules)
+        retired = []
+        retire = engine._retire_blocks
+
+        def spy(doomed):
+            retired.extend(engine._cache[addr] for addr in doomed)
+            return retire(doomed)
+
+        engine._retire_blocks = spy
+        if cause == "hot_install":
+            assert engine.hot_install(list(hot_rules))[1]
+        else:
+            engine.run()
+        assert any(tb.fused is not None for tb in retired), cause
+        engine.run()  # retranslates what was retired, afresh
+        live = list(engine._cache.values())
+        forms = {id(form) for tb in live for form in (tb.steps, tb.fused)}
+        for tb in retired:
+            assert all(tb is not other for other in live)
+            assert tb.steps is not None and id(tb.steps) not in forms
+            assert tb.fused is None or id(tb.fused) not in forms
+
     @pytest.mark.parametrize("name", GOLDEN_SLICE)
     def test_dispatch_loop_matches_oracle(self, name, golden_stores,
                                           region_threshold):
@@ -428,7 +470,7 @@ class TestFusedTier:
                 fast = DBTEngine(program, mode, store)
                 oracle = DBTEngine(program, mode, store, fast=False)
                 assert fast.run().return_value == oracle.run().return_value
-                assert fast._fused_cache, (name, style, mode)
+                assert fused_blocks(fast), (name, style, mode)
                 assert fast._regions, (name, style, mode)
                 assert_same_run(fast, oracle)
 
@@ -450,7 +492,7 @@ class TestFusedTier:
         fast, oracle = engines
         assert fast.run().return_value == oracle.run().return_value
         assert installs[0] == installs[1] and installs[0][1], installs
-        assert fast._retired_blocks and fast._fused_cache
+        assert fast._retired_blocks and fused_blocks(fast)
         assert_same_run(fast, oracle)
 
     def test_dispatch_loop_matches_oracle_under_guard(self, golden_stores):
@@ -476,7 +518,7 @@ class TestFusedTier:
             with pytest.raises(DBTError, match="block limit"):
                 engine.run(block_limit=1000)
             assert engine.last_run.perf.dispatches == 1000
-        assert fast._fused_cache
+        assert fused_blocks(fast)
         assert_same_run(fast, oracle)
 
     def test_warm_run_enters_regions_and_matches_oracle(
@@ -561,8 +603,8 @@ class TestFusedTier:
         assert fast.run().return_value == oracle.run().return_value
         assert not region_calls
         assert len(fused_calls) == sum(
-            tb.exec_count for addr, tb in fast._cache.items()
-            if addr in fast._fused_cache)
+            tb.exec_count for tb in fast._cache.values()
+            if tb.fused is not None)
         assert_same_run(fast, oracle)
 
     def test_generated_programs_match_oracle(self, monkeypatch):
@@ -578,6 +620,6 @@ class TestFusedTier:
             assert fast.run().return_value == oracle.run().return_value == \
                 run_tac(program.tac) & 0xFFFFFFFF, (name, index)
             assert_same_run(fast, oracle)
-            fused += len(fast._fused_cache)
+            fused += len(fused_blocks(fast))
             regions += len(fast._regions)
         assert fused > 100 and regions > 30, (fused, regions)

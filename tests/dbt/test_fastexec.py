@@ -13,6 +13,7 @@ from repro.dbt.codegen import (
     NEXT_PC_OFFSET,
     TranslatedBlock,
 )
+from repro.dbt import engine as engine_module
 from repro.dbt.engine import DBTEngine
 from repro.dbt.fastexec import (
     FastExecError,
@@ -229,6 +230,30 @@ def test_source_alu_word_ops_match_concrete(op):
             assert getattr(SOURCE_ALU, op)(a, b) == expected, (op, a, b)
 
 
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "and_", "or_", "xor",
+                                "eq", "ult", "mul_overflow_signed"])
+def test_source_alu_zero_and_same_operands_match_concrete(op):
+    # The identity folds: a literal 0 on either side, and one value as
+    # both operands.
+    def build(alu, st):
+        a = st.get_reg("a")
+        fn = getattr(alu, op)
+        return [fn(a, alu.const(32, 0)), fn(alu.const(32, 0), a), fn(a, a)]
+    run = rendered(build)
+    for a in WORDS:
+        fn = getattr(ALU, op)
+        assert run({"a": a}) == (fn(a, 0), fn(0, a), fn(a, a)), (op, a)
+
+
+def test_fused_compare_with_zero_renders_no_identity_ops():
+    fuser = _Fuser()
+    fuser.block([parse(text) for text in
+                 ("cmpl $0, %eax", "je TB@0x10", "jmp TB@0x20")])
+    source = "\n".join(fuser.lines)
+    for identity in ("- 0", "^ 0", "< 0"):
+        assert identity not in source, source
+
+
 @pytest.mark.parametrize("op", ["shl", "lshr", "ashr"])
 def test_source_alu_shifts_match_concrete(op):
     run = rendered(lambda alu, st: [getattr(alu, op)(st.get_reg("a"),
@@ -350,13 +375,13 @@ def oracle_block(instrs, state):
 
 
 def assert_fused_matches(instrs, rng):
-    fused = fuse_block(instrs, [1.0] * len(instrs))
+    fused = fuse_block(instrs)
     slow = random_state(rng)
     slow.store(NEXT_PC, rng.getrandbits(32), 4)
     fast = clone(slow)
     expected = oracle_block(instrs, slow)
     label = "; ".join(str(instr) for instr in instrs)
-    assert fused.run(fast.regs, fast.flags, fast.memory) == expected, label
+    assert fused(fast.regs, fast.flags, fast.memory) == expected, label
     assert fast.regs == slow.regs, label
     assert fast.memory == slow.memory, label
     assert fast.flags == slow.flags, label
@@ -466,30 +491,44 @@ def test_fused_exit_target_loads_before_its_branch():
             slow.set_reg("eax", eax)
             slow.store(NEXT_PC, rng.getrandbits(32), 4)
             fast = clone(slow)
-            fused = fuse_block(block, [1.0] * len(block))
-            assert fused.run(fast.regs, fast.flags, fast.memory) == \
+            fused = fuse_block(block)
+            assert fused(fast.regs, fast.flags, fast.memory) == \
                 oracle_block(block, slow)
             assert (fast.regs, fast.flags, fast.memory) == \
                 (slow.regs, slow.flags, slow.memory)
 
 
-def test_fused_exit_cycles_sum_in_loop_order():
-    instrs = [parse(text) for text in
-              ("addl %ecx, %eax", "cmpl $0, %eax", "je TB@0x10",
-               "jmp TB@0x20")]
-    cycles = [0.1, 0.7, 0.2, 1.3]
-    fused = fuse_block(instrs, cycles)
-    expected, total = [], 0.0
-    for cost in cycles:
-        total += cost
-        expected.append(total)
-    assert fused.exit_cycles == expected
+def test_exit_cycles_sum_in_instruction_order(monkeypatch):
+    # Every tier charges ``exit_cycles[exit index]``: it must add the
+    # costs in the order the oracle loop did, with costs whose running
+    # sums depend on that order.
+    def cycles(instr):
+        return CYCLE_COSTS[len(str(instr)) % len(CYCLE_COSTS)]
+
+    monkeypatch.setattr(engine_module, "instruction_cycles", cycles)
+    program = compile_source(benchmark_source("mcf", "test"), "arm", 2,
+                             "llvm")
+    engine = DBTEngine(program, "qemu")
+    engine.run()
+    order_matters = 0
+    for tb in engine._cache.values():
+        costs = [cycles(instr) for instr in tb.host_instrs]
+        expected, total = [], 0.0
+        for cost in costs:
+            total += cost
+            expected.append(total)
+        assert tb.exit_cycles == expected, tb.guest_start
+        backwards = 0.0
+        for cost in reversed(costs):
+            backwards += cost
+        order_matters += backwards != total
+    assert order_matters
 
 
 def test_fuse_rejects_unknown_branch_targets():
     instrs = [parse("jne .L1"), parse("jmp TB@0x20")]
     with pytest.raises(FastExecError):
-        fuse_block(instrs, [1.0, 1.0])
+        fuse_block(instrs)
 
 
 @pytest.fixture(scope="module")
@@ -514,7 +553,7 @@ def test_fused_translated_blocks_match_semantics(translated_blocks):
     rng = random.Random(0)
     assert len(translated_blocks) > 200
     for instrs in translated_blocks:
-        fused = fuse_block(instrs, [1.0] * len(instrs))
+        fused = fuse_block(instrs)
         for _ in range(3):
             # The env words the block names hold values too.
             slow = random_state(rng)
@@ -526,7 +565,7 @@ def test_fused_translated_blocks_match_semantics(translated_blocks):
             fast = clone(slow)
             expected = oracle_block(instrs, slow)
             label = "; ".join(str(instr) for instr in instrs)
-            assert fused.run(fast.regs, fast.flags, fast.memory) == \
+            assert fused(fast.regs, fast.flags, fast.memory) == \
                 expected, label
             assert (fast.regs, fast.flags, fast.memory) == \
                 (slow.regs, slow.flags, slow.memory), label
@@ -571,12 +610,17 @@ OUTSIDE = 0x9000
 CYCLE_COSTS = (0.1, 0.7, 0.2, 1.3, 2.5)
 
 
-def region_blocks(blocks, start_counts=3):
+def region_blocks(blocks, cycles=None, start_counts=3):
     """TranslatedBlocks at MEMBER_ADDRS for lists of instruction texts,
-    with counters already running."""
+    their ``exit_cycles`` summed from ``cycles`` (1.0 an instruction by
+    default), with counters already running."""
     tbs = []
-    for addr, texts in zip(MEMBER_ADDRS, blocks):
+    for k, (addr, texts) in enumerate(zip(MEMBER_ADDRS, blocks)):
         tb = TranslatedBlock(addr, [parse(text) for text in texts])
+        total = 0.0
+        for cost in cycles[k] if cycles else [1.0] * len(texts):
+            total += cost
+            tb.exit_cycles.append(total)
         tb.exec_count = start_counts
         tb.exec_cycles = 0.1 * start_counts
         tbs.append(tb)
@@ -619,10 +663,9 @@ def assert_region_matches(blocks, rng, start=0, budget=40, form=None,
         state.store(NEXT_PC, rng.getrandbits(32), 4)
     form = form or state
     cycles = [[rng.choice(CYCLE_COSTS) for _ in texts] for texts in blocks]
-    fast_tbs = region_blocks(blocks)
-    slow_tbs = region_blocks(blocks)
-    region = fuse_region(fast_tbs, cycles,
-                         (form.regs, form.flags, form.memory))
+    fast_tbs = region_blocks(blocks, cycles)
+    slow_tbs = region_blocks(blocks, cycles)
+    region = fuse_region(fast_tbs, (form.regs, form.flags, form.memory))
     slow, fast = state, clone(state)
     expected, counts = oracle_region(slow_tbs, cycles, slow, start, budget,
                                      0.1)
@@ -764,8 +807,7 @@ def test_fused_region_writes_carried_words_back_once_per_entry():
     state = random_state(rng)
     state.set_reg("ecx", 10)
     tbs = region_blocks(blocks)
-    region = fuse_region(tbs, [[1.0] * len(tb.host_instrs) for tb in tbs],
-                         (state.regs, state.flags, state.memory))
+    region = fuse_region(tbs, (state.regs, state.flags, state.memory))
     regs, flags, mem = (CountingDict(state.regs), CountingDict(state.flags),
                         CountingDict(state.memory))
     pc, dispatches, _, _ = region.run(regs, flags, mem, 0, 100, 0.0)
@@ -783,8 +825,7 @@ def test_fused_region_declines_entry_when_a_carried_key_is_absent():
     del state.regs["ebx"]
     del state.memory[0x3001]
     tbs = region_blocks(blocks)
-    region = fuse_region(tbs, [[1.0] * len(tb.host_instrs) for tb in tbs],
-                         (form.regs, form.flags, form.memory))
+    region = fuse_region(tbs, (form.regs, form.flags, form.memory))
     before = clone(state)
     assert region.run(state.regs, state.flags, state.memory, 0, 10,
                       0.0) is None
@@ -798,4 +839,4 @@ def test_fused_region_declines_entry_when_a_carried_key_is_absent():
 def test_fuse_region_needs_members_ending_in_jmp():
     tbs = region_blocks([["addl %ecx, %eax", "jne TB@0x8000"]])
     with pytest.raises(FastExecError):
-        fuse_region(tbs, [[1.0, 1.0]], ({}, {}, {}))
+        fuse_region(tbs, ({}, {}, {}))

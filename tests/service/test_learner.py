@@ -5,18 +5,19 @@ from repro.learning.cache import VerificationCache
 from repro.learning.verify import VerifyFailure
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.service.gaps import canonical_gap
-from repro.service.learner import OnlineLearner, _has_window
+from repro.learning.rule import has_window
+from repro.service.learner import OnlineLearner
 
 
 class TestHasWindow:
     def test_contiguous_only(self):
         haystack = ("ldr", "add", "str", "cmp", "bne")
-        assert _has_window(haystack, ("add", "str"))
-        assert _has_window(haystack, ("ldr",))
-        assert _has_window(haystack, haystack)
-        assert not _has_window(haystack, ("ldr", "str"))
-        assert not _has_window(haystack, ())
-        assert not _has_window(("add",), ("add", "str"))
+        assert has_window(haystack, ("add", "str"))
+        assert has_window(haystack, ("ldr",))
+        assert has_window(haystack, haystack)
+        assert not has_window(haystack, ("ldr", "str"))
+        assert not has_window(haystack, ())
+        assert not has_window(("add",), ("add", "str"))
 
 
 def _gaps_for(program, count=64):
