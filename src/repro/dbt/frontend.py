@@ -49,10 +49,8 @@ def translate_block(program: CompiledProgram, start_index: int
     guest_addr = 0x8000 + _WORD * start_index
     block = TcgBlock(guest_start=guest_addr)
     for offset, instr in enumerate(instrs):
-        translate_instruction(
-            program, block, instr, guest_addr + _WORD * offset,
-            is_last=offset == len(instrs) - 1,
-        )
+        translate_instruction(program, block, instr,
+                              guest_addr + _WORD * offset)
     if not block.ops or block.ops[-1].op not in (
         "brcond", "goto_tb", "exit_indirect"
     ):
@@ -70,7 +68,6 @@ def translate_instruction(
     block: TcgBlock,
     instr: Instruction,
     pc: int,
-    is_last: bool,
 ) -> None:
     base, cond, sets_flags = split_mnemonic(instr.mnemonic)
     ops = instr.operands

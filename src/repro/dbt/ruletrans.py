@@ -333,10 +333,7 @@ def _emit_tcg_instruction(
     """TCG path for one guest instruction; returns (ops, block_ended)."""
     tcg = TcgBlock(guest_start=guest_addr)
     tcg.temp_counter = 10_000 + i * 100  # keep temp names unique
-    translate_instruction(
-        program, tcg, block[i], guest_addr + 4 * i,
-        is_last=i == len(block) - 1,
-    )
+    translate_instruction(program, tcg, block[i], guest_addr + 4 * i)
     ended = False
     for op in tcg.ops:
         codegen.lower_tcg_op(assembler, op)
