@@ -1,6 +1,14 @@
 """ARM -> TCG frontend."""
 
-from repro.dbt.frontend import discover_block, translate_block
+import hashlib
+
+from repro.benchsuite import BENCHMARK_NAMES, benchmark_source
+from repro.dbt.frontend import (
+    discover_block,
+    translate_block,
+    translate_instruction,
+)
+from repro.dbt.tcg import TcgBlock
 from repro.minic import compile_source
 
 
@@ -113,3 +121,59 @@ class TestTranslateBlock:
                 assert lr_store
                 return
         raise AssertionError("no call block found")
+
+
+# -- golden output ---------------------------------------------------------------
+
+#: sha256 of the TCG ops of every label-start block (``translate_block``)
+#: and of every instruction alone (``translate_instruction``) over all
+#: benchmarks x both styles x ``test`` and ``ref`` inputs, with temps
+#: renamed by first appearance.
+TCG_OPS_SHA256 = (
+    "c99881e511ce89bb0c141c3d375cf42b2eaf7c9cc3c98a4fa55e596be4955251"
+)
+
+
+def _ops_text(ops) -> bytes:
+    """The ops, one per line, each temp renamed ``%<n>`` by first
+    appearance (temp names are the frontend's own business)."""
+    names: dict[str, str] = {}
+
+    def field(value):
+        if isinstance(value, str) and value.startswith("%"):
+            return names.setdefault(value, f"%{len(names)}")
+        return value
+
+    lines = []
+    for op in ops:
+        lines.append(repr((
+            op.op, field(op.out), field(op.a), field(op.b), field(op.c),
+            op.reg, op.flag, op.cond and op.cond.value, op.size, op.taken,
+            op.fallthrough,
+        )))
+    return "".join(f"{line}\n" for line in lines).encode()
+
+
+def test_golden_tcg_ops():
+    """The TCG ops are pinned: a change that alters them must update
+    this digest on purpose."""
+    digest = hashlib.sha256()
+    for name in BENCHMARK_NAMES:
+        for style in ("llvm", "gcc"):
+            for workload in ("test", "ref"):
+                program = compile_source(
+                    benchmark_source(name, workload), "arm", 2, style)
+                digest.update(f"{name} {style} {workload}\n".encode())
+                for start in sorted(set(program.labels.values())):
+                    if start >= len(program.code):
+                        continue
+                    tcg, _ = translate_block(program, start)
+                    digest.update(f"TB {start}\n".encode())
+                    digest.update(_ops_text(tcg.ops))
+                for index, instr in enumerate(program.code):
+                    pc = 0x8000 + 4 * index
+                    tcg = TcgBlock(guest_start=pc)
+                    translate_instruction(program, tcg, instr, pc)
+                    digest.update(f"I {index}\n".encode())
+                    digest.update(_ops_text(tcg.ops))
+    assert digest.hexdigest() == TCG_OPS_SHA256
