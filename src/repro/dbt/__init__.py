@@ -7,9 +7,10 @@ Layers:
 * :mod:`repro.dbt.direct` — direct guest/host emulators (no
   translation); the correctness oracle for everything above.
 * :mod:`repro.dbt.tcg` / :mod:`repro.dbt.frontend` /
-  :mod:`repro.dbt.codegen` — the QEMU-like translator: ARM decoder to
-  TCG micro-ops to x86 host code (block assembler, register allocation,
-  peephole), with the guest register file kept in an in-memory CPU env.
+  :mod:`repro.dbt.codegen` — the QEMU-like translator: the ARM
+  semantics run to emit TCG micro-ops, lowered to x86 host code (block
+  assembler, register allocation, peephole), with the guest register
+  file kept in an in-memory CPU env.
 * :mod:`repro.dbt.ruletrans` — the paper's contribution: rule-enhanced
   translation cooperating with TCG (with no rule table it is the QEMU
   baseline translator).

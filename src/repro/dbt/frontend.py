@@ -4,14 +4,19 @@ One guest instruction becomes several TCG micro-ops — register loads,
 the operation itself, eager NZCV computation for flag-setting
 instructions, register/flag stores — reproducing the expansion that
 makes QEMU-translated code slower than rule-translated code.
+
+The ops come from the ARM semantics the verifier proves rules against:
+:func:`translate_instruction` runs :func:`repro.guest_arm.execute` on a
+:class:`TcgState` with a :class:`TcgALU`, which emit ops instead of
+computing values.
 """
 
 from __future__ import annotations
 
-from repro.guest_arm.isa import CONDITION_FLAGS, split_mnemonic
-from repro.guest_arm.registers import register_number
+from repro.guest_arm.semantics import execute
+from repro.isa.alu import ConcreteALU
 from repro.isa.instruction import Instruction
-from repro.isa.operands import Imm, Label, Mem, Reg, ShiftedReg
+from repro.isa.operands import Label
 from repro.minic.compile import CompiledProgram
 from repro.dbt.tcg import TcgBlock, TcgCond
 
@@ -59,342 +64,207 @@ def translate_block(program: CompiledProgram, start_index: int
     return block, instrs
 
 
-def _label_addr(program: CompiledProgram, label: Label) -> int:
-    return program.addr_of(label.name)
-
-
 def translate_instruction(
     program: CompiledProgram,
     block: TcgBlock,
     instr: Instruction,
     pc: int,
 ) -> None:
-    base, cond, sets_flags = split_mnemonic(instr.mnemonic)
-    ops = instr.operands
-
-    if base == "b":
-        taken = _label_addr(program, ops[0])
-        if cond is None:
-            block.emit(op="goto_tb", taken=taken)
-            return
-        _emit_cond_branch(block, cond, taken, pc + _WORD)
+    """Append the TCG ops of ``instr``, at guest address ``pc``, to
+    ``block``."""
+    state = TcgState(block, pc)
+    branch = execute(instr, state, _TCG_ALU).branch
+    if branch is None:
         return
-    if base == "bl":
-        ret = block.new_temp()
-        block.emit(op="movi", out=ret, a=pc + _WORD)
-        block.emit(op="st_reg", reg="lr", a=ret)
-        block.emit(op="goto_tb", taken=_label_addr(program, ops[0]))
-        return
-    if base == "bx":
-        target = block.new_temp()
-        block.emit(op="ld_reg", out=target, reg=ops[0].name)
-        block.emit(op="exit_indirect", a=target)
-        return
-
-    if base == "push":
-        _emit_push(block, ops)
-        return
-    if base == "pop":
-        _emit_pop(block, ops)
-        return
-
-    if base in ("ldr", "ldrb"):
-        addr = _emit_address(block, ops[1])
-        out = block.new_temp()
-        block.emit(op="qemu_ld", out=out, a=addr,
-                   size=4 if base == "ldr" else 1)
-        block.emit(op="st_reg", reg=ops[0].name, a=out)
-        return
-    if base in ("str", "strb"):
-        value = block.new_temp()
-        block.emit(op="ld_reg", out=value, reg=ops[0].name)
-        addr = _emit_address(block, ops[1])
-        block.emit(op="qemu_st", a=addr, b=value,
-                   size=4 if base == "str" else 1)
-        return
-
-    if base in ("cmp", "cmn", "tst", "teq"):
-        left = block.new_temp()
-        block.emit(op="ld_reg", out=left, reg=ops[0].name)
-        right = _emit_operand2(block, ops[1])
-        kind = {"cmp": "sub", "cmn": "add", "tst": "and", "teq": "xor"}[base]
-        block.emit(op="cmp_flags", flag=kind, a=left, b=right)
-        return
-
-    # Data-processing instructions (possibly predicated: QEMU turns
-    # conditional execution into a movcond select).
-    _emit_data(block, base, ops, sets_flags, pred_cond=cond)
-
-
-def _emit_operand2(block: TcgBlock, op) -> str | int:
-    if isinstance(op, Imm):
-        return op.value & 0xFFFFFFFF
-    if isinstance(op, Reg):
-        temp = block.new_temp()
-        block.emit(op="ld_reg", out=temp, reg=op.name)
-        return temp
-    if isinstance(op, ShiftedReg):
-        value = block.new_temp()
-        block.emit(op="ld_reg", out=value, reg=op.reg.name)
-        shifted = block.new_temp()
-        tcg_op = {"lsl": "shl", "lsr": "shr", "asr": "sar"}[op.shift]
-        block.emit(op=tcg_op, out=shifted, a=value, b=op.amount)
-        return shifted
-    raise FrontendError(f"bad operand {op!r}")
-
-
-def _emit_address(block: TcgBlock, mem: Mem) -> str:
-    addr = block.new_temp()
-    if mem.base is not None:
-        block.emit(op="ld_reg", out=addr, reg=mem.base.name)
+    if not isinstance(branch.target, Label):
+        block.emit(op="exit_indirect", a=state.temp(branch.target))
+    elif type(branch.cond) is int:
+        block.emit(op="goto_tb", taken=program.addr_of(branch.target.name))
     else:
-        block.emit(op="movi", out=addr, a=0)
-    if mem.index is not None:
-        index = block.new_temp()
-        block.emit(op="ld_reg", out=index, reg=mem.index.name)
-        if mem.scale != 1:
-            scaled = block.new_temp()
-            block.emit(op="shl", out=scaled, a=index,
-                       b=mem.scale.bit_length() - 1)
-            index = scaled
-        summed = block.new_temp()
-        block.emit(op="add", out=summed, a=addr, b=index)
-        addr = summed
-    if mem.disp:
-        disp = block.new_temp()
-        block.emit(op="add", out=disp, a=addr, b=mem.disp & 0xFFFFFFFF)
-        addr = disp
-    return addr
+        block.emit(op="brcond", cond=TcgCond.NE,
+                   a=state.operand(branch.cond), b=0,
+                   taken=program.addr_of(branch.target.name),
+                   fallthrough=pc + _WORD)
 
 
-def _emit_data(block: TcgBlock, base: str, ops, sets_flags: bool,
-               pred_cond: str | None = None) -> None:
-    dest: Reg = ops[0]
-    # Predication: evaluate the condition from env flags *before* the
-    # operation (our corpus has no flag-setting predicated instrs).
-    cond_value = None
-    if pred_cond is not None:
-        cond_value = emit_condition_value(block, pred_cond)
+class _Node:
+    """A TCG value: the op ``op`` on its ``fields`` (ints, names or
+    nodes), given a temp when :meth:`TcgState.operand` emits it."""
 
-    out, flag_emitter = _emit_data_value(block, base, ops)
+    __slots__ = ("op", "fields", "temp")
 
-    if cond_value is not None:
-        old = block.new_temp()
-        block.emit(op="ld_reg", out=old, reg=dest.name)
-        selected = block.new_temp()
-        block.emit(op="movcond", out=selected, a=cond_value, b=out, c=old)
-        block.emit(op="st_reg", reg=dest.name, a=selected)
-        return
-    block.emit(op="st_reg", reg=dest.name, a=out)
-    if sets_flags and flag_emitter is not None:
-        flag_emitter()
+    def __init__(self, op: str, **fields) -> None:
+        self.op = op
+        self.fields = fields
+        self.temp: str | None = None
 
 
-def _emit_data_value(block: TcgBlock, base: str, ops):
-    """Compute a data instruction's result temp; returns
-    (temp, flag-update thunk)."""
-    if base in ("mov", "mvn"):
-        if isinstance(ops[1], Imm):
-            out = block.new_temp()
-            value = ops[1].value & 0xFFFFFFFF
-            if base == "mvn":
-                value = ~value & 0xFFFFFFFF
-            block.emit(op="movi", out=out, a=value)
-        else:
-            source = _emit_operand2(block, ops[1])
-            out = block.new_temp()
-            if base == "mvn":
-                block.emit(op="not", out=out, a=source)
-            else:
-                block.emit(op="mov", out=out, a=source)
-        return out, lambda: _emit_nz_flags(block, out)
-
-    if base in ("lsl", "lsr", "asr"):
-        value = block.new_temp()
-        block.emit(op="ld_reg", out=value, reg=ops[1].name)
-        tcg_op = {"lsl": "shl", "lsr": "shr", "asr": "sar"}[base]
-        if isinstance(ops[2], Imm):
-            amount: str | int = ops[2].value & 31
-        else:
-            raw = block.new_temp()
-            block.emit(op="ld_reg", out=raw, reg=ops[2].name)
-            amount = block.new_temp()
-            block.emit(op="and", out=amount, a=raw, b=0xFF)
-        out = block.new_temp()
-        block.emit(op=tcg_op, out=out, a=value, b=amount)
-        return out, lambda: _emit_nz_flags(block, out)
-
-    left = block.new_temp()
-    block.emit(op="ld_reg", out=left, reg=ops[1].name)
-    right = _emit_operand2(block, ops[2])
-    out = block.new_temp()
-    if base == "add":
-        block.emit(op="add", out=out, a=left, b=right)
-        return out, lambda: _emit_add_flags(block, left, right, out)
-    if base == "sub":
-        block.emit(op="sub", out=out, a=left, b=right)
-        return out, lambda: _emit_sub_flags(block, left, right, out)
-    if base == "rsb":
-        block.emit(op="sub", out=out, a=right, b=left)
-        return out, lambda: _emit_sub_flags(block, right, left, out)
-    if base == "mul":
-        block.emit(op="mul", out=out, a=left, b=right)
-        return out, lambda: _emit_nz_flags(block, out)
-    if base in ("and", "orr", "eor", "bic"):
-        if base == "bic":
-            inverted = block.new_temp()
-            block.emit(op="not", out=inverted, a=right)
-            right = inverted
-        tcg_op = {"and": "and", "orr": "or", "eor": "xor", "bic": "and"}[base]
-        block.emit(op=tcg_op, out=out, a=left, b=right)
-        return out, lambda: _emit_nz_flags(block, out)
-    raise FrontendError(f"unhandled guest opcode {base!r}")
+_CONCRETE = ConcreteALU()
 
 
-def _emit_push(block: TcgBlock, ops) -> None:
-    regs = sorted((op.name for op in ops if isinstance(op, Reg)),
-                  key=register_number)
-    sp = block.new_temp()
-    block.emit(op="ld_reg", out=sp, reg="sp")
-    new_sp = block.new_temp()
-    block.emit(op="sub", out=new_sp, a=sp, b=_WORD * len(regs))
-    block.emit(op="st_reg", reg="sp", a=new_sp)
-    for i, name in enumerate(regs):
-        value = block.new_temp()
-        block.emit(op="ld_reg", out=value, reg=name)
-        slot = block.new_temp()
-        block.emit(op="add", out=slot, a=new_sp, b=_WORD * i)
-        block.emit(op="qemu_st", a=slot, b=value, size=_WORD)
+def _op(name: str, op: str, a, b, **fields):
+    """``ConcreteALU.<name>(a, b)`` when both are constants, else a node
+    for the TCG op ``op``."""
+    if type(a) is int and type(b) is int:
+        return getattr(_CONCRETE, name)(a, b)
+    return _Node(op, **fields, a=a, b=b)
 
 
-def _emit_pop(block: TcgBlock, ops) -> None:
-    regs = sorted((op.name for op in ops if isinstance(op, Reg)),
-                  key=register_number)
-    sp = block.new_temp()
-    block.emit(op="ld_reg", out=sp, reg="sp")
-    pc_temp = None
-    for i, name in enumerate(regs):
-        slot = block.new_temp()
-        block.emit(op="add", out=slot, a=sp, b=_WORD * i)
-        value = block.new_temp()
-        block.emit(op="qemu_ld", out=value, a=slot, size=_WORD)
-        if name == "pc":
-            pc_temp = value
-        else:
-            block.emit(op="st_reg", reg=name, a=value)
-    new_sp = block.new_temp()
-    block.emit(op="add", out=new_sp, a=sp, b=_WORD * len(regs))
-    block.emit(op="st_reg", reg="sp", a=new_sp)
-    if pc_temp is not None:
-        block.emit(op="exit_indirect", a=pc_temp)
+def _copied(value):
+    """A register copied into a register goes through a ``mov`` temp
+    (QEMU's expansion of ``mov``)."""
+    if type(value) is _Node and value.op == "ld_reg":
+        return _Node("mov", a=value)
+    return value
 
 
-# -- flags -------------------------------------------------------------------
+class TcgALU:
+    """The ALU :func:`execute` runs on to emit TCG: an operation on a
+    node is a node for its TCG op, and one on constants folds through
+    ``ConcreteALU``.  It folds no identities: ``x + 0`` stays an
+    ``add``."""
+
+    def const(self, width: int, value: int) -> int:
+        return value & (1 << width) - 1
+
+    def add(self, a, b):
+        return _op("add", "add", a, b)
+
+    def sub(self, a, b):
+        return _op("sub", "sub", a, b)
+
+    def mul(self, a, b):
+        return _op("mul", "mul", a, b)
+
+    def sdiv(self, a, b):
+        raise FrontendError("TCG has no division op")
+
+    udiv = sdiv
+
+    def and_(self, a, b):
+        return _op("and_", "and", a, b)
+
+    def or_(self, a, b):
+        return _op("or_", "or", a, b)
+
+    def xor(self, a, b):
+        return _op("xor", "xor", a, b)
+
+    bool_and, bool_or = and_, or_
+
+    def bool_not(self, a):
+        return self.xor(a, 1)
+
+    def not_(self, a):
+        return _CONCRETE.not_(a) if type(a) is int else _Node("not", a=a)
+
+    def shl(self, a, b):
+        return _op("shl", "shl", a, b)
+
+    def lshr(self, a, b):
+        return _op("lshr", "shr", a, b)
+
+    def ashr(self, a, b):
+        return _op("ashr", "sar", a, b)
+
+    def eq(self, a, b):
+        return _op("eq", "setcond", a, b, cond=TcgCond.EQ)
+
+    def ult(self, a, b):
+        return _op("ult", "setcond", a, b, cond=TcgCond.LTU)
+
+    def ite(self, cond, then, other):
+        if type(cond) is int:
+            return then if cond else other
+        return _Node("movcond", a=cond, b=_copied(then), c=other)
+
+    def extract(self, hi: int, lo: int, a):
+        if type(a) is int:
+            return _CONCRETE.extract(hi, lo, a)
+        if (hi, lo) == (31, 31):
+            return _Node("setcond", cond=TcgCond.LT, a=a, b=0)
+        if (hi, lo) == (7, 0):
+            return _Node("and", a=a, b=0xFF)
+        raise FrontendError(f"no TCG op extracts bits {hi}:{lo}")
+
+    def zext(self, width: int, a):
+        return a
 
 
-def _emit_nz_flags(block: TcgBlock, result: str) -> None:
-    n = block.new_temp()
-    block.emit(op="setcond", out=n, cond=TcgCond.LT, a=result, b=0)
-    block.emit(op="st_flag", flag="N", a=n)
-    z = block.new_temp()
-    block.emit(op="setcond", out=z, cond=TcgCond.EQ, a=result, b=0)
-    block.emit(op="st_flag", flag="Z", a=z)
+_TCG_ALU = TcgALU()
+
+#: The flags one ``cmp_flags`` of each kind sets.
+_CMP_FLAGS = {"add": "NZCV", "sub": "NZCV", "and": "NZ", "xor": "NZ"}
 
 
-def _emit_add_flags(block: TcgBlock, a, b, result: str) -> None:
-    _emit_nz_flags(block, result)
-    carry = block.new_temp()
-    block.emit(op="setcond", out=carry, cond=TcgCond.LTU, a=result, b=a)
-    block.emit(op="st_flag", flag="C", a=carry)
-    _emit_overflow(block, a, b, result, for_sub=False)
+class TcgState:
+    """The machine state :func:`execute` runs one instruction at guest
+    address ``pc`` on, emitting its ops into ``block``.
 
+    A register read is a node, emitted only when something consumes it;
+    ``pc`` reads as the constant ``pc``.  A flag read or a load emits
+    its op at once, and so does a write, after the pending ops of its
+    value in post-order.  N and Z (and C and V) set from an ``add``,
+    ``sub``, ``and`` or ``xor`` no register received become one
+    ``cmp_flags``."""
 
-def _emit_sub_flags(block: TcgBlock, a, b, result: str) -> None:
-    _emit_nz_flags(block, result)
-    no_borrow = block.new_temp()
-    block.emit(op="setcond", out=no_borrow, cond=TcgCond.GEU, a=a, b=b)
-    block.emit(op="st_flag", flag="C", a=no_borrow)
-    _emit_overflow(block, a, b, result, for_sub=True)
+    def __init__(self, block: TcgBlock, pc: int) -> None:
+        self.block = block
+        self.pc = pc
+        #: The flags this instruction's ``cmp_flags`` set.
+        self.compared = ""
 
+    def operand(self, value):
+        """``value`` as an op operand: an immediate, or the temp of a
+        node, emitting the node's pending ops first."""
+        if type(value) is not _Node:
+            return value
+        if value.temp is None:
+            fields = {key: self.operand(arg)
+                      for key, arg in value.fields.items()}
+            value.temp = self.block.new_temp()
+            self.block.emit(op=value.op, out=value.temp, **fields)
+        return value.temp
 
-def _emit_overflow(block: TcgBlock, a, b, result: str, for_sub: bool) -> None:
-    ab = block.new_temp()
-    block.emit(op="xor", out=ab, a=a, b=b)
-    if not for_sub:
-        flipped = block.new_temp()
-        block.emit(op="not", out=flipped, a=ab)
-        ab = flipped
-    ares = block.new_temp()
-    block.emit(op="xor", out=ares, a=a, b=result)
-    meet = block.new_temp()
-    block.emit(op="and", out=meet, a=ab, b=ares)
-    v = block.new_temp()
-    block.emit(op="setcond", out=v, cond=TcgCond.LT, a=meet, b=0)
-    block.emit(op="st_flag", flag="V", a=v)
+    def temp(self, value) -> str:
+        """``value`` in a temp: a ``movi`` for a constant."""
+        return self.operand(_Node("movi", a=value)
+                            if type(value) is int else value)
 
+    def _emitted(self, op: str, **fields) -> _Node:
+        node = _Node(op, **fields)
+        self.operand(node)
+        return node
 
-# -- condition branches ---------------------------------------------------------
+    def get_reg(self, name: str):
+        return self.pc if name == "pc" else _Node("ld_reg", reg=name)
 
+    def get_flag(self, name: str) -> _Node:
+        return self._emitted("ld_flag", flag=name)
 
-def _emit_cond_branch(block: TcgBlock, cond: str, taken: int,
-                      fallthrough: int) -> None:
-    """Materialize the ARM condition from env flags, then brcond."""
-    value = emit_condition_value(block, cond)
-    block.emit(op="brcond", cond=TcgCond.NE, a=value, b=0,
-               taken=taken, fallthrough=fallthrough)
+    def load(self, addr, size: int) -> _Node:
+        return self._emitted("qemu_ld", a=self.temp(addr), size=size)
 
+    def set_reg(self, name: str, value) -> None:
+        self.block.emit(op="st_reg", reg=name, a=self.temp(_copied(value)))
 
-def emit_condition_value(block: TcgBlock, cond: str) -> str:
-    """A 0/1 temp holding an ARM condition evaluated from env flags."""
-    flags = {}
-    for name in CONDITION_FLAGS[cond]:
-        temp = block.new_temp()
-        block.emit(op="ld_flag", out=temp, flag=name)
-        flags[name] = temp
+    def set_flag(self, name: str, value) -> None:
+        if name in self.compared:
+            return
+        if name == "N" and type(value) is _Node and value.op == "setcond":
+            result = value.fields["a"]
+            if (type(result) is _Node and result.op in _CMP_FLAGS
+                    and result.temp is None):
+                self.compared = _CMP_FLAGS[result.op]
+                self.block.emit(op="cmp_flags", flag=result.op,
+                                a=self.operand(result.fields["a"]),
+                                b=self.operand(result.fields["b"]))
+                return
+        self.block.emit(op="st_flag", flag=name, a=self.temp(value))
 
-    def bool_not(temp: str) -> str:
-        out = block.new_temp()
-        block.emit(op="xor", out=out, a=temp, b=1)
-        return out
-
-    def bool_and(x: str, y: str) -> str:
-        out = block.new_temp()
-        block.emit(op="and", out=out, a=x, b=y)
-        return out
-
-    def bool_or(x: str, y: str) -> str:
-        out = block.new_temp()
-        block.emit(op="or", out=out, a=x, b=y)
-        return out
-
-    def bool_xor(x: str, y: str) -> str:
-        out = block.new_temp()
-        block.emit(op="xor", out=out, a=x, b=y)
-        return out
-
-    if cond == "eq":
-        return flags["Z"]
-    if cond == "ne":
-        return bool_not(flags["Z"])
-    if cond == "mi":
-        return flags["N"]
-    if cond == "pl":
-        return bool_not(flags["N"])
-    if cond == "hs":
-        return flags["C"]
-    if cond == "lo":
-        return bool_not(flags["C"])
-    if cond == "hi":
-        return bool_and(flags["C"], bool_not(flags["Z"]))
-    if cond == "ls":
-        return bool_or(bool_not(flags["C"]), flags["Z"])
-    if cond == "ge":
-        return bool_not(bool_xor(flags["N"], flags["V"]))
-    if cond == "lt":
-        return bool_xor(flags["N"], flags["V"])
-    if cond == "gt":
-        return bool_and(bool_not(flags["Z"]),
-                        bool_not(bool_xor(flags["N"], flags["V"])))
-    if cond == "le":
-        return bool_or(flags["Z"], bool_xor(flags["N"], flags["V"]))
-    raise FrontendError(f"unknown condition {cond!r}")
+    def store(self, addr, value, size: int) -> None:
+        if (size == 1 and type(value) is _Node and value.op == "and"
+                and value.fields["b"] == 0xFF):
+            value = value.fields["a"]  # a 1-byte store truncates anyway
+        value = self.temp(value)
+        self.block.emit(op="qemu_st", a=self.temp(addr), b=value, size=size)

@@ -215,9 +215,9 @@ def _counterfactual_tcg(
         start + length == len(block),
     )
     if key not in cache:
-        shadow = BlockAssembler()
+        shadow, tcg = BlockAssembler(), TcgBlock(guest_start=guest_addr)
         ops = sum(
-            _emit_tcg_instruction(program, block, shadow, j, guest_addr)[0]
+            _emit_tcg_instruction(program, block, shadow, tcg, j)[0]
             for j in range(start, start + length)
         )
         cache[key] = (ops, sum(map(instruction_cycles, shadow.instrs)))
@@ -240,6 +240,7 @@ def translate_block_with_rules(
     block = discover_block(program, start_index)
     guest_addr = 0x8000 + 4 * start_index
     assembler = BlockAssembler()
+    tcg = TcgBlock(guest_start=guest_addr)
     covered = [False] * len(block)
     hit_profiles: list[HitProfile] = []
     miss_reasons: dict[str, int] = {}
@@ -300,7 +301,7 @@ def translate_block_with_rules(
             if gap_sink is not None:
                 gap_sink(block[i : i + MAX_GAP_LENGTH])
         ops, instr_ended = _emit_tcg_instruction(
-            program, block, assembler, i, guest_addr
+            program, block, assembler, tcg, i
         )
         tcg_ops_total += ops
         ended |= instr_ended
@@ -327,16 +328,17 @@ def _emit_tcg_instruction(
     program: CompiledProgram,
     block: list[Instruction],
     assembler: BlockAssembler,
+    tcg: TcgBlock,
     i: int,
-    guest_addr: int,
 ) -> tuple[int, bool]:
-    """TCG path for one guest instruction; returns (ops, block_ended)."""
-    tcg = TcgBlock(guest_start=guest_addr)
-    tcg.temp_counter = 10_000 + i * 100  # keep temp names unique
-    translate_instruction(program, tcg, block[i], guest_addr + 4 * i)
+    """TCG path for ``block[i]``: its ops go into ``tcg``, the guest
+    block's one TCG block (so their temps are unique in ``assembler``),
+    and are lowered into ``assembler``; returns (ops, block_ended)."""
+    first = len(tcg.ops)
+    translate_instruction(program, tcg, block[i], tcg.guest_start + 4 * i)
     ended = False
-    for op in tcg.ops:
+    for op in tcg.ops[first:]:
         codegen.lower_tcg_op(assembler, op)
         if op.op in ("brcond", "goto_tb", "exit_indirect"):
             ended = True
-    return len(tcg.ops), ended
+    return len(tcg.ops) - first, ended

@@ -1,10 +1,11 @@
 """TCG-like micro-op IR (the QEMU tiny code generator model).
 
 The ARM frontend translates each guest instruction into several TCG
-ops; the x86 backend lowers each TCG op into one or more host
-instructions.  This two-step, per-op translation is what produces
-QEMU's characteristic code expansion (paper Section 1) that learned
-rules bypass.
+ops by running the ARM semantics on a state and ALU that emit them
+(:mod:`repro.dbt.frontend`); the x86 backend lowers each TCG op into
+one or more host instructions.  This two-step, per-op translation is
+what produces QEMU's characteristic code expansion (paper Section 1)
+that learned rules bypass.
 
 Temps are strings ``%tN``; guest registers and guest condition flags
 live in the in-memory CPU env and are accessed via ``ld_reg``/
@@ -34,15 +35,6 @@ class TcgCond(enum.Enum):
     GEU = "geu"
 
 
-#: TCG op names and their operand shapes (documented in TcgOp).
-OP_NAMES = (
-    "movi", "mov", "add", "sub", "mul", "and", "or", "xor", "shl", "shr",
-    "sar", "neg", "not", "ld_reg", "st_reg", "ld_flag", "st_flag",
-    "qemu_ld", "qemu_st", "setcond", "movcond", "cmp_flags", "brcond",
-    "goto_tb", "exit_indirect",
-)
-
-
 @dataclass
 class TcgOp:
     """One TCG micro-op.
@@ -52,7 +44,7 @@ class TcgOp:
     ========== ===========================================================
     op         fields used
     ========== ===========================================================
-    movi       out, imm
+    movi       out, a               (a is the immediate)
     mov        out, a
     add..sar   out, a, b            (binary ALU; b may be temp or imm)
     neg/not    out, a

@@ -19,7 +19,7 @@ Flag conventions implemented (ARM ARM):
 
 from __future__ import annotations
 
-from repro.guest_arm.isa import split_mnemonic
+from repro.guest_arm.isa import CONDITION_FLAGS, split_mnemonic
 from repro.guest_arm.registers import register_number
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Mem, Reg, ShiftedReg, SymImm
@@ -29,11 +29,11 @@ _WORD = 4
 
 
 def conditions(cond: str, state, alu):
-    """Evaluate an ARM condition code to a 1-bit truth value."""
-    flag_n = state.get_flag("N")
-    flag_z = state.get_flag("Z")
-    flag_c = state.get_flag("C")
-    flag_v = state.get_flag("V")
+    """Evaluate an ARM condition code to a 1-bit truth value, reading
+    only the flags it needs, in :data:`CONDITION_FLAGS` order."""
+    flags = {name: state.get_flag(name) for name in CONDITION_FLAGS[cond]}
+    flag_n, flag_z = flags.get("N"), flags.get("Z")
+    flag_c, flag_v = flags.get("C"), flags.get("V")
     if cond == "eq":
         return flag_z
     if cond == "ne":
@@ -58,9 +58,7 @@ def conditions(cond: str, state, alu):
         return alu.bool_and(
             alu.bool_not(flag_z), alu.bool_not(alu.xor(flag_n, flag_v))
         )
-    if cond == "le":
-        return alu.bool_or(flag_z, alu.xor(flag_n, flag_v))
-    raise ValueError(f"unknown condition {cond!r}")
+    return alu.bool_or(flag_z, alu.xor(flag_n, flag_v))  # le
 
 
 def _operand_value(op, state, alu):
