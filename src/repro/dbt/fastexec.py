@@ -325,7 +325,7 @@ class SourceALU:
     ``ConcreteALU`` computes from the same operands, which keep its
     discipline: words are 32-bit and conditions 1-bit.  So identities
     fold too: ``x + 0``, ``x - 0``, ``x ^ 0`` and ``x | 0`` are ``x``;
-    ``x & 0``, ``ult(x, 0)`` and ``x ^ x`` are 0."""
+    ``x & 0``, ``ult(x, 0)``, ``ult(x, x)`` and ``x ^ x`` are 0."""
 
     def const(self, width: int, value: int) -> int:
         return value & (1 << width) - 1
@@ -393,7 +393,7 @@ class SourceALU:
         return _op("eq", "1 if {} == {} else 0", a, b)
 
     def ult(self, a, b):
-        if b == 0:
+        if b == 0 or a is b:
             return 0
         return _op("ult", "1 if {} < {} else 0", a, b)
 
@@ -450,10 +450,12 @@ class SourceState:
     :class:`_Fuser` through, with :class:`SourceALU`.
 
     A read is a :class:`_Value` that loads its local only when rendered,
-    so a read nothing consumes loads nothing.  A write is kept as an
-    effect (a write to a flag dead after the instruction is dropped)
-    until the instruction is done; then :meth:`render` writes each
-    effect's value, binding a value used more than once to a temp."""
+    so a read nothing consumes loads nothing; until the local is written,
+    reading it again gives the same value, so ``x ^ x`` folds.  A write
+    is kept as an effect (a write to a flag dead after the instruction,
+    or of a local's own unwritten read back to it, is dropped) until the
+    instruction is done; then :meth:`render` writes each effect's value,
+    binding a value used more than once to a temp."""
 
     def __init__(self, fuser: "_Fuser") -> None:
         self.fuser = fuser
@@ -461,12 +463,21 @@ class SourceState:
         self.effects: list = []
         #: The locals this instruction has set so far.
         self.assigned: set[str] = set()
+        #: local -> its read, for the locals read and not yet written in
+        #: this instruction.
+        self.reads: dict[str, _Value] = {}
+
+    def _read(self, local: str, load, name: str) -> _Value:
+        value = self.reads.get(local)
+        if value is None:
+            value = self.reads[local] = _Value(load, (name,))
+        return value
 
     def get_reg(self, name: str) -> _Value:
-        return _Value(self.fuser.reg, (name,))
+        return self._read(f"r_{name}", self.fuser.reg, name)
 
     def get_flag(self, name: str) -> _Value:
-        return _Value(self.fuser.flag, (name,))
+        return self._read(f"f_{name}", self.fuser.flag, name)
 
     def imm_value(self, expr: tuple) -> _Value:
         """A parameter slot ``("slot", name)``: read by its name."""
@@ -480,13 +491,17 @@ class SourceState:
     # An effect (write, args, value) runs write(*args, <value's source>).
 
     def set_reg(self, name: str, value) -> None:
-        _count(value)
-        self.effects.append((self.fuser._set, (f"r_{name}",), value))
+        self._write(f"r_{name}", value)
 
     def set_flag(self, name: str, value) -> None:
         if name in self.live:
-            _count(value)
-            self.effects.append((self.fuser._set, (f"f_{name}",), value))
+            self._write(f"f_{name}", value)
+
+    def _write(self, local: str, value) -> None:
+        if self.reads.pop(local, None) is value:
+            return  # the local holds it already
+        _count(value)
+        self.effects.append((self.fuser._set, (local,), value))
 
     def store(self, addr, value, size: int) -> None:
         _count(value)
@@ -724,6 +739,7 @@ class _Fuser:
         state = self.state
         state.live, state.effects = live, []
         state.assigned.clear()
+        state.reads.clear()
         branch = execute(instr, state, _SOURCE_ALU).branch
         for write, args, value in state.effects:
             write(*args, state.render(value))

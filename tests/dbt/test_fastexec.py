@@ -233,25 +233,40 @@ def test_source_alu_word_ops_match_concrete(op):
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "and_", "or_", "xor",
                                 "eq", "ult", "mul_overflow_signed"])
 def test_source_alu_zero_and_same_operands_match_concrete(op):
-    # The identity folds: a literal 0 on either side, and one value as
-    # both operands.
+    # The identity folds: a literal 0 on either side, one value as both
+    # operands, and one register read twice.
     def build(alu, st):
         a = st.get_reg("a")
         fn = getattr(alu, op)
-        return [fn(a, alu.const(32, 0)), fn(alu.const(32, 0), a), fn(a, a)]
+        return [fn(a, alu.const(32, 0)), fn(alu.const(32, 0), a), fn(a, a),
+                fn(a, st.get_reg("a"))]
     run = rendered(build)
     for a in WORDS:
         fn = getattr(ALU, op)
-        assert run({"a": a}) == (fn(a, 0), fn(0, a), fn(a, a)), (op, a)
+        assert run({"a": a}) == (fn(a, 0), fn(0, a), fn(a, a),
+                                 fn(a, a)), (op, a)
 
 
-def test_fused_compare_with_zero_renders_no_identity_ops():
+@pytest.mark.parametrize("block, identities", [
+    (("cmpl $0, %eax", "je TB@0x10", "jmp TB@0x20"), ("- 0", "^ 0", "< 0")),
+    # One register read twice is one value: x ^ x folds to 0, and
+    # nothing loads eax.
+    (("xorl %eax, %eax", "jmp TB@0x10"), ("r_eax ^", "regs.get('eax'")),
+    # ult(x, x) folds to 0, and ecx, written with its own value, is
+    # neither set nor written back.
+    (("addl $0, %ecx", "jl TB@0x10", "jmp TB@0x20"),
+     ("r_ecx < r_ecx", "r_ecx = r_ecx", "regs['ecx']")),
+], ids=["cmp-zero", "xor-self", "add-zero"])
+def test_fused_compare_with_zero_renders_no_identity_ops(block, identities):
+    instrs = [parse(text) for text in block]
     fuser = _Fuser()
-    fuser.block([parse(text) for text in
-                 ("cmpl $0, %eax", "je TB@0x10", "jmp TB@0x20")])
+    fuser.block(instrs)
     source = "\n".join(fuser.lines)
-    for identity in ("- 0", "^ 0", "< 0"):
+    for identity in identities:
         assert identity not in source, source
+    rng = random.Random(0)
+    for _ in range(20):
+        assert_fused_matches(instrs, rng)
 
 
 @pytest.mark.parametrize("op", ["shl", "lshr", "ashr"])
