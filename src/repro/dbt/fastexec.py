@@ -450,12 +450,13 @@ class SourceState:
     :class:`_Fuser` through, with :class:`SourceALU`.
 
     A read is a :class:`_Value` that loads its local only when rendered,
-    so a read nothing consumes loads nothing; until the local is written,
-    reading it again gives the same value, so ``x ^ x`` folds.  A write
-    is kept as an effect (a write to a flag dead after the instruction,
-    or of a local's own unwritten read back to it, is dropped) until the
-    instruction is done; then :meth:`render` writes each effect's value,
-    binding a value used more than once to a temp."""
+    so a read nothing consumes loads nothing.  Reading a local again
+    gives the same value, so ``x ^ x`` folds, until the instruction
+    writes a register (or, for a flag, that flag).  A write is kept as an
+    effect (a write to a flag dead after the instruction, or of a local's
+    own read back to it, is dropped) until the instruction is done; then
+    :meth:`render` writes each effect's value, binding a value used more
+    than once to a temp."""
 
     def __init__(self, fuser: "_Fuser") -> None:
         self.fuser = fuser
@@ -463,8 +464,8 @@ class SourceState:
         self.effects: list = []
         #: The locals this instruction has set so far.
         self.assigned: set[str] = set()
-        #: local -> its read, for the locals read and not yet written in
-        #: this instruction.
+        #: local -> its read, for the locals read since this instruction
+        #: last wrote a register (or that flag).
         self.reads: dict[str, _Value] = {}
 
     def _read(self, local: str, load, name: str) -> _Value:
@@ -491,15 +492,19 @@ class SourceState:
     # An effect (write, args, value) runs write(*args, <value's source>).
 
     def set_reg(self, name: str, value) -> None:
-        self._write(f"r_{name}", value)
+        if self.reads.get(f"r_{name}") is not value:
+            # A step's register placeholder may stand for another name's
+            # register: forget every register read.
+            self.reads = {local: read for local, read in self.reads.items()
+                          if local[0] == "f"}
+            self._write(f"r_{name}", value)
 
     def set_flag(self, name: str, value) -> None:
-        if name in self.live:
+        if (name in self.live
+                and self.reads.pop(f"f_{name}", None) is not value):
             self._write(f"f_{name}", value)
 
     def _write(self, local: str, value) -> None:
-        if self.reads.pop(local, None) is value:
-            return  # the local holds it already
         _count(value)
         self.effects.append((self.fuser._set, (local,), value))
 
@@ -739,7 +744,7 @@ class _Fuser:
         state = self.state
         state.live, state.effects = live, []
         state.assigned.clear()
-        state.reads.clear()
+        state.reads = {}
         branch = execute(instr, state, _SOURCE_ALU).branch
         for write, args, value in state.effects:
             write(*args, state.render(value))
