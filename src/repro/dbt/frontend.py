@@ -18,7 +18,7 @@ from repro.isa.alu import ConcreteALU
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Label
 from repro.minic.compile import CompiledProgram
-from repro.dbt.tcg import TcgBlock, TcgCond
+from repro.dbt.tcg import TcgBlock, TcgCond, TcgOp
 
 _WORD = 4
 
@@ -220,10 +220,12 @@ class TcgState:
         if type(value) is not _Node:
             return value
         if value.temp is None:
-            fields = {key: self.operand(arg)
-                      for key, arg in value.fields.items()}
+            fields = value.fields
+            for key, arg in fields.items():
+                if type(arg) is _Node:
+                    fields[key] = self.operand(arg)
             value.temp = self.block.new_temp()
-            self.block.emit(op=value.op, out=value.temp, **fields)
+            self.block.ops.append(TcgOp(value.op, value.temp, **fields))
         return value.temp
 
     def temp(self, value) -> str:
