@@ -78,12 +78,13 @@ def translate_instruction(
         return
     if not isinstance(branch.target, Label):
         block.emit(op="exit_indirect", a=state.temp(branch.target))
-    elif type(branch.cond) is int:
-        block.emit(op="goto_tb", taken=program.addr_of(branch.target.name))
+        return
+    taken = program.addr_of(branch.target.name)
+    if type(branch.cond) is int:
+        block.emit(op="goto_tb", taken=taken)
     else:
         block.emit(op="brcond", cond=TcgCond.NE,
-                   a=state.operand(branch.cond), b=0,
-                   taken=program.addr_of(branch.target.name),
+                   a=state.operand(branch.cond), b=0, taken=taken,
                    fallthrough=pc + _WORD)
 
 

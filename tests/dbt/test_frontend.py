@@ -16,7 +16,7 @@ from repro.dbt.frontend import (
     translate_instruction,
 )
 from repro.dbt.machine import ConcreteState
-from repro.dbt.tcg import TcgBlock, TcgOp
+from repro.dbt.tcg import TcgBlock
 from repro.guest_arm import execute as execute_arm
 from repro.guest_arm import parse_instruction
 from repro.host_x86 import execute as execute_x86
@@ -167,14 +167,10 @@ def _value_pairs(seed: int):
     return pairs
 
 
-def _initial_states(seed: int, r2_values=None):
-    """(registers, flags) to start from: r1/r2 from :func:`_value_pairs`
-    (r2 from ``r2_values`` when given), every NZCV combination in turn,
-    and r0/r3 random; memory operands stay inside a small page."""
+def _initial_states(pairs, seed: int):
+    """(registers, flags) to start from: r1 and r2 from ``pairs``, every
+    NZCV combination in turn, and r0/r3 random."""
     rng = random.Random(seed ^ 0x5EED)
-    pairs = _value_pairs(seed)
-    if r2_values is not None:
-        pairs = [(a, b) for a in EDGES for b in r2_values]
     for case, (r1, r2) in enumerate(pairs):
         regs = {"r0": rng.getrandbits(32), "r1": r1, "r2": r2,
                 "r3": rng.getrandbits(32)}
@@ -238,12 +234,14 @@ class TestAgainstSemantics:
 
     @pytest.mark.parametrize("text", UNCOVERED_FORMS)
     def test_form(self, text):
-        _check(text, _initial_states(zlib.crc32(text.encode())))
+        seed = zlib.crc32(text.encode())
+        _check(text, _initial_states(_value_pairs(seed), seed))
 
     @pytest.mark.parametrize("text", ("lsl r0, r1, r2", "lsr r0, r1, r2",
                                       "asr r0, r1, r2"))
     def test_register_shift_below_32(self, text):
-        _check(text, _initial_states(1, r2_values=range(32)))
+        pairs = [(value, count) for value in EDGES for count in range(32)]
+        _check(text, _initial_states(pairs, 1))
 
     @pytest.mark.xfail(strict=True, reason=(
         "TCG shl/shr/sar lower to x86 shifts, which take the count mod "
@@ -251,7 +249,9 @@ class TestAgainstSemantics:
     @pytest.mark.parametrize("text", ("lsl r0, r1, r2", "lsr r0, r1, r2",
                                       "asr r0, r1, r2"))
     def test_register_shift_by_32_or_more(self, text):
-        _check(text, _initial_states(1, r2_values=(32, 33, 255)))
+        pairs = [(value, count) for value in EDGES
+                 for count in (32, 33, 255, 0xFFFFFFFF)]
+        _check(text, _initial_states(pairs, 1))
 
     @pytest.mark.parametrize("text", ("sdiv r0, r1, r2", "udiv r0, r1, r2"))
     def test_division_has_no_tcg_op(self, text):
