@@ -29,7 +29,7 @@ from repro.minic.backend.mach import (
     is_vreg,
     rewrite_registers,
 )
-from repro.minic.backend.regalloc import allocate
+from repro.minic.backend.regalloc import _Footprint, allocate
 from repro.dbt.tcg import TcgCond, TcgOp
 
 # CPU env layout (absolute addresses in the shared flat memory).
@@ -331,6 +331,13 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
     ``movl`` is touched — everything else may set EFLAGS that a later
     jcc/setcc consumes.
     """
+    return _drop_dead_movs(*_propagate_copies(instrs))
+
+
+def _propagate_copies(instrs: list[Instruction]
+                      ) -> tuple[list[Instruction], list[_Footprint]]:
+    """The copy-propagated code and each instruction's (uses, defs),
+    derived once per instruction and again only where it is rewritten."""
     replacement: dict[str, str] = {}
     copies_of: dict[str, set[str]] = {}  # reverse index of replacement
 
@@ -342,22 +349,25 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
             del replacement[copy]
 
     rewritten: list[Instruction] = []
+    footprints: list[_Footprint] = []
     for instr in instrs:
+        uses = x86_isa.used_registers(instr)
         defs = x86_isa.defined_registers(instr)
         if replacement:
             # Never substitute a register the instruction *writes* — on
             # two-address x86 the destination is read-modify-write, and
             # redirecting it would move the result into the wrong
-            # register.
-            mapping = {}
-            for reg in instr.registers():
-                base = reg.name[:-2] if reg.name.endswith(".b") else reg.name
-                if base in replacement and base not in defs:
-                    mapping[base] = replacement[base]
+            # register.  Every other vreg it names is a use.
+            mapping = {
+                name: replacement[name] for name in uses
+                if name in replacement and name not in defs
+            }
             if mapping:
                 instr = rewrite_registers(instr, mapping)
+                uses = x86_isa.used_registers(instr)  # defs are untouched
         if x86_isa.is_branch(instr):
             rewritten.append(instr)
+            footprints.append((uses, defs))
             replacement.clear()
             copies_of.clear()
             continue
@@ -373,21 +383,21 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
             if is_vreg(dst):
                 replacement[dst] = src
                 copies_of.setdefault(src, set()).add(dst)
-            rewritten.append(instr)
-            continue
-        for reg in defs:
-            invalidate(reg)
+        else:
+            for reg in defs:
+                invalidate(reg)
         rewritten.append(instr)
-    return _drop_dead_movs(rewritten)
+        footprints.append((uses, defs))
+    return rewritten, footprints
 
 
-def _drop_dead_movs(instrs: list[Instruction]) -> list[Instruction]:
+def _drop_dead_movs(instrs: list[Instruction],
+                    footprints: list[_Footprint]) -> list[Instruction]:
     """Drop every ``movl`` into a vreg nothing reads, including those
     whose only readers are themselves dropped."""
-    uses = [x86_isa.used_registers(instr) for instr in instrs]
     readers: dict[str, int] = {}
-    for names in uses:
-        for name in names:
+    for uses, _ in footprints:
+        for name in uses:
             readers[name] = readers.get(name, 0) + 1
     movs_into: dict[str, list[int]] = {}
     for index, instr in enumerate(instrs):
@@ -402,7 +412,7 @@ def _drop_dead_movs(instrs: list[Instruction]) -> list[Instruction]:
     while worklist:
         for index in movs_into.pop(worklist.pop()):
             dead.add(index)
-            for name in uses[index]:
+            for name in footprints[index][0]:
                 readers[name] -= 1
                 if not readers[name] and name in movs_into:
                     worklist.append(name)

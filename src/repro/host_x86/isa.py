@@ -51,6 +51,8 @@ ALL_OPCODES = (
 )
 
 _OPCODE_IDS = {name: index + 1 for index, name in enumerate(ALL_OPCODES)}
+_JCCS = frozenset(JCC_OPS)
+_BRANCHES = frozenset(FLOW_OPS + JCC_OPS)
 
 # Everything that writes OF/SF/ZF/CF "normally" (the full set).
 _FULL_FLAG_WRITERS = (
@@ -65,13 +67,13 @@ def opcode_id(instr: Instruction) -> int:
 
 
 def branch_condition(instr: Instruction) -> str | None:
-    if instr.mnemonic in JCC_OPS:
+    if instr.mnemonic in _JCCS:
         return instr.mnemonic[1:]
     return None
 
 
 def is_branch(instr: Instruction) -> bool:
-    return instr.mnemonic in FLOW_OPS or instr.mnemonic in JCC_OPS
+    return instr.mnemonic in _BRANCHES
 
 
 def is_call(instr: Instruction) -> bool:
@@ -95,93 +97,96 @@ def is_predicated(instr: Instruction) -> bool:
     return instr.mnemonic in CMOV_OPS
 
 
+#: Opcodes whose destination is the last operand (two-operand ALU,
+#: shift, extend, byte move, lea and cmov forms).
+_DEST_LAST = frozenset(
+    BINARY_OPS + SHIFT_OPS + EXTEND_OPS + BYTE_OPS + LEA_OPS + CMOV_OPS
+)
+#: Opcodes whose only operand is the destination.
+_DEST_FIRST = frozenset(UNARY_OPS + SETCC_OPS)
+#: Opcodes that read every operand; a cmov reads its destination too,
+#: since it may keep the old value.
+_READS_ALL = frozenset(
+    BINARY_OPS[1:] + UNARY_OPS + SHIFT_OPS + COMPARE_OPS + CMOV_OPS
+)
+#: Plain moves: they read the source, and the address registers of a
+#: memory destination.
+_READS_SOURCE = frozenset(("movl",) + EXTEND_OPS + BYTE_OPS + LEA_OPS)
+#: Opcodes that read their first operand, after the registers they read
+#: implicitly (setcc writes one byte: the rest of the destination
+#: survives).
+_READS_FIRST = frozenset(SETCC_OPS + ("idivl", "pushl", "jmp"))
+#: Registers an opcode reads or writes beside its operands.
+_IMPLICIT_USES = {
+    "cltd": ("eax",), "idivl": ("eax", "edx"), "pushl": ("esp",),
+    "popl": ("esp",), "ret": ("esp",),
+}
+_IMPLICIT_DEFS = {
+    "cltd": ("edx",), "idivl": ("eax", "edx"), "pushl": ("esp",),
+    "call": ("esp",), "ret": ("esp",),
+}
+
+
 def _operand_regs(op) -> tuple[str, ...]:
+    """The registers one operand names: a register by its 32-bit
+    parent, a memory operand by its base and index."""
     if isinstance(op, Reg):
         return (parent_of(op.name),)
     if isinstance(op, Mem):
-        return tuple(reg.name for reg in op.registers())
+        base, index = op.base, op.index
+        if base is None:
+            return () if index is None else (index.name,)
+        if index is None or index.name == base.name:
+            return (base.name,)
+        return (base.name, index.name)
     return ()
+
+
+def _joined(first: tuple[str, ...], second: tuple[str, ...]
+            ) -> tuple[str, ...]:
+    """``first`` then ``second``, each name once, in first-seen order."""
+    if not second:
+        return first
+    if not first:
+        return second
+    return tuple(dict.fromkeys(first + second))
 
 
 def defined_registers(instr: Instruction) -> tuple[str, ...]:
     name = instr.mnemonic
     ops = instr.operands
-    if name in BINARY_OPS or name in SHIFT_OPS or name in EXTEND_OPS or (
-        name in BYTE_OPS
-    ) or name in LEA_OPS or name in CMOV_OPS:
+    if name in _DEST_LAST:
         dst = ops[-1]
-        if isinstance(dst, Reg):
-            return (parent_of(dst.name),)
-        return ()
-    if name in UNARY_OPS:
-        return (parent_of(ops[0].name),) if isinstance(ops[0], Reg) else ()
-    if name in SETCC_OPS:
-        return (parent_of(ops[0].name),) if isinstance(ops[0], Reg) else ()
-    if name == "cltd":
-        return ("edx",)
-    if name == "idivl":
-        return ("eax", "edx")
-    if name == "pushl":
-        return ("esp",)
+        return (parent_of(dst.name),) if isinstance(dst, Reg) else ()
+    if name in _DEST_FIRST:
+        dst = ops[0]
+        return (parent_of(dst.name),) if isinstance(dst, Reg) else ()
     if name == "popl":
-        dst = (parent_of(ops[0].name),) if ops and isinstance(ops[0], Reg) else ()
-        return ("esp",) + dst
-    if name == "call":
+        if ops and isinstance(ops[0], Reg):
+            return ("esp", parent_of(ops[0].name))
         return ("esp",)
-    if name == "ret":
-        return ("esp",)
-    return ()
+    return _IMPLICIT_DEFS.get(name, ())
 
 
 def used_registers(instr: Instruction) -> tuple[str, ...]:
     name = instr.mnemonic
     ops = instr.operands
-    used: list[str] = []
-
-    def add(names) -> None:
-        for reg in names:
-            if reg not in used:
-                used.append(reg)
-
-    if name == "movl" or name in EXTEND_OPS or name in BYTE_OPS or name in LEA_OPS:
-        add(_operand_regs(ops[0]))
+    if name in _READS_ALL:
+        names: tuple[str, ...] = ()
+        for op in ops:
+            names = _joined(names, _operand_regs(op))
+        return names
+    if name in _READS_SOURCE:
+        names = _operand_regs(ops[0])
         if isinstance(ops[-1], Mem):
-            add(_operand_regs(ops[-1]))
-    elif name in BINARY_OPS:  # add/sub/... read both operands
-        for op in ops:
-            add(_operand_regs(op))
-    elif name in UNARY_OPS:
-        for op in ops:
-            add(_operand_regs(op))
-    elif name in SHIFT_OPS:
-        for op in ops:
-            add(_operand_regs(op))
-    elif name in COMPARE_OPS:
-        for op in ops:
-            add(_operand_regs(op))
-    elif name in CMOV_OPS:
-        for op in ops:
-            add(_operand_regs(op))  # dst read too (may keep old value)
-    elif name in SETCC_OPS:
-        add(_operand_regs(ops[0]))  # byte write: the rest of dst survives
-    elif name == "cltd":
-        add(("eax",))
-    elif name == "idivl":
-        add(("eax", "edx"))
-        add(_operand_regs(ops[0]))
-    elif name == "pushl":
-        add(("esp",))
-        add(_operand_regs(ops[0]))
-    elif name == "popl":
-        add(("esp",))
-    elif name in ("jmp", "call"):
-        if ops and not isinstance(ops[0], Label):
-            add(_operand_regs(ops[0]))
-        if name == "call":
-            add(("esp",))
-    elif name == "ret":
-        add(("esp",))
-    return tuple(used)
+            return _joined(names, _operand_regs(ops[-1]))
+        return names
+    first = _operand_regs(ops[0]) if ops else ()
+    if name in _READS_FIRST:
+        return _joined(_IMPLICIT_USES.get(name, ()), first)
+    if name == "call":
+        return _joined(first, ("esp",))
+    return _IMPLICIT_USES.get(name, ())
 
 
 def defined_flags(instr: Instruction) -> tuple[str, ...]:

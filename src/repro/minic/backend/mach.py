@@ -78,8 +78,12 @@ class MachineBuilder:
 _PARENT_TO_LOW8 = {"eax": "al", "ecx": "cl", "edx": "dl", "ebx": "bl"}
 
 
-def _sub_reg(reg: Reg, mapping: dict[str, str]) -> Reg:
+def _sub_reg(reg: Reg, mapping: dict[str, str],
+             renamed: dict[str, Reg]) -> Reg:
     name = reg.name
+    new_reg = renamed.get(name)
+    if new_reg is not None:
+        return new_reg
     if name.endswith(".b"):
         parent = mapping.get(name[:-2])
         if parent is None:
@@ -87,7 +91,10 @@ def _sub_reg(reg: Reg, mapping: dict[str, str]) -> Reg:
         new = _PARENT_TO_LOW8.get(parent, f"{parent}.b")
     else:
         new = mapping.get(name, name)
-    return reg if new == name else Reg(new)
+    if new == name:
+        return reg
+    new_reg = renamed[name] = Reg(new)
+    return new_reg
 
 
 def rewrite_registers(instr: Instruction,
@@ -99,17 +106,30 @@ def rewrite_registers(instr: Instruction,
     ``needs_low8`` meta hint is renamed the same way, in a fresh meta
     dict: ``instr`` itself is never modified.
     """
+    return _rewrite(instr, mapping, {})
+
+
+def rename_registers(instrs: list[Instruction],
+                     mapping: dict[str, str]) -> list[Instruction]:
+    """:func:`rewrite_registers` over a whole list, sharing one ``Reg``
+    per renamed name."""
+    renamed: dict[str, Reg] = {}
+    return [_rewrite(instr, mapping, renamed) for instr in instrs]
+
+
+def _rewrite(instr: Instruction, mapping: dict[str, str],
+             renamed: dict[str, Reg]) -> Instruction:
     changed = False
     new_ops = []
     for op in instr.operands:
         if isinstance(op, Reg):
-            new = _sub_reg(op, mapping)
+            new = _sub_reg(op, mapping, renamed)
         elif isinstance(op, ShiftedReg):
-            reg = _sub_reg(op.reg, mapping)
+            reg = _sub_reg(op.reg, mapping, renamed)
             new = op if reg is op.reg else ShiftedReg(reg, op.shift, op.amount)
         elif isinstance(op, Mem) and (op.base or op.index):
-            base = op.base and _sub_reg(op.base, mapping)
-            index = op.index and _sub_reg(op.index, mapping)
+            base = op.base and _sub_reg(op.base, mapping, renamed)
+            index = op.index and _sub_reg(op.index, mapping, renamed)
             new = op if base is op.base and index is op.index else Mem(
                 base, index, op.scale, op.disp, op.var, op.disp_param)
         else:

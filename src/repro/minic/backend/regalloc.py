@@ -26,6 +26,7 @@ from repro.minic.backend.mach import (
     MachineFunction,
     TargetInfo,
     is_vreg,
+    rename_registers,
     rewrite_registers,
 )
 
@@ -341,14 +342,15 @@ def _linear_scan(
 
 def _apply(func: MachineFunction, target: TargetInfo,
            mapping: dict[str, str]) -> None:
-    func.instrs = [
-        rewrite_registers(instr, mapping) for instr in func.instrs
-    ]
-    used = {reg.name for instr in func.instrs for reg in instr.registers()}
-    used.update(mapping.values())
-    func.used_callee_saved = tuple(
-        reg for reg in target.callee_saved if reg in used
-    )
+    func.instrs = rename_registers(func.instrs, mapping)
+    func.used_callee_saved = ()
+    if target.callee_saved:  # else the scan below can find nothing
+        used = {reg.name for instr in func.instrs
+                for reg in instr.registers()}
+        used.update(mapping.values())
+        func.used_callee_saved = tuple(
+            reg for reg in target.callee_saved if reg in used
+        )
 
 
 def _spill(func: MachineFunction, target: TargetInfo, victim: str,
@@ -364,25 +366,26 @@ def _spill(func: MachineFunction, target: TargetInfo, victim: str,
     moved: list[int] = []
     counter = 0
     for instr, footprint in zip(func.instrs, footprints):
-        uses = victim in footprint[0]
-        defines = victim in footprint[1]
+        uses, defs = footprint
         moved.append(len(new_instrs))
-        if not uses and not defines:
+        if victim not in uses and victim not in defs:
             new_instrs.append(instr)
             new_footprints.append(footprint)
             continue
         counter += 1
         temp = f"%spill{offset}_{counter}"
-        rewritten = rewrite_registers(instr, {victim: temp})
-        if uses:
-            new_instrs.append(target.spill_load(temp, offset))
-        new_instrs.append(rewritten)
-        if defines:
-            new_instrs.append(target.spill_store(temp, offset))
-        new_footprints.extend(
-            _footprint(new, target)
-            for new in new_instrs[len(new_footprints):]
-        )
+        if victim in uses:
+            load = target.spill_load(temp, offset)
+            new_instrs.append(load)
+            new_footprints.append(_footprint(load, target))
+        new_instrs.append(rewrite_registers(instr, {victim: temp}))
+        new_footprints.append((
+            tuple(temp if name == victim else name for name in uses),
+            tuple(temp if name == victim else name for name in defs)))
+        if victim in defs:
+            store = target.spill_store(temp, offset)
+            new_instrs.append(store)
+            new_footprints.append(_footprint(store, target))
     moved.append(len(new_instrs))
     func.labels = {
         name: moved[pos] if pos < len(moved) else len(new_instrs)

@@ -1,7 +1,7 @@
 """Register allocator unit tests on hand-built machine code, a
-differential oracle for liveness over random machine functions, and a
-check that the liveness ``allocate`` keeps across spill rounds equals a
-rebuild."""
+differential oracle for liveness over random machine functions, and
+checks that the liveness ``allocate`` keeps across spill rounds, and the
+footprints the DBT peephole and ``allocate`` carry, equal a rebuild."""
 
 from dataclasses import replace
 
@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.benchsuite import BENCHMARK_NAMES, benchmark_source
+from repro.dbt import codegen
+from repro.dbt.ruletrans import translate_block_with_rules
+from repro.experiments.common import ExperimentContext
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg
 from repro.minic.backend import regalloc
@@ -29,7 +32,11 @@ from repro.minic.backend.regalloc import (
 )
 from repro.minic.backend.x86_backend import X86Selector
 from repro.minic.backend.x86_backend import target_info as x86_ti
-from repro.minic.compile import compile_frontend, layout_globals
+from repro.minic.compile import (
+    compile_frontend,
+    compile_source,
+    layout_globals,
+)
 
 
 def instr(mnemonic, *ops, meta=None):
@@ -392,3 +399,54 @@ class TestKeptLiveness:
         ])
         stats = _checked_allocate(func, target)
         assert stats == {"rounds": 3, "rebuilds": 1}
+
+
+# -- footprints carried through the peephole and across spill rounds -------------
+
+
+def _dbt_blocks() -> list[list[Instruction]]:
+    """The distinct lowered blocks (the peephole's input) of every
+    label-start block of the benchmark suite at ``test`` inputs, both
+    styles, TCG-only and with leave-one-out rule stores."""
+    blocks: dict[tuple, None] = {}
+    finalize = codegen.finalize_block
+
+    def recording(assembler, guest_start):
+        blocks[tuple(assembler.instrs)] = None
+        return finalize(assembler, guest_start)
+
+    context = ExperimentContext()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codegen, "finalize_block", recording)
+        for name in BENCHMARK_NAMES:
+            store = context.rule_store_excluding(name)
+            for style in ("llvm", "gcc"):
+                program = compile_source(benchmark_source(name, "test"),
+                                         "arm", 2, style)
+                for start in sorted(set(program.labels.values())):
+                    if start < len(program.code):
+                        for mode_store in (None, store):
+                            translate_block_with_rules(program, start,
+                                                       mode_store)
+    return [list(block) for block in blocks]
+
+
+class TestCarriedFootprints:
+    """The peephole derives each instruction's footprint once and
+    re-derives it only where copy propagation rewrites it; ``_spill``
+    maps a rewritten access's footprint instead of re-deriving it.  The
+    carried footprints must equal fresh ones."""
+
+    def test_benchmark_suite(self):
+        targets = (codegen.DBT_TARGET, _tight(codegen.DBT_TARGET))
+        spill_rounds = 0
+        blocks = _dbt_blocks()
+        for instrs in blocks:
+            code, footprints = codegen._propagate_copies(instrs)
+            assert footprints == [_footprint(ins, codegen.DBT_TARGET)
+                                  for ins in code]
+            code = codegen.peephole(instrs)
+            for target in targets:
+                func = MachineFunction("tb", instrs=list(code))
+                spill_rounds += _checked_allocate(func, target)["rounds"] - 1
+        assert spill_rounds > len(blocks)  # the spill path is exercised
