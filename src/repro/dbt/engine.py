@@ -40,7 +40,7 @@ from repro.guest_arm.isa import split_mnemonic
 from repro.host_x86 import execute as execute_x86
 from repro.isa.alu import ConcreteALU
 from repro.isa.operands import Label
-from repro.learning.rule import has_window
+from repro.learning.rule import windows_in
 from repro.learning.serialize import rule_digest
 from repro.learning.store import RuleStore
 from repro.minic.compile import (
@@ -830,7 +830,8 @@ class DBTEngine:
             self.program, self.program.index_of_addr(guest_addr)
         )
         mnemonics = tuple(instr.mnemonic for instr in block)
-        return any(has_window(mnemonics, window) for window in windows)
+        lengths = {len(window) for window in windows}
+        return any(True for _ in windows_in(mnemonics, windows, lengths))
 
     def _finalize_run(self) -> None:
         """Derive the run's guest-side dynamic counters, publish it as

@@ -7,6 +7,7 @@ implements the binding step used by the DBT at translation time.
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.isa.instruction import Instruction
@@ -280,18 +281,23 @@ def instantiate_host(rule: Rule, binding: Binding,
     return result
 
 
-def has_window(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
-    """Does the mnemonic sequence ``needle`` occur contiguously inside
-    ``haystack``?  Rule matching binds operands but never mnemonics, so
-    this is the necessary condition for a rule with guest mnemonics
-    ``needle`` to match inside ``haystack``."""
-    span = len(needle)
-    if not span or span > len(haystack):
-        return False
-    return any(
-        haystack[start : start + span] == needle
-        for start in range(len(haystack) - span + 1)
-    )
+def windows_in(
+    haystack: tuple[str, ...],
+    needles: Container[tuple[str, ...]],
+    lengths: Iterable[int],
+) -> Iterator[tuple[str, ...]]:
+    """Each contiguous slice of ``haystack`` that is one of ``needles``,
+    found by one hash lookup per slice of each length in ``lengths``
+    (the lengths of the needles).  Rule matching binds operands but
+    never mnemonics, so a needle that is not yielded cannot be the
+    guest mnemonic sequence of a rule matching inside ``haystack``."""
+    for span in lengths:
+        if span < 1:
+            continue
+        for start in range(len(haystack) - span + 1):
+            window = haystack[start : start + span]
+            if window in needles:
+                yield window
 
 
 def dedup_rules(rules: list[Rule]) -> list[Rule]:

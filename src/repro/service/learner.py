@@ -9,7 +9,9 @@ candidates pay for verification: a candidate is *relevant* to a gap
 when its guest mnemonic sequence occurs as a contiguous window of the
 gap's mnemonic sequence — the necessary condition for any rule learned
 from it to match inside the gap (rule matching binds operands but
-never mnemonics).
+never mnemonics).  Staging indexes each candidate by that sequence, so
+a round looks up the slices of its gap windows instead of scanning the
+staged corpus.
 
 Verification reuses the existing machinery end to end: candidates are
 canonical (:mod:`repro.learning.canon`), settled verdicts live in the
@@ -37,7 +39,7 @@ from repro.learning.parallel import (
     _resolve_chunk,
 )
 from repro.learning.pipeline import Candidate, stage_candidates
-from repro.learning.rule import Rule, dedup_rules, has_window
+from repro.learning.rule import Rule, dedup_rules, windows_in
 from repro.learning.verify import query_scope
 from repro.minic.compile import CompiledProgram
 from repro.obs.metrics import get_metrics
@@ -78,6 +80,10 @@ class OnlineLearner:
         #: digest -> settled verdict (service-lifetime dedup).
         self.memo: dict[str, CandidateOutcome] = {}
         self._staged: list[tuple[str, Candidate]] | None = None
+        #: guest mnemonic sequence -> staging positions of the staged
+        #: candidates with it, and the lengths of those sequences.
+        self._by_needle: dict[tuple[str, ...], list[int]] = {}
+        self._needle_lengths: set[int] = set()
         #: Builds ingested after construction (corpus feed); names may
         #: repeat — one origin arrives once per codegen style.
         self._extra_builds: list[
@@ -105,7 +111,8 @@ class OnlineLearner:
                     staged.extend(self._stage_build(name, pair))
                 for name, pair in self._extra_builds:
                     staged.extend(self._stage_build(name, pair))
-            self._staged = staged
+            self._staged = []
+            self._extend_staged(staged)
             metrics = get_metrics()
             metrics.inc("service.learner.staged_candidates", len(staged))
             metrics.inc("service.learner.stage_seconds",
@@ -128,34 +135,50 @@ class OnlineLearner:
         if self._staged is None:
             return 0
         fresh = self._stage_build(name, pair)
-        self._staged.extend(fresh)
+        self._extend_staged(fresh)
         get_metrics().inc("service.learner.staged_candidates", len(fresh))
         return len(fresh)
+
+    def _extend_staged(self, fresh: list[tuple[str, Candidate]]) -> None:
+        """Append ``fresh`` to the staged list and index each by its
+        guest mnemonic sequence."""
+        for position, (_, candidate) in enumerate(fresh, len(self._staged)):
+            needle = tuple(instr.mnemonic for instr in candidate.pair.guest)
+            self._by_needle.setdefault(needle, []).append(position)
+            self._needle_lengths.add(len(needle))
+        self._staged.extend(fresh)
 
     # -- gap matching --------------------------------------------------------
 
     def match_candidates(self, gaps: list[Gap]) -> list[tuple[str, Candidate]]:
         """Staged candidates relevant to any of ``gaps``.
 
-        Deduped by canonical digest, in staging order (corpus order,
-        so verdict reuse is deterministic).  Settled candidates are
+        Each slice of each gap window, of each staged needle length, is
+        looked up in the staging index.  Deduped by canonical digest
+        (the first staged candidate wins), in staging order (corpus
+        order, so verdict reuse is deterministic).  Settled candidates are
         included — replaying their memoized verdict costs nothing and
         keeps each round's rule set complete for its own gaps.
         """
-        windows = [
+        windows = {
             gap.mnemonics for gap in gaps
             if gap.direction == self.direction.name and gap.mnemonics
-        ]
+        }
         if not windows:
             return []
+        staged = self.staged_candidates()
+        by_needle = self._by_needle
+        found: set[tuple[str, ...]] = set()
+        for window in windows:
+            found.update(windows_in(window, by_needle, self._needle_lengths))
+        # Each position has one needle, so the lists are disjoint.
+        hits = sorted(
+            position for needle in found for position in by_needle[needle]
+        )
         selected: dict[str, tuple[str, Candidate]] = {}
-        for name, candidate in self.staged_candidates():
-            if candidate.digest in selected:
-                continue
-            needle = tuple(
-                instr.mnemonic for instr in candidate.pair.guest
-            )
-            if any(has_window(window, needle) for window in windows):
+        for position in hits:
+            name, candidate = staged[position]
+            if candidate.digest not in selected:
                 selected[candidate.digest] = (name, candidate)
         return list(selected.values())
 

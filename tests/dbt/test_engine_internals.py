@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from repro.benchsuite import benchmark_source
+from repro.benchsuite import benchmark_source, build_learning_pair
 from repro.corpus.generate import generate_program
 from repro.corpus.grammar import REGIONS
 from repro.dbt import engine as engine_module
@@ -19,6 +19,8 @@ from repro.learning import learn_rules
 from repro.learning.store import RuleStore
 from repro.minic import compile_source
 from repro.minic.interp import run_tac
+from repro.service.gaps import Gap, GapRecorder
+from repro.service.learner import OnlineLearner
 
 
 def build(source):
@@ -364,6 +366,57 @@ def guarded_corrupt_engine(guest, rules):
     engine = DBTEngine(guest, "rules", RuleStore.from_rules(rules),
                        guard=policy)
     return engine, bad, bad_addr, expected
+
+
+def has_window(haystack, needle):
+    """The per-window scan ``_block_matches_windows`` replaced: a
+    reference."""
+    span = len(needle)
+    if not span or span > len(haystack):
+        return False
+    return any(
+        haystack[start : start + span] == needle
+        for start in range(len(haystack) - span + 1)
+    )
+
+
+class TestHotInstallInvalidation:
+    def test_block_windows_agree_with_scan(self):
+        """An online mcf run: its reported gaps are learned from and
+        hot-installed, and the lookup deciding which cached blocks to
+        retire agrees with a scan of every rule window, block by
+        block."""
+        engine = DBTEngine(golden_program("mcf", "llvm"), "rules",
+                           RuleStore(), gap_sink=GapRecorder())
+        engine.run()
+        gaps = [Gap.from_json(gap) for gap in engine.gap_sink.drain()]
+        learner = OnlineLearner({"mcf": build_learning_pair("mcf")})
+        rules = learner.learn(gaps).rules
+        windows = {tuple(i.mnemonic for i in rule.guest) for rule in rules}
+        # Every staged candidate's guest window, too: more sets to test.
+        needles = {tuple(i.mnemonic for i in candidate.pair.guest)
+                   for _, candidate in learner.staged_candidates()}
+        assert len(windows) > 1 and len(needles) > len(windows)
+        doomed = set()
+        for addr, tb in engine._cache.items():
+            start = engine.program.index_of_addr(addr)
+            mnemonics = tuple(
+                instr.mnemonic for instr
+                in engine.program.code[start : start + tb.guest_length])
+            for window in windows | needles:
+                assert engine._block_matches_windows(addr, {window}) == \
+                    has_window(mnemonics, window), (addr, window)
+            assert engine._block_matches_windows(addr, needles) == \
+                any(has_window(mnemonics, w) for w in needles)
+            matches = any(has_window(mnemonics, w) for w in windows)
+            assert engine._block_matches_windows(addr, windows) == matches
+            if matches and not all(tb.rule_covered):
+                doomed.add(addr)
+        assert doomed
+        installed, invalidated = engine.hot_install(rules)
+        assert installed == len(rules)
+        assert invalidated == len(doomed)
+        assert not doomed & set(engine._cache)
 
 
 class TestFusedTier:
