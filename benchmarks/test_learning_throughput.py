@@ -17,7 +17,6 @@ from pathlib import Path
 from benchmarks.conftest import run_once
 from repro.benchsuite import BENCHMARK_NAMES, build_learning_pair
 from repro.learning.cache import VerificationCache
-from repro.learning.parallel import learn_corpus_parallel
 from repro.learning.pipeline import learn_corpus
 from repro.obs.profiler import SamplingProfiler, phase
 from repro.obs.trace import NULL_TRACER, tracing
@@ -98,7 +97,7 @@ def test_learning_throughput(benchmark, tmp_path):
 
         gc.collect()
         t0 = time.perf_counter()
-        parallel = learn_corpus_parallel(builds, jobs=JOBS)
+        parallel = learn_corpus(builds, jobs=JOBS)
         parallel_seconds = time.perf_counter() - t0
 
         candidates = _candidates(sequential)

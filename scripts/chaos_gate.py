@@ -34,9 +34,9 @@ from repro.dbt.engine import DBTEngine
 from repro.dbt.guard import GuardPolicy
 from repro.faults.deadline import DeadlineBudget
 from repro.faults.plan import FaultPlan, corrupt_rule, fault_plan_scope
+from repro.learning import parallel
 from repro.learning.cache import VerificationCache
 from repro.learning.journal import OutcomeJournal
-from repro.learning.parallel import learn_corpus_parallel
 from repro.learning.pipeline import learn_corpus
 from repro.learning.store import RuleStore
 
@@ -74,12 +74,14 @@ def check_learning_chaos(builds, clean, clean_cache, workdir: Path) -> None:
     )
     chaos_cache = VerificationCache.at_dir(workdir)
     journal = OutcomeJournal.at_dir(workdir)
+    # Small chunks force multi-chunk scheduling on the small corpus.
+    parallel.CHUNK_SIZE = 4
+    parallel.BACKOFF_SECONDS = 0.0
     with fault_plan_scope(plan):
-        chaotic = learn_corpus_parallel(
-            builds, jobs=2, chunk_size=4,
-            cache=chaos_cache, journal=journal,
+        chaotic = learn_corpus(
+            builds, cache=chaos_cache,
             budget=DeadlineBudget(max_steps=100_000),
-            backoff_seconds=0.0,
+            journal=journal, jobs=2,
         )
     journal.close()
 

@@ -16,9 +16,9 @@ from repro.dbt.engine import DBTEngine, DBTRunResult
 from repro.dbt.guard import GuardPolicy
 from repro.dbt.perf import speedup
 from repro.learning.cache import VerificationCache
-from repro.learning.parallel import learn_corpus_parallel
 from repro.learning.pipeline import (
     LearningOutcome,
+    learn_corpus,
     learn_rules,
     leave_one_out,
 )
@@ -108,8 +108,8 @@ class ExperimentContext:
                 name: self.build_pair(name, opt_level, style)
                 for name in missing
             }
-            outcomes = learn_corpus_parallel(builds, jobs=self.jobs,
-                                             cache=self.cache)
+            outcomes = learn_corpus(builds, cache=self.cache,
+                                    jobs=self.jobs)
             for name, outcome in outcomes.items():
                 self._learning[(name, opt_level, style)] = outcome
         return {

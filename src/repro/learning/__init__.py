@@ -26,10 +26,10 @@ from repro.learning.direction import (
 from repro.learning.cache import VerificationCache
 from repro.learning.extract import SnippetPair, extract_pairs
 from repro.learning.journal import OutcomeJournal
-from repro.learning.parallel import ResolutionGapError, learn_corpus_parallel
 from repro.learning.pipeline import (
     LearningOutcome,
     LearningReport,
+    ResolutionGapError,
     learn_corpus,
     learn_rules,
     leave_one_out,
@@ -52,7 +52,6 @@ __all__ = [
     "LearningReport",
     "learn_rules",
     "learn_corpus",
-    "learn_corpus_parallel",
     "leave_one_out",
     "Binding",
     "Rule",

@@ -141,9 +141,8 @@ class VerificationCache:
         return list(self._entries)
 
     def peek(self, digest: str) -> CandidateOutcome | None:
-        """Lookup without touching the hit/miss counters (used by the
-        parallel scheduler, which replays accounting deterministically
-        later)."""
+        """Lookup without touching the hit/miss counters (chaos
+        tooling inspects a finished run's verdicts this way)."""
         entry = self._entries.get(digest)
         if entry is None:
             return None

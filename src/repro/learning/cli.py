@@ -19,7 +19,7 @@ import sys
 from repro.faults.deadline import DeadlineBudget
 from repro.learning.cache import VerificationCache
 from repro.learning.journal import OutcomeJournal
-from repro.learning.parallel import learn_corpus_parallel
+from repro.learning.pipeline import learn_corpus
 from repro.learning.serialize import dump_rules
 from repro.minic import compile_pairs
 from repro.obs.metrics import format_metrics, get_metrics, set_metrics
@@ -141,12 +141,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"replayed ({journal.skipped} torn line(s) skipped)",
                 file=sys.stderr,
             )
-        # At one job this is learn_corpus: the same report, and the
-        # cache is saved.
-        outcome = learn_corpus_parallel(
-            {args.source: (guest, host)}, jobs=args.jobs, cache=cache,
-            budget=budget, journal=journal,
-            profile_hz=args.profile_hz if args.profile else 0,
+        outcome = learn_corpus(
+            {args.source: (guest, host)}, cache=cache, budget=budget,
+            journal=journal, jobs=args.jobs,
         )[args.source]
         if journal is not None:
             # The run completed; the cache owns every verdict now.

@@ -1,28 +1,18 @@
-"""Parallel rule learning over a crash-isolated process pool.
+"""Crash-isolated process pool for the learner's settle step.
 
-:func:`learn_corpus_parallel` fans the verify stage — the ~95% of
-learning wall-clock that is symbolic execution plus BDD checks —
-out to worker processes.  The schedule is:
-
-1. (parent) extract + paramize every benchmark, in corpus order;
-2. (parent) canonical dedup: collect the unique candidates, skipping
-   any already settled by the persistent cache or the resume journal;
-3. (pool) resolve the unique candidates in chunks — workers run the
-   pure :func:`~repro.learning.canon.resolve_candidate` and return
-   ``digest -> CandidateOutcome``;
-4. (parent) deterministic merge: replay the sequential verify-stage
-   accounting (:func:`~repro.learning.pipeline._verify_stage`) with
-   the worker results as the resolver.
-
-Because workers compute nothing but the pure per-candidate verdict and
-all counting/dedup/cache bookkeeping replays in corpus order in the
-parent, the learned rule lists and every deterministic
-:class:`~repro.learning.pipeline.LearningReport` field are identical
-to sequential :func:`~repro.learning.pipeline.learn_corpus` — only the
-timing fields reflect the parallel wall-clock.
+:func:`~repro.learning.pipeline.settle` hands the unique unsettled
+candidates of a batch to :func:`resolve_on_pool` when ``jobs > 1``.
+The pool fans the verify stage — the ~95% of learning wall-clock that
+is symbolic execution plus BDD checks — out to worker processes in
+chunks: workers run the pure
+:func:`~repro.learning.canon.resolve_candidate` and return
+``digest -> CandidateOutcome``.  All counting, dedup and cache
+bookkeeping stays in the parent's replay, so rule lists and every
+deterministic :class:`~repro.learning.pipeline.LearningReport` field
+are the same at any ``jobs``.
 
 Fault tolerance (the scheduler's contract is that one bad candidate
-never sinks the corpus):
+never sinks the batch):
 
 * A chunk that fails with an ordinary exception is retried with
   exponential backoff (transient failures), then *bisected* so its
@@ -48,82 +38,66 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
     wait,
 )
+from functools import partial
 
 from repro.faults.deadline import DeadlineBudget
 from repro.faults.plan import NO_FAULTS, FaultPlan, InjectedAbort, \
     get_fault_plan
-from repro.learning.cache import VerificationCache
 from repro.learning.canon import CandidateOutcome, resolve_candidate
-from repro.learning.direction import ARM_TO_X86
 from repro.learning.journal import OutcomeJournal
 from repro.learning.paramize import InitialMapping, ParamContext
-from repro.learning.pipeline import (
-    Candidate,
-    LearningOutcome,
-    LearningReport,
-    _extract_stage,
-    _paramize_stage,
-    _verify_stage,
-    finish_outcome,
-    learn_corpus,
-)
-from repro.learning.rule import dedup_rules
 from repro.learning.verify import VerifyFailure, query_scope
-from repro.minic.compile import CompiledProgram
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.profiler import SamplingProfiler, get_profiler, phase
 from repro.obs.trace import get_tracer
 
 #: Candidates per worker task: large enough to amortize IPC, small
 #: enough to keep the pool busy at the tail of the work list.
-DEFAULT_CHUNK_SIZE = 16
+CHUNK_SIZE = 16
 
 #: Whole-chunk retries (with exponential backoff) before a failing
 #: chunk is bisected / a failing singleton is quarantined.
-DEFAULT_MAX_RETRIES = 2
+MAX_RETRIES = 2
 
 #: Base of the exponential backoff between chunk retries.
-DEFAULT_BACKOFF_SECONDS = 0.05
+BACKOFF_SECONDS = 0.05
 
 _ChunkItem = tuple[str, ParamContext, list[InitialMapping]]
 
 
-class ResolutionGapError(RuntimeError):
-    """The deterministic replay hit a candidate the pool never settled.
+def resolve_items(
+    items: Iterable[_ChunkItem],
+    resolve: Callable[..., CandidateOutcome],
+    registry: MetricsRegistry,
+) -> Iterator[tuple[str, CandidateOutcome]]:
+    """Verify ``items`` in order, yielding each ``(digest, outcome)``
+    as it lands.
 
-    This is an internal invariant violation (stages 2/3 must settle
-    every candidate stage 4 replays); the message names the candidate
-    so the gap is diagnosable instead of surfacing as a bare KeyError.
+    ``resolve(context, mappings, digest=...)`` decides one candidate.
+    Each verdict is counted under ``learning.worker.*`` in ``registry``;
+    pool workers and inline settling share this loop, so the counters
+    mean the same at any ``jobs``.
     """
-
-    def __init__(self, digest: str, benchmark: str, line: str) -> None:
-        super().__init__(
-            f"no resolved outcome for candidate {digest[:16]}… "
-            f"(benchmark {benchmark!r}, source line {line!r}): "
-            "the parallel scheduler lost a verdict it should have "
-            "computed, retried or quarantined"
-        )
-        self.digest = digest
-        self.benchmark = benchmark
-
-
-def _make_replay_resolver(resolved: dict[str, CandidateOutcome],
-                          benchmark: str):
-    def resolver(candidate: Candidate) -> CandidateOutcome:
-        try:
-            return resolved[candidate.digest]
-        except KeyError:
-            raise ResolutionGapError(
-                candidate.digest, benchmark,
-                getattr(candidate.context.pair, "line", "?"),
-            ) from None
-    return resolver
+    start = time.perf_counter()
+    with phase("learn.verify"):
+        for digest, context, mappings in items:
+            outcome = resolve(context, mappings, digest=digest)
+            registry.inc("learning.worker.resolved")
+            registry.inc("learning.worker.verify_calls", outcome.calls)
+            registry.observe("learning.worker.calls_per_candidate",
+                             outcome.calls)
+            if outcome.failure is VerifyFailure.TIMEOUT:
+                registry.inc("learning.worker.timeouts")
+            yield digest, outcome
+    registry.inc("learning.worker.seconds", time.perf_counter() - start)
+    registry.inc("learning.worker.chunks")
 
 
 def _resolve_chunk(
@@ -147,32 +121,44 @@ def _resolve_chunk(
     if profile_hz > 0:
         profiler = SamplingProfiler(hz=profile_hz)
         profiler.start()
-    start = time.perf_counter()
-    results = []
     try:
-        with phase("learn.verify"), query_scope():
-            for digest, context, mappings in chunk:
-                outcome = resolve_candidate(
-                    context, mappings, budget=budget,
-                    digest=digest, plan=plan,
-                )
-                registry.inc("learning.worker.resolved")
-                registry.inc("learning.worker.verify_calls",
-                             outcome.calls)
-                registry.observe("learning.worker.calls_per_candidate",
-                                 outcome.calls)
-                if outcome.failure is VerifyFailure.TIMEOUT:
-                    registry.inc("learning.worker.timeouts")
-                results.append((digest, outcome))
+        with query_scope():
+            results = list(resolve_items(
+                chunk, partial(resolve_candidate, budget=budget, plan=plan),
+                registry,
+            ))
     finally:
         if profiler is not None:
             profiler.stop()
-    registry.inc("learning.worker.seconds", time.perf_counter() - start)
-    registry.inc("learning.worker.chunks")
     snapshot = registry.snapshot()
     if profiler is not None:
         snapshot["profile"] = profiler.snapshot()
     return results, snapshot
+
+
+def resolve_on_pool(
+    items: list[_ChunkItem],
+    jobs: int,
+    budget: DeadlineBudget | None,
+    journal: OutcomeJournal | None,
+) -> dict[str, CandidateOutcome]:
+    """Verify ``items`` in :data:`CHUNK_SIZE` chunks on a pool of up to
+    ``jobs`` workers, under the active fault plan; each verdict is
+    journaled as its chunk lands."""
+    chunks = [
+        items[index:index + CHUNK_SIZE]
+        for index in range(0, len(items), CHUNK_SIZE)
+    ]
+    workers = min(jobs, len(chunks))
+    metrics = get_metrics()
+    metrics.inc("learning.pool.workers", workers)
+    metrics.inc("learning.pool.chunks", len(chunks))
+    resolved: dict[str, CandidateOutcome] = {}
+    with get_tracer().span("learn.pool", workers=workers,
+                           chunks=len(chunks)):
+        _PoolScheduler(workers, budget, get_fault_plan(), journal,
+                       resolved).run(chunks)
+    return resolved
 
 
 class _PoolScheduler:
@@ -180,18 +166,16 @@ class _PoolScheduler:
 
     def __init__(self, workers: int, budget: DeadlineBudget | None,
                  plan: FaultPlan, journal: OutcomeJournal | None,
-                 resolved: dict[str, CandidateOutcome],
-                 max_retries: int = DEFAULT_MAX_RETRIES,
-                 backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
-                 profile_hz: int = 0) -> None:
+                 resolved: dict[str, CandidateOutcome]) -> None:
         self.workers = workers
         self.budget = budget
         self.plan = plan
         self.journal = journal
         self.resolved = resolved
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
-        self.profile_hz = profile_hz
+        # Workers sample at the parent profiler's rate while it runs;
+        # their profiles merge into it in _absorb.
+        profiler = get_profiler()
+        self.profile_hz = profiler.hz if profiler.running else 0
         self.metrics = get_metrics()
         self.completed_chunks = 0
 
@@ -303,8 +287,8 @@ class _PoolScheduler:
 
     def _handle_soft_failure(self, queue, chunk, attempts) -> None:
         """An exception inside the chunk (worker survived)."""
-        if attempts < self.max_retries:
-            time.sleep(self.backoff_seconds * (2 ** attempts))
+        if attempts < MAX_RETRIES:
+            time.sleep(BACKOFF_SECONDS * (2 ** attempts))
             queue.append((chunk, attempts + 1))
             self.metrics.inc("learning.pool.retries")
         elif len(chunk) > 1:
@@ -326,109 +310,3 @@ class _PoolScheduler:
         if self.journal is not None:
             self.journal.record(digest, outcome)
         self.metrics.inc("learning.pool.quarantined")
-
-
-def learn_corpus_parallel(
-    builds: dict[str, tuple[CompiledProgram, CompiledProgram]],
-    jobs: int = 1,
-    cache: VerificationCache | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    budget: DeadlineBudget | None = None,
-    journal: OutcomeJournal | None = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
-    profile_hz: int = 0,
-) -> dict[str, LearningOutcome]:
-    """Parallel drop-in for :func:`~repro.learning.pipeline.learn_corpus`.
-
-    ``jobs <= 1`` (the default) takes the sequential path (same
-    results, no pool overhead).  ``budget`` bounds each candidate's
-    verification cost (hangs become ``TO`` outcomes); ``journal``
-    checkpoints verdicts for crash-safe resume.
-    """
-    if jobs <= 1 or not builds:
-        return learn_corpus(builds, cache=cache, budget=budget,
-                            journal=journal)
-    plan = get_fault_plan()
-
-    # Stage 1: extract + paramize in the parent, in corpus order.
-    staged: list[tuple[str, LearningReport, list[Candidate], float]] = []
-    for name, (guest, host) in builds.items():
-        start = time.perf_counter()
-        report = LearningReport(benchmark=name)
-        pairs = _extract_stage(guest, host, ARM_TO_X86, report)
-        candidates = _paramize_stage(pairs, ARM_TO_X86, report)
-        staged.append(
-            (name, report, candidates, time.perf_counter() - start)
-        )
-
-    # Stage 2: unique unsettled candidates, in first-encounter order.
-    pending: dict[str, Candidate] = {}
-    for _, _, candidates, _ in staged:
-        for candidate in candidates:
-            if candidate.digest in pending:
-                continue
-            if cache is not None and candidate.digest in cache:
-                continue
-            if journal is not None and candidate.digest in journal:
-                continue
-            pending[candidate.digest] = candidate
-
-    # Stage 3: fan the unique candidates out to the pool in chunks.
-    items: list[_ChunkItem] = [
-        (digest, candidate.context, candidate.mappings)
-        for digest, candidate in pending.items()
-    ]
-    chunks = [
-        items[index:index + chunk_size]
-        for index in range(0, len(items), chunk_size)
-    ]
-    resolved: dict[str, CandidateOutcome] = {}
-    pool_seconds = 0.0
-    metrics = get_metrics()
-    if chunks:
-        workers = min(jobs, len(chunks))
-        metrics.inc("learning.pool.workers", workers)
-        metrics.inc("learning.pool.chunks", len(chunks))
-        scheduler = _PoolScheduler(
-            workers, budget, plan, journal, resolved,
-            max_retries, backoff_seconds, profile_hz=profile_hz,
-        )
-        pool_start = time.perf_counter()
-        with get_tracer().span("learn.pool", workers=workers,
-                               chunks=len(chunks)):
-            scheduler.run(chunks)
-        pool_seconds = time.perf_counter() - pool_start
-
-    # Stage 4: deterministic merge — replay sequential accounting with
-    # the pre-computed verdicts as the resolver (journal-settled
-    # candidates replay from the journal inside _verify_stage).
-    memo: dict[str, CandidateOutcome] = {}
-    replayed: list[tuple[LearningReport, list, float]] = []
-    for name, report, candidates, stage1_seconds in staged:
-        replay_start = time.perf_counter()
-        rules = _verify_stage(
-            candidates, report, name, cache, memo,
-            resolver=_make_replay_resolver(resolved, name),
-            journal=journal,
-        )
-        rules = dedup_rules(rules)
-        report.learn_seconds = (
-            stage1_seconds + time.perf_counter() - replay_start
-        )
-        replayed.append((report, rules, stage1_seconds))
-    # The replay resolver is a dict lookup, so _verify_stage timed ~0s
-    # of verification; charge the pool's wall-clock to each benchmark
-    # in proportion to the solver calls attributed to it, so per-rule
-    # and verification-share summaries stay meaningful in parallel runs.
-    total_calls = sum(report.verify_calls for report, _, _ in replayed)
-    outcomes: dict[str, LearningOutcome] = {}
-    for report, rules, _ in replayed:
-        if total_calls:
-            share = pool_seconds * report.verify_calls / total_calls
-            report.verify_seconds += share
-            report.learn_seconds += share
-        outcomes[report.benchmark] = finish_outcome(rules, report)
-    if cache is not None:
-        cache.save()
-    return outcomes

@@ -1,22 +1,31 @@
 """End-to-end rule learning with Table 1-style reporting.
 
-The pipeline runs in stages (extract -> paramize -> verify), and the
-verify stage — the wall-clock sink — is organized around *canonical
-candidates* (:mod:`repro.learning.canon`): textually identical
-pair+mapping work items are deduplicated **before** any solver call, an
-optional persistent :class:`~repro.learning.cache.VerificationCache`
-settles candidates seen in earlier runs, and only the remainder pays
-for symbolic execution.  Failure accounting stays Table 1-compatible:
-every snippet pair is still classified individually; duplicates simply
-share the (deterministic) verdict of their canonical representative.
+Every learner runs one schedule of three steps:
+
+* **stage** — extract + paramize one build into canonical candidates
+  (:mod:`repro.learning.canon`);
+* **settle** — :func:`settle` picks the unique candidates no earlier
+  source has decided (the run's memo, the persistent
+  :class:`~repro.learning.cache.VerificationCache`, the resume journal)
+  and verifies only those, inline or on the crash-isolating pool
+  (:mod:`repro.learning.parallel`);
+* **replay** — :func:`replay` walks the candidates in order over the
+  settled verdicts, and the verify stage counts each one for Table 1.
+
+The verify stage is the wall-clock sink, so textually identical
+pair+mapping work items are deduplicated **before** any solver call.
+Failure accounting stays Table 1-compatible: every snippet pair is
+still classified individually; duplicates simply share the
+(deterministic) verdict of their canonical representative.
 """
 
 from __future__ import annotations
 
 import contextlib
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from functools import partial
 
 from repro.faults.deadline import DeadlineBudget
 from repro.learning.cache import VerificationCache
@@ -27,6 +36,7 @@ from repro.learning.canon import (
 )
 from repro.learning.direction import ARM_TO_X86, Direction
 from repro.learning.extract import PrepFailure, SnippetPair, extract_pairs
+from repro.learning.journal import OutcomeJournal
 from repro.learning.paramize import (
     InitialMapping,
     ParamContext,
@@ -34,6 +44,7 @@ from repro.learning.paramize import (
     analyze_pair,
     generate_mappings,
 )
+from repro.learning.parallel import resolve_items, resolve_on_pool
 from repro.learning.rule import Rule, dedup_rules
 from repro.learning.verify import VerifyFailure, query_scope
 from repro.minic.compile import CompiledProgram
@@ -243,91 +254,167 @@ def _paramize_stage(
     return candidates
 
 
+def _stage(guest: CompiledProgram, host: CompiledProgram, name: str,
+           direction: Direction = ARM_TO_X86, trace: bool = True
+           ) -> tuple[LearningReport, list[Candidate]]:
+    """The stage step: extract + paramize one build pair."""
+    report = LearningReport(benchmark=name)
+    pairs = _extract_stage(guest, host, direction, report, trace)
+    return report, _paramize_stage(pairs, direction, report, trace)
+
+
 def stage_candidates(guest: CompiledProgram, host: CompiledProgram,
                      name: str, direction: Direction = ARM_TO_X86
                      ) -> list[Candidate]:
     """Extract + paramize one build pair for corpus/service staging,
     trace- and metrics-silent: learn.* events here would double-count a
     program later fed, or orphan with no ``learn.report`` following."""
-    report = LearningReport(benchmark=name)
-    pairs = _extract_stage(guest, host, direction, report, trace=False)
-    return _paramize_stage(pairs, direction, report, trace=False)
+    return _stage(guest, host, name, direction, trace=False)[1]
+
+
+class ResolutionGapError(RuntimeError):
+    """The replay hit a candidate :func:`settle` never settled.
+
+    This is an internal invariant violation (settle must decide every
+    candidate the replay walks); the message names the candidate so
+    the gap is diagnosable instead of surfacing as a bare KeyError.
+    """
+
+    def __init__(self, digest: str, benchmark: str, line: str) -> None:
+        super().__init__(
+            f"no settled outcome for candidate {digest[:16]}… "
+            f"(benchmark {benchmark!r}, source line {line!r}): "
+            "the settle step lost a verdict it should have computed, "
+            "retried or quarantined"
+        )
+        self.digest = digest
+        self.benchmark = benchmark
+
+
+def settle(
+    candidates: list[Candidate],
+    cache: VerificationCache | None,
+    memo: dict[str, CandidateOutcome],
+    journal: OutcomeJournal | None = None,
+    budget: DeadlineBudget | None = None,
+    jobs: int = 1,
+) -> dict[str, CandidateOutcome]:
+    """The settle step: verify what nothing has settled yet.
+
+    A verdict comes from the first of: the run's ``memo``, the
+    persistent ``cache``, the resume ``journal``, and only then live
+    verification — this is the one place that order is decided.  The
+    unique unsettled digests are verified in first-encounter order,
+    inline or (``jobs > 1``) on the crash-isolating pool, and each is
+    journaled as it lands.  ``budget`` bounds each candidate's cost
+    (hangs become ``TO``).  Returns this batch's live verdicts.
+    """
+    pending: dict[str, Candidate] = {}
+    for candidate in candidates:
+        digest = candidate.digest
+        if (digest in pending or digest in memo
+                or (cache is not None and digest in cache)
+                or (journal is not None and digest in journal)):
+            continue
+        pending[digest] = candidate
+    items = [(digest, candidate.context, candidate.mappings)
+             for digest, candidate in pending.items()]
+    if not items:
+        return {}
+    if jobs > 1:
+        return resolve_on_pool(items, jobs, budget, journal)
+    live: dict[str, CandidateOutcome] = {}
+    with query_scope():
+        for digest, outcome in resolve_items(
+                items, partial(resolve_candidate, budget=budget),
+                get_metrics()):
+            live[digest] = outcome
+            if journal is not None:
+                journal.record(digest, outcome)
+    return live
+
+
+def replay(
+    candidates: list[Candidate],
+    cache: VerificationCache | None,
+    memo: dict[str, CandidateOutcome],
+    live: dict[str, CandidateOutcome],
+    journal: OutcomeJournal | None = None,
+    benchmark: str = "",
+) -> Iterator[tuple[Candidate, str, CandidateOutcome]]:
+    """The replay step: yield ``(candidate, source, outcome)`` for each
+    candidate after :func:`settle`, in order.
+
+    ``source`` names where the verdict came from: ``memo`` (settled
+    earlier in this run), ``cache``, ``live`` (settled by this batch)
+    or ``journal`` (settled before a killed run).  A verdict enters the
+    memo on its first sighting and the cache when it missed there, so
+    a repeat replays as ``memo``.
+    """
+    for candidate in candidates:
+        digest = candidate.digest
+        outcome = memo.get(digest)
+        if outcome is not None:
+            yield candidate, "memo", outcome
+            continue
+        outcome = cache.get(digest) if cache is not None else None
+        source = "cache"
+        if outcome is None:
+            # Live before journal: the pool journals this batch's
+            # verdicts too, and they are still this run's.
+            source = "live"
+            outcome = live.get(digest)
+            if outcome is None and journal is not None:
+                source = "journal"
+                outcome = journal.get(digest)
+            if outcome is None:
+                raise ResolutionGapError(digest, benchmark,
+                                         candidate.pair.line)
+            if cache is not None:
+                cache.put(digest, outcome)
+        memo[digest] = outcome
+        yield candidate, source, outcome
 
 
 def _verify_stage(
     candidates: list[Candidate],
     report: LearningReport,
-    benchmark: str,
     cache: VerificationCache | None,
     memo: dict[str, CandidateOutcome],
-    resolver: Callable[[Candidate], CandidateOutcome] | None = None,
-    budget: DeadlineBudget | None = None,
-    journal=None,
+    live: dict[str, CandidateOutcome],
+    journal: OutcomeJournal | None = None,
 ) -> list[Rule]:
-    """Settle every candidate: memo (pre-verification dedup), then the
-    persistent cache, then the resume journal, then live verification
-    via ``resolver``.
+    """Table 1 accounting over :func:`replay`: count each candidate by
+    the source of its verdict and classify it.
 
-    The sequential and parallel paths share this function — the parallel
-    path only swaps ``resolver`` for a lookup into pre-computed worker
-    results — so reports and rule lists are identical by construction.
-
-    ``journal`` (an :class:`~repro.learning.journal.OutcomeJournal`)
-    makes the run resumable: live verdicts are journaled as they land,
-    and a journaled verdict replays with its original ``calls`` cost,
-    so a resumed run's report is identical to an uninterrupted one.
+    A journaled verdict counts its original ``calls`` cost, so a
+    resumed run's report is identical to an uninterrupted one.
     """
-    if resolver is None:
-        def resolver(candidate: Candidate) -> CandidateOutcome:
-            return resolve_candidate(candidate.context, candidate.mappings,
-                                     budget=budget, digest=candidate.digest)
-
+    benchmark = report.benchmark
     tracer = get_tracer()
     metrics = get_metrics()
     rules: list[Rule] = []
+    start = time.perf_counter()
     with tracer.span("learn.verify", benchmark=benchmark), \
             phase("learn.verify"):
-        for candidate in candidates:
-            start = time.perf_counter()
-            outcome = memo.get(candidate.digest)
-            if outcome is not None:
-                source = "memo"
+        for candidate, source, outcome in replay(
+                candidates, cache, memo, live, journal, benchmark):
+            if source == "memo":
                 report.dedup_saved_calls += outcome.calls
                 metrics.inc("learning.verify.deduped", outcome.calls)
+            elif source == "cache":
+                report.cache_hits += 1
+                metrics.inc("learning.cache.hits")
             else:
-                cached = cache.get(candidate.digest) if cache is not None \
-                    else None
-                if cached is not None:
-                    source = "cache"
-                    report.cache_hits += 1
-                    metrics.inc("learning.cache.hits")
-                    outcome = cached
-                else:
-                    journaled = journal.get(candidate.digest) \
-                        if journal is not None else None
-                    if journaled is not None:
-                        # A verdict settled before the previous run was
-                        # killed: replay it with its recorded cost, so
-                        # the resumed report matches an uninterrupted
-                        # run exactly.
-                        source = "journal"
-                        outcome = journaled
-                        metrics.inc("learning.journal.replayed")
-                    else:
-                        source = "live"
-                        outcome = resolver(candidate)
-                        if journal is not None:
-                            journal.record(candidate.digest, outcome)
-                    report.verify_calls += outcome.calls
-                    metrics.inc("learning.verify.calls", outcome.calls)
-                    metrics.observe("learning.verify.calls_per_candidate",
-                                    outcome.calls)
-                    if cache is not None:
-                        report.cache_misses += 1
-                        metrics.inc("learning.cache.misses")
-                        cache.put(candidate.digest, outcome)
-                memo[candidate.digest] = outcome
-            report.verify_seconds += time.perf_counter() - start
+                if source == "journal":
+                    metrics.inc("learning.journal.replayed")
+                report.verify_calls += outcome.calls
+                metrics.inc("learning.verify.calls", outcome.calls)
+                metrics.observe("learning.verify.calls_per_candidate",
+                                outcome.calls)
+                if cache is not None:
+                    report.cache_misses += 1
+                    metrics.inc("learning.cache.misses")
             if outcome.rule is not None:
                 result, reason = "rule", None
                 rules.append(replace(outcome.rule, origin=benchmark,
@@ -346,7 +433,47 @@ def _verify_stage(
                     and cache is not None,
                     result=result, reason=reason,
                 )
+    report.verify_seconds += time.perf_counter() - start
     return rules
+
+
+def _learn_batch(
+    staged: list[tuple[LearningReport, list[Candidate]]],
+    cache: VerificationCache | None,
+    memo: dict[str, CandidateOutcome],
+    budget: DeadlineBudget | None,
+    journal: OutcomeJournal | None,
+    jobs: int,
+) -> list[LearningOutcome]:
+    """Settle a batch of staged builds at once, then replay each build.
+
+    The settle wall-clock is charged to the builds in proportion to the
+    solver calls each replays, so per-benchmark verify times mean the
+    same whatever the batch size.
+    """
+    names = ",".join(report.benchmark for report, _ in staged)
+    start = time.perf_counter()
+    with get_tracer().span("learn.verify", benchmark=names):
+        live = settle([candidate for _, candidates in staged
+                       for candidate in candidates],
+                      cache, memo, journal, budget, jobs)
+    settle_seconds = time.perf_counter() - start
+    replayed = [
+        (report, dedup_rules(_verify_stage(candidates, report, cache, memo,
+                                           live, journal)))
+        for report, candidates in staged
+    ]
+    total_calls = sum(report.verify_calls for report, _ in replayed)
+    outcomes = []
+    for report, rules in replayed:
+        if total_calls:
+            report.verify_seconds += \
+                settle_seconds * report.verify_calls / total_calls
+        report.learn_seconds = (report.extract_seconds
+                                + report.paramize_seconds
+                                + report.verify_seconds)
+        outcomes.append(finish_outcome(rules, report))
+    return outcomes
 
 
 def learn_rules(
@@ -356,7 +483,7 @@ def learn_rules(
     direction: Direction = ARM_TO_X86,
     cache: VerificationCache | None = None,
     budget: DeadlineBudget | None = None,
-    journal=None,
+    journal: OutcomeJournal | None = None,
     _memo: dict[str, CandidateOutcome] | None = None,
 ) -> LearningOutcome:
     """Learn translation rules from one dual-compiled program.
@@ -364,21 +491,12 @@ def learn_rules(
     ``cache`` (optional) settles candidates verified in earlier runs;
     ``budget`` bounds each candidate's verification cost (hangs become
     ``TO`` outcomes); ``journal`` checkpoints verdicts incrementally so
-    a killed run can resume; ``_memo`` lets :func:`learn_corpus` share
-    pre-verification dedup across benchmarks.
+    a killed run can resume; ``_memo`` lets a caller share
+    pre-verification dedup across programs.
     """
-    start = time.perf_counter()
-    report = LearningReport(benchmark=benchmark)
-    pairs = _extract_stage(guest_program, host_program, direction, report)
-    candidates = _paramize_stage(pairs, direction, report)
+    staged = _stage(guest_program, host_program, benchmark, direction)
     memo = _memo if _memo is not None else {}
-    with query_scope():
-        rules = _verify_stage(candidates, report, benchmark, cache, memo,
-                              budget=budget, journal=journal)
-    rules = dedup_rules(rules)
-    report.rules = len(rules)
-    report.learn_seconds = time.perf_counter() - start
-    return finish_outcome(rules, report)
+    return _learn_batch([staged], cache, memo, budget, journal, jobs=1)[0]
 
 
 def finish_outcome(rules: list[Rule],
@@ -388,8 +506,7 @@ def finish_outcome(rules: list[Rule],
 
     The ``learn.report`` event is the :class:`LearningReport`
     accounting path embedded verbatim in the trace, so the report CLI
-    can cross-check it against its own per-event aggregation.  Both
-    the sequential and parallel learners end through here.
+    can cross-check it against its own per-event aggregation.
     """
     report.rules = len(rules)
     get_metrics().inc("learning.rules", len(rules))
@@ -412,7 +529,8 @@ def learn_corpus(
     builds: dict[str, tuple[CompiledProgram, CompiledProgram]],
     cache: VerificationCache | None = None,
     budget: DeadlineBudget | None = None,
-    journal=None,
+    journal: OutcomeJournal | None = None,
+    jobs: int = 1,
 ) -> dict[str, LearningOutcome]:
     """Learn rules independently from several benchmarks.
 
@@ -420,14 +538,25 @@ def learn_corpus(
     pre-verification dedup memo is shared across benchmarks, so a
     candidate appearing in several benchmarks is verified once; so is
     the equivalence-query memo, so a query they share is decided once.
+
+    ``jobs`` only sets the batch size; rule lists and every
+    deterministic report field are the same at any value.  At
+    ``jobs=1`` each build is settled and replayed before the next is
+    staged: staging the whole corpus first raised the learn-corpus
+    benchmark's peak RSS by ~7 MB (~11%).  At ``jobs > 1`` the whole
+    corpus is staged and settled as one batch, so the pool's workers
+    have work to share.
     """
+    staged = (_stage(guest, host, name)
+              for name, (guest, host) in builds.items())
+    batches = [list(staged)] if jobs > 1 else ([build] for build in staged)
     memo: dict[str, CandidateOutcome] = {}
+    outcomes: dict[str, LearningOutcome] = {}
     with query_scope():
-        outcomes = {
-            name: learn_rules(guest, host, benchmark=name, cache=cache,
-                              budget=budget, journal=journal, _memo=memo)
-            for name, (guest, host) in builds.items()
-        }
+        for batch in batches:
+            for outcome in _learn_batch(batch, cache, memo, budget,
+                                        journal, jobs):
+                outcomes[outcome.report.benchmark] = outcome
     if cache is not None:
         cache.save()
     return outcomes

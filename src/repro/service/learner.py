@@ -13,15 +13,15 @@ never mnemonics).  Staging indexes each candidate by that sequence, so
 a round looks up the slices of its gap windows instead of scanning the
 staged corpus.
 
-Verification reuses the existing machinery end to end: candidates are
-canonical (:mod:`repro.learning.canon`), settled verdicts live in the
-same persistent :class:`~repro.learning.cache.VerificationCache` the
-offline pipeline uses, an in-process memo dedups within the service's
-lifetime, and with ``jobs > 1`` unsettled candidates fan out through
-the corpus learner's crash-isolating pool scheduler
-(:class:`repro.learning.parallel._PoolScheduler`): retries, bisection,
-and quarantine of a candidate that kills its worker as ``EC``, under
-the active fault plan.
+A round runs the offline learner's settle and replay steps
+(:func:`repro.learning.pipeline.settle` /
+:func:`~repro.learning.pipeline.replay`) over the selected candidates,
+with the service-lifetime memo and the same persistent
+:class:`~repro.learning.cache.VerificationCache`: settled verdicts
+replay for free, and with ``jobs > 1`` the rest fan out through the
+crash-isolating pool — retries, bisection, and quarantine of a
+candidate that kills its worker as ``EC``, under the active fault
+plan.
 """
 
 from __future__ import annotations
@@ -29,18 +29,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from repro.faults.plan import get_fault_plan
 from repro.learning.cache import VerificationCache
 from repro.learning.canon import CandidateOutcome
 from repro.learning.direction import ARM_TO_X86
-from repro.learning.parallel import (
-    DEFAULT_CHUNK_SIZE,
-    _PoolScheduler,
-    _resolve_chunk,
+from repro.learning.pipeline import (
+    Candidate,
+    replay,
+    settle,
+    stage_candidates,
 )
-from repro.learning.pipeline import Candidate, stage_candidates
 from repro.learning.rule import Rule, dedup_rules, windows_in
-from repro.learning.verify import query_scope
 from repro.minic.compile import CompiledProgram
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
@@ -70,12 +68,10 @@ class OnlineLearner:
         builds: dict[str, tuple[CompiledProgram, CompiledProgram]],
         cache: VerificationCache | None = None,
         jobs: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
         self.builds = builds
         self.cache = cache
         self.jobs = jobs
-        self.chunk_size = chunk_size
         self.direction = ARM_TO_X86
         #: digest -> settled verdict (service-lifetime dedup).
         self.memo: dict[str, CandidateOutcome] = {}
@@ -188,73 +184,37 @@ class OnlineLearner:
         """One learning round: verify the candidates ``gaps`` select.
 
         Settled digests (memo or persistent cache) replay for free;
-        the remainder resolves through ``_resolve_chunk`` — on the
-        crash-isolating pool scheduler when ``jobs > 1``, inline
-        otherwise.  Returns the round summary with the (deduped) newly
-        learned rules.
+        the remainder is verified by the settle step — on the
+        crash-isolating pool when ``jobs > 1``, inline otherwise.
+        Returns the round summary with the (deduped) newly learned
+        rules.
         """
         round_ = LearnRound(gaps=len(gaps))
         selected = self.match_candidates(gaps)
         round_.matched_candidates = len(selected)
-        tracer = get_tracer()
+        candidates = [candidate for _, candidate in selected]
         metrics = get_metrics()
-        with tracer.span("service.learn", gaps=len(gaps),
-                         candidates=len(selected)), query_scope():
-            unsettled: list[tuple[str, Candidate]] = []
-            for name, candidate in selected:
-                if candidate.digest in self.memo:
-                    continue
-                cached = self.cache.peek(candidate.digest) \
-                    if self.cache is not None else None
-                if cached is not None:
-                    self.memo[candidate.digest] = cached
-                    metrics.inc("service.learner.cache_hits")
-                else:
-                    unsettled.append((name, candidate))
-            self._resolve(unsettled, round_)
+        with get_tracer().span("service.learn", gaps=len(gaps),
+                               candidates=len(selected)):
+            live = settle(candidates, self.cache, self.memo,
+                          jobs=self.jobs)
             rules: list[Rule] = []
-            for name, candidate in selected:
-                outcome = self.memo[candidate.digest]
+            for (name, _), (candidate, source, outcome) in zip(
+                    selected, replay(candidates, self.cache, self.memo,
+                                     live)):
+                if source == "cache":
+                    metrics.inc("service.learner.cache_hits")
+                elif source == "live":
+                    round_.resolved += 1
+                    round_.verify_calls += outcome.calls
                 if outcome.rule is not None:
                     rules.append(replace(
                         outcome.rule, origin=name,
                         line=candidate.pair.line,
                     ))
             round_.rules = dedup_rules(rules)
+        if live and self.cache is not None:
+            self.cache.save()
         metrics.inc("service.learner.rounds")
         metrics.inc("service.learner.rules", len(round_.rules))
         return round_
-
-    def _resolve(self, unsettled: list[tuple[str, Candidate]],
-                 round_: LearnRound) -> None:
-        chunks = [
-            [
-                (candidate.digest, candidate.context, candidate.mappings)
-                for _, candidate in unsettled[index:index + self.chunk_size]
-            ]
-            for index in range(0, len(unsettled), self.chunk_size)
-        ]
-        if not chunks:
-            return
-        resolved: dict[str, CandidateOutcome] = {}
-        if self.jobs > 1 and len(chunks) > 1:
-            _PoolScheduler(
-                min(self.jobs, len(chunks)), None, get_fault_plan(), None,
-                resolved,
-            ).run(chunks)
-        else:
-            metrics = get_metrics()
-            for chunk in chunks:
-                chunk_result, snapshot = _resolve_chunk(chunk)
-                metrics.merge(snapshot)
-                resolved.update(chunk_result)
-        for _, candidate in unsettled:
-            digest = candidate.digest
-            outcome = resolved[digest]
-            self.memo[digest] = outcome
-            round_.resolved += 1
-            round_.verify_calls += outcome.calls
-            if self.cache is not None:
-                self.cache.put(digest, outcome)
-        if self.cache is not None:
-            self.cache.save()

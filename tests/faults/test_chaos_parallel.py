@@ -10,12 +10,8 @@ import pytest
 
 from repro.faults.deadline import DeadlineBudget
 from repro.faults.plan import FaultPlan, fault_plan_scope
-from repro.learning.parallel import (
-    ResolutionGapError,
-    _make_replay_resolver,
-    learn_corpus_parallel,
-)
-from repro.learning.pipeline import learn_corpus
+from repro.learning import parallel
+from repro.learning.pipeline import ResolutionGapError, learn_corpus
 from repro.learning.verify import VerifyFailure
 from repro.obs.metrics import MetricsRegistry, set_metrics, get_metrics
 
@@ -23,6 +19,12 @@ from .conftest import failing_digests, rule_strings
 
 #: Small chunks force multi-chunk scheduling even on this tiny corpus.
 CHUNK = 4
+
+
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(parallel, "CHUNK_SIZE", CHUNK)
+    monkeypatch.setattr(parallel, "BACKOFF_SECONDS", 0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -43,9 +45,7 @@ class TestCrashIsolation:
         poison = failing_digests(cache, 1)
         plan = FaultPlan(crash_digests=frozenset(poison))
         with fault_plan_scope(plan):
-            chaotic = learn_corpus_parallel(chaos_builds, jobs=2,
-                                            chunk_size=CHUNK,
-                                            backoff_seconds=0.0)
+            chaotic = learn_corpus(chaos_builds, jobs=2)
         # Same rules as the clean run: the poison candidate was a
         # failing one, so only its failure classification moved to EC.
         assert rule_strings(chaotic) == rule_strings(clean)
@@ -60,9 +60,7 @@ class TestCrashIsolation:
         bad = failing_digests(cache, 1)
         plan = FaultPlan(raise_digests=frozenset(bad))
         with fault_plan_scope(plan):
-            chaotic = learn_corpus_parallel(chaos_builds, jobs=2,
-                                            chunk_size=CHUNK,
-                                            backoff_seconds=0.0)
+            chaotic = learn_corpus(chaos_builds, jobs=2)
         assert rule_strings(chaotic) == rule_strings(clean)
         assert _total(chaotic, "verify_ec") == 1
         counters = get_metrics().snapshot()["counters"]
@@ -78,10 +76,9 @@ class TestCrashIsolation:
         hung = failing_digests(cache, 1)
         plan = FaultPlan(hang_digests=frozenset(hung))
         with fault_plan_scope(plan):
-            chaotic = learn_corpus_parallel(
-                chaos_builds, jobs=2, chunk_size=CHUNK,
-                budget=DeadlineBudget(max_steps=100_000),
-                backoff_seconds=0.0,
+            chaotic = learn_corpus(
+                chaos_builds, budget=DeadlineBudget(max_steps=100_000),
+                jobs=2,
             )
         assert rule_strings(chaotic) == rule_strings(clean)
         assert _total(chaotic, "verify_to") == 1
@@ -98,10 +95,9 @@ class TestCrashIsolation:
             hang_digests=frozenset(victims[2:3]),
         )
         with fault_plan_scope(plan):
-            chaotic = learn_corpus_parallel(
-                chaos_builds, jobs=2, chunk_size=CHUNK,
-                budget=DeadlineBudget(max_steps=100_000),
-                backoff_seconds=0.0,
+            chaotic = learn_corpus(
+                chaos_builds, budget=DeadlineBudget(max_steps=100_000),
+                jobs=2,
             )
         assert rule_strings(chaotic) == rule_strings(clean)
         assert _total(chaotic, "verify_ec") == 2
@@ -110,11 +106,10 @@ class TestCrashIsolation:
     def test_no_faults_matches_sequential_exactly(self, chaos_builds):
         # Cacheless on both sides: signatures must match field by field.
         sequential = learn_corpus(chaos_builds)
-        parallel = learn_corpus_parallel(chaos_builds, jobs=2,
-                                         chunk_size=CHUNK)
-        assert rule_strings(parallel) == rule_strings(sequential)
+        pooled = learn_corpus(chaos_builds, jobs=2)
+        assert rule_strings(pooled) == rule_strings(sequential)
         for name in chaos_builds:
-            assert parallel[name].report.count_signature() == \
+            assert pooled[name].report.count_signature() == \
                 sequential[name].report.count_signature()
 
 
@@ -129,9 +124,7 @@ class TestEcOutcomesStayOutOfTheCache:
         chaos_cache = VerificationCache.at_dir(tmp_path)
         plan = FaultPlan(crash_digests=frozenset(poison))
         with fault_plan_scope(plan):
-            learn_corpus_parallel(chaos_builds, jobs=2, chunk_size=CHUNK,
-                                  cache=chaos_cache,
-                                  backoff_seconds=0.0)
+            learn_corpus(chaos_builds, cache=chaos_cache, jobs=2)
         # The EC verdict is a property of this run, not the candidate:
         # a fresh run must re-verify it (and succeed).
         reloaded = VerificationCache.at_dir(tmp_path)
@@ -148,6 +141,7 @@ class TestReplayResolver:
             LearningReport,
             _extract_stage,
             _paramize_stage,
+            replay,
         )
 
         name = next(iter(chaos_builds))
@@ -156,9 +150,8 @@ class TestReplayResolver:
         pairs = _extract_stage(guest, host, ARM_TO_X86, report)
         candidates = _paramize_stage(pairs, ARM_TO_X86, report)
         assert candidates
-        resolver = _make_replay_resolver({}, name)
         with pytest.raises(ResolutionGapError) as excinfo:
-            resolver(candidates[0])
+            next(replay(candidates, None, {}, {}, benchmark=name))
         message = str(excinfo.value)
         assert name in message
         assert candidates[0].digest[:16] in message

@@ -24,7 +24,6 @@ from repro.learning.pipeline import (
     learn_corpus,
 )
 from repro.learning.verify import VerifyFailure
-from repro.service import learner
 from repro.service.gaps import canonical_gap
 from repro.service.learner import OnlineLearner
 
@@ -180,7 +179,7 @@ class TestQueryMemoDeterminism:
         assert len(set(solver_queries)) == len(solver_queries)
         memo_calls = len(solver_queries)
         solver_queries.clear()
-        _without_query_memo(monkeypatch, learner, parallel)
+        _without_query_memo(monkeypatch, pipeline, parallel)
         plain_round = round_()
         assert memo_round == plain_round
         assert memo_calls < len(solver_queries)

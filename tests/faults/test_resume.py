@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.faults.plan import FaultPlan, InjectedAbort, fault_plan_scope
+from repro.learning import parallel
 from repro.learning.cache import SEMANTICS_VERSION
 from repro.learning.canon import CandidateOutcome
 from repro.learning.journal import OutcomeJournal
-from repro.learning.parallel import learn_corpus_parallel
 from repro.learning.pipeline import learn_corpus
 from repro.learning.verify import VerifyFailure
 
@@ -83,23 +83,23 @@ class TestJournalMechanics:
 
 class TestKillResumeEquivalence:
     def test_aborted_run_resumes_to_identical_results(self, chaos_builds,
-                                                      tmp_path):
+                                                      tmp_path, monkeypatch):
+        monkeypatch.setattr(parallel, "CHUNK_SIZE", 4)
         sequential = learn_corpus(chaos_builds)
 
         journal = OutcomeJournal.at_dir(tmp_path)
         plan = FaultPlan(abort_after_chunks=1)
         with fault_plan_scope(plan):
             with pytest.raises(InjectedAbort):
-                learn_corpus_parallel(chaos_builds, jobs=2, chunk_size=4,
-                                      journal=journal)
+                learn_corpus(chaos_builds, journal=journal, jobs=2)
         journal.close()
         settled_before_kill = len(journal)
         assert settled_before_kill > 0
 
         resumed_journal = OutcomeJournal.at_dir(tmp_path)
         assert resumed_journal.recovered == settled_before_kill
-        resumed = learn_corpus_parallel(chaos_builds, jobs=2, chunk_size=4,
-                                        journal=resumed_journal)
+        resumed = learn_corpus(chaos_builds, journal=resumed_journal,
+                                jobs=2)
 
         # The resumed run is indistinguishable from an uninterrupted
         # one: same rules, same Table 1 counts, same call accounting.

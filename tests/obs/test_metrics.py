@@ -5,7 +5,8 @@ import pickle
 
 import pytest
 
-from repro.learning.parallel import learn_corpus_parallel
+from repro.learning import parallel
+from repro.learning.pipeline import learn_corpus
 from repro.minic import compile_source
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -265,12 +266,13 @@ class TestParallelMerge:
         guest = compile_source(SOURCE, "arm", 2, "llvm")
         host = compile_source(SOURCE, "x86", 2, "llvm")
         previous = set_metrics(None)
+        chunk_size = parallel.CHUNK_SIZE
+        parallel.CHUNK_SIZE = 1
         try:
-            outcomes = learn_corpus_parallel(
-                {"unit": (guest, host)}, jobs=2, chunk_size=1
-            )
+            outcomes = learn_corpus({"unit": (guest, host)}, jobs=2)
             registry = get_metrics()
         finally:
+            parallel.CHUNK_SIZE = chunk_size
             set_metrics(previous)
         return outcomes, registry
 

@@ -71,8 +71,7 @@ class TestParentAbsorb:
         from repro.faults.plan import NO_FAULTS
         return _PoolScheduler(
             workers=1, budget=None, plan=NO_FAULTS, journal=None,
-            resolved={}, max_retries=0, backoff_seconds=0.0,
-            profile_hz=50,
+            resolved={},
         )
 
     def test_absorb_merges_profile_and_metrics(self):

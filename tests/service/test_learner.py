@@ -6,6 +6,7 @@ import pytest
 
 from repro.benchsuite import BENCHMARK_NAMES, build_learning_pair
 from repro.faults.plan import FaultPlan, fault_plan_scope
+from repro.learning import parallel
 from repro.learning.cache import VerificationCache
 from repro.learning.rule import windows_in
 from repro.learning.verify import VerifyFailure
@@ -113,9 +114,10 @@ class TestOnlineLearner:
 
 
 class TestCrashIsolation:
-    def test_worker_crash_is_quarantined_as_ec(self, mcf_pair):
+    def test_worker_crash_is_quarantined_as_ec(self, mcf_pair, monkeypatch):
         """A candidate that kills its pool worker is quarantined as EC;
         the round completes with every other verdict unchanged."""
+        monkeypatch.setattr(parallel, "CHUNK_SIZE", 4)
         guest, host = mcf_pair
         gaps = _gaps_for(guest, count=16)
         clean = OnlineLearner({"mcf": (guest, host)})
@@ -126,8 +128,7 @@ class TestCrashIsolation:
         )
         set_metrics(MetricsRegistry())
         try:
-            learner = OnlineLearner({"mcf": (guest, host)}, jobs=2,
-                                    chunk_size=4)
+            learner = OnlineLearner({"mcf": (guest, host)}, jobs=2)
             plan = FaultPlan(crash_digests=frozenset([poison]))
             with fault_plan_scope(plan):
                 round_ = learner.learn(gaps)
