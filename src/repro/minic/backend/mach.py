@@ -109,12 +109,12 @@ def rewrite_registers(instr: Instruction,
     return _rewrite(instr, mapping, {})
 
 
-def rename_registers(instrs: list[Instruction],
-                     mapping: dict[str, str]) -> list[Instruction]:
-    """:func:`rewrite_registers` over a whole list, sharing one ``Reg``
-    per renamed name."""
+def renamer(mapping: dict[str, str]
+            ) -> Callable[[Instruction], Instruction]:
+    """:func:`rewrite_registers` under one ``mapping``, sharing one
+    ``Reg`` per renamed name across every instruction it renames."""
     renamed: dict[str, Reg] = {}
-    return [_rewrite(instr, mapping, renamed) for instr in instrs]
+    return lambda instr: _rewrite(instr, mapping, renamed)
 
 
 def _rewrite(instr: Instruction, mapping: dict[str, str],
