@@ -4,7 +4,12 @@ The decision procedure runs three stages in order:
 
 1. canonicalization (:func:`repro.ir.simplify.simplify`) — structural
    equality proves equivalence,
-2. directed + random concrete testing — a mismatch disproves it,
+2. concrete testing — a mismatch disproves it: every variable at the
+   same corner value, then random values, then (with two or more
+   variables) paired corners, where the variables take unequal corner
+   values in a fixed rotation so that an order-sensitive pair such as
+   the overflow flag of ``a - b`` against that of ``b - a`` is refuted
+   without a BDD,
 3. ROBDD construction with interleaved variable order — identical BDDs
    prove equivalence; differing BDDs yield a counterexample path.
 
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.ir.evaluate import evaluate
@@ -84,6 +90,10 @@ def check_equal(
         env = _sample_env(names, rng, sample)
         if evaluate(sa, env) != evaluate(sb, env):
             return EquivalenceResult(Verdict.NOT_EQUAL, env, "random")
+    if len(names) > 1:
+        for env in _paired_corners(names):
+            if evaluate(sa, env) != evaluate(sb, env):
+                return EquivalenceResult(Verdict.NOT_EQUAL, env, "random")
 
     try:
         return _check_bdd(sa, sb, names, bdd_budget)
@@ -129,3 +139,18 @@ def _sample_env(names: dict[str, int], rng: random.Random, round_no: int) -> dic
         else:
             env[name] = rng.getrandbits(width)
     return env
+
+
+def _paired_corners(names: dict[str, int]) -> Iterator[dict[str, int]]:
+    """The 42 assignments giving variable ``i`` the corner value
+    ``_INTERESTING[(first + i * step) % 7]``, for each step 1-6 and
+    first 0-6.  Since 7 is prime, two variables whose indices differ by
+    other than a multiple of 7 meet every ordered pair of distinct
+    corner values."""
+    count = len(_INTERESTING)
+    for step in range(1, count):
+        for first in range(count):
+            yield {
+                name: _INTERESTING[(first + i * step) % count] & mask(width)
+                for i, (name, width) in enumerate(names.items())
+            }

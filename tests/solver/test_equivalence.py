@@ -60,6 +60,21 @@ class TestKnownInequivalences:
             n_flag, ir.ite(ir.slt(X, Y), ir.bv(1, 1), ir.bv(1, 0))
         )
 
+    def test_swapped_subtraction_overflow_refuted_by_corners(self):
+        # ARM V of ``x - y`` against x86 OF of ``y - x``: the flags agree
+        # except where one difference is 0x80000000, which random values
+        # miss and equal corner values never reach.
+        def sub_overflow(a, b):
+            return ir.extract(31, 31, ir.and_(ir.xor(a, b),
+                                              ir.xor(a, ir.sub(a, b))))
+
+        a, b = sub_overflow(X, Y), sub_overflow(Y, X)
+        result = check_equal(a, b)
+        assert result.verdict is Verdict.NOT_EQUAL
+        assert result.method == "random"
+        assert evaluate(a, result.counterexample) != evaluate(
+            b, result.counterexample)
+
     def test_counterexample_is_genuine(self):
         a = ir.lshr(ir.add(X, Y), ir.bv(32, 1))  # drops the carry
         b = ir.add(ir.and_(X, Y), ir.lshr(ir.xor(X, Y), ir.bv(32, 1)))
