@@ -12,6 +12,7 @@ the concrete interpreters, and the rule learner.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -173,29 +174,38 @@ def compile_pairs(
 
 
 def _arm_runtime_functions() -> dict[str, MachineFunction]:
+    """The ARM runtime's functions, each build its own copies."""
+    return {
+        name: MachineFunction(name, instrs=list(instrs), labels=dict(labels))
+        for name, instrs, labels in _arm_runtime_listing()
+    }
+
+
+@functools.cache
+def _arm_runtime_listing() -> tuple[tuple[str, tuple[Instruction, ...],
+                                          tuple[tuple[str, int], ...]], ...]:
+    """The runtime listing parsed once per process and split into
+    (name, instructions, local labels) per function."""
     parsed = arm_parser.parse_program(AEABI_DIVMOD_ASM)
-    # Split the combined listing into per-function MachineFunctions at
-    # the function-name labels (those not starting with ".L").
+    # Split the combined listing at the function-name labels (those not
+    # starting with ".L").
     entries = sorted(
         (index, name)
         for name, index in parsed.labels.items()
         if not name.startswith(".L")
     )
-    functions: dict[str, MachineFunction] = {}
+    functions = []
     for i, (start, name) in enumerate(entries):
         end = entries[i + 1][0] if i + 1 < len(entries) else \
             len(parsed.instructions)
-        labels = {
-            label: pos - start
+        labels = tuple(
+            (label, pos - start)
             for label, pos in parsed.labels.items()
             if label.startswith(".L") and start <= pos <= end
-        }
-        functions[name] = MachineFunction(
-            name,
-            instrs=list(parsed.instructions[start:end]),
-            labels=labels,
         )
-    return functions
+        functions.append(
+            (name, tuple(parsed.instructions[start:end]), labels))
+    return tuple(functions)
 
 
 def _link(program: CompiledProgram) -> None:
