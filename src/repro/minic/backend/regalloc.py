@@ -471,10 +471,17 @@ class _SlotCode:
             func.labels = _moved_labels(func.labels, moved, len(instrs))
         func.instrs = instrs
         func.used_callee_saved = ()
-        if target.callee_saved:  # else the scan below can find nothing
-            used = {reg.name for instr in func.instrs
-                    for reg in instr.registers()}
+        if target.callee_saved:
+            # Every register the written code names: the physical names
+            # of the code before its pending spills, what the vregs and
+            # temps became, and the spill code's base register.
+            used = {name for footprint in self.footprints
+                    for names in footprint for name in names}
             used.update(mapping.values())
+            if self.spills:
+                _, temp, offset, _, _ = next(iter(self.spills.values()))[0]
+                used.update(target.uses(
+                    target.spill_store(mapping[temp], offset)))
             func.used_callee_saved = tuple(
                 reg for reg in target.callee_saved if reg in used
             )
