@@ -29,7 +29,6 @@ from repro.corpus.idioms import generate_idiom_program
 from repro.corpus.pipeline import IngestPipeline
 from repro.corpus.yield_ctl import YieldController
 from repro.learning.cache import VerificationCache
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer, tracing
 
 
@@ -147,7 +146,6 @@ def run_ingest(
                                  meta={"region": region, "seed": seed,
                                        "index": index})
                     summary.unsound += 1
-                    get_metrics().inc("corpus.programs.unsound")
                     tracer.event("corpus.unsound", origin=program.origin,
                                  region=region)
                     controller.record(region, fed=False)
@@ -168,9 +166,6 @@ def run_ingest(
     store.save()
     if cache is not None:
         cache.save()
-    metrics = get_metrics()
-    metrics.observe("corpus.novel_rules_per_min", summary.novel_per_minute)
-    metrics.observe("corpus.dedup_skip_rate", summary.dedup_skip_rate)
     # The embedded report: the trace-side reconciliation anchor, the
     # exact analogue of learn.report for the learning pipeline.
     tracer.event("corpus.report", seed=seed, counts=summary.counts(),

@@ -34,7 +34,6 @@ from repro.learning.cache import (
     atomic_write_text,
     quarantine_corrupt,
 )
-from repro.obs.metrics import get_metrics
 
 STORE_FORMAT = "repro-corpus-seen"
 STORE_FILE_VERSION = 1
@@ -147,7 +146,6 @@ class SeenStore:
                     candidates=len(candidate_digests),
                     settled=settled,
                 )
-        get_metrics().inc(f"corpus.dedup.{decision.verdict}")
         return decision
 
     # -- persistence ---------------------------------------------------------
@@ -183,7 +181,6 @@ class SeenStore:
     def _quarantine_corrupt(self) -> None:
         quarantine_corrupt(self.path)
         self.stats.corrupt += 1
-        get_metrics().inc("corpus.store.corrupt")
         self._dirty = True
 
     def save(self) -> None:

@@ -34,7 +34,6 @@ from repro.learning.canon import CandidateOutcome
 from repro.learning.pipeline import LearningReport, learn_rules
 from repro.learning.rule import Rule
 from repro.learning.verify import query_scope
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 
 
@@ -80,11 +79,6 @@ def _trace_fed(result: FeedResult) -> None:
         published=result.published,
         verify_calls=result.verify_calls,
     )
-    metrics = get_metrics()
-    metrics.inc("corpus.programs.fed")
-    metrics.inc("corpus.rules", len(result.rules))
-    metrics.inc("corpus.rules.novel", result.novel)
-    metrics.inc("corpus.verify_calls", result.verify_calls)
 
 
 class LocalFeed:

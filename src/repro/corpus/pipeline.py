@@ -27,7 +27,6 @@ from repro.learning.cache import VerificationCache
 from repro.learning.direction import ARM_TO_X86, Direction
 from repro.learning.pipeline import Candidate, stage_candidates
 from repro.minic.compile import CompiledProgram, compile_pairs
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 
 #: Both codegen styles, like the paper's compiler matrix.
@@ -105,10 +104,6 @@ class IngestPipeline:
             for style, (guest, host) in program.builds.items():
                 program.candidates[style] = stage_candidates(
                     guest, host, program.origin, self.direction)
-        metrics = get_metrics()
-        metrics.inc("corpus.programs.staged")
-        metrics.inc("corpus.candidates.staged",
-                    len(program.candidate_digests()))
         return program
 
     def process(self, source: str, region: str = "", seed: int = 0,
@@ -150,9 +145,3 @@ class IngestPipeline:
             candidates=decision.candidates,
             settled=decision.settled,
         )
-        metrics = get_metrics()
-        if decision.skipped:
-            metrics.inc("corpus.programs.skipped")
-        else:
-            metrics.inc("corpus.programs.fresh")
-            metrics.inc("corpus.windows.settled", decision.settled)

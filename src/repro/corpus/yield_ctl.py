@@ -22,7 +22,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.corpus.grammar import DEFAULT_REGIONS
-from repro.obs.metrics import get_metrics
 
 
 @dataclass
@@ -126,15 +125,10 @@ class YieldController:
         arm.rules += rules
         arm.verify_calls += verify_calls
         arm.recent.append(rules)
-        metrics = get_metrics()
-        metrics.inc(f"corpus.region.{region}.programs")
-        if rules:
-            metrics.inc(f"corpus.region.{region}.rules", rules)
         if arm.barren and arm.resume_at <= self.step:
             arm.resume_at = self.step + self.cooldown
             arm.cooldowns += 1
             arm.recent.clear()
-            metrics.inc(f"corpus.region.{region}.cooldowns")
 
     # -- reporting ------------------------------------------------------------
 

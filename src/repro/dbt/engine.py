@@ -31,7 +31,6 @@ recent run's dynamic counters.  It is a snapshot, not a live object.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -48,7 +47,6 @@ from repro.minic.compile import (
     STACK_TOP,
     CompiledProgram,
 )
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.dbt import codegen, perf
 from repro.dbt.codegen import (
@@ -335,7 +333,6 @@ class DBTEngine:
         return self._translate_miss(guest_addr)
 
     def _translate_miss(self, guest_addr: int) -> TranslatedBlock:
-        translate_t0 = time.perf_counter()
         start_index = self.program.index_of_addr(guest_addr)
         miss_reasons: dict[str, int] = {}
         if self.mode == "llvmjit":
@@ -402,18 +399,6 @@ class DBTEngine:
             view.static_guest_instructions += tb.guest_length
             view.static_rule_guest_instructions += covered
             view.perf.translation_cycles += tb.translation_cost
-        metrics = get_metrics()
-        metrics.inc("dbt.blocks.translated")
-        metrics.observe_sketch(
-            "dbt.translate.ms",
-            (time.perf_counter() - translate_t0) * 1000.0,
-        )
-        if self.mode == "rules":
-            metrics.inc("dbt.rule.hits", len(tb.hit_profiles))
-            for hit in tb.hit_profiles:
-                metrics.observe("dbt.rule.hit_length", hit.length)
-            for reason, count in miss_reasons.items():
-                metrics.inc(f"dbt.rule.miss.{reason}", count)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -660,10 +645,8 @@ class DBTEngine:
         with the reference or uses no rules at all.  Returns the block
         the dispatch loop should actually execute.
         """
-        metrics = get_metrics()
         while tb.hit_profiles:
             self.guard_stats.checks += 1
-            metrics.inc("dbt.guard.checks")
             trial = copy_state(state)
             reference = copy_state(state)
             _, trial_pc = self._exec_block_raw(tb.host_instrs, trial)
@@ -689,9 +672,6 @@ class DBTEngine:
             self.guard_stats.divergences += 1
             self.guard_stats.rules_quarantined += len(suspects)
             self.guard_stats.retranslations += 1
-            metrics.inc("dbt.guard.divergences")
-            metrics.inc("dbt.guard.quarantined_rules", len(suspects))
-            metrics.inc("dbt.guard.invalidated_blocks", invalidated)
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.event(
@@ -806,10 +786,6 @@ class DBTEngine:
                 and self._block_matches_windows(addr, windows)
             ]
             invalidated = self._retire_blocks(doomed)
-        metrics = get_metrics()
-        metrics.inc("dbt.hot_install.offered", len(offered))
-        metrics.inc("dbt.hot_install.rules", len(installed))
-        metrics.inc("dbt.hot_install.blocks_invalidated", invalidated)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -862,11 +838,6 @@ class DBTEngine:
         self._runs_completed += 1
 
     def _emit_run_records(self, return_value: int) -> None:
-        metrics = get_metrics()
-        metrics.inc("dbt.runs")
-        metrics.inc("dbt.dispatches", self.last_run.perf.dispatches)
-        metrics.inc("dbt.dynamic_host_instructions",
-                    self.last_run.dynamic_host_instructions)
         tracer = get_tracer()
         if not tracer.enabled:
             return

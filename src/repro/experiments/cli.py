@@ -27,7 +27,7 @@ from repro.dbt.guard import GuardPolicy
 from repro.experiments import fig6, fig8, fig9, fig10, fig11, fig12, table1
 from repro.experiments.common import shared_context
 from repro.learning.cache import VerificationCache
-from repro.learning.cli import ECONOMY_PREFIXES, record_cache_metrics
+from repro.learning.cli import economy_block
 from repro.learning.serialize import dump_rules, load_rules
 from repro.obs.metrics import format_metrics, get_metrics, set_metrics
 from repro.obs.trace import tracing
@@ -139,12 +139,8 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
     if context.cache is not None:
         context.cache.save()
-    record_cache_metrics(context.cache)
-    print(
-        format_metrics(get_metrics(), title="verification economy",
-                       prefix=ECONOMY_PREFIXES),
-        file=sys.stderr,
-    )
+    print(economy_block(context.learning_reports(), context.cache),
+          file=sys.stderr)
     if args.metrics:
         print(format_metrics(get_metrics()), file=sys.stderr)
     if args.trace:

@@ -18,6 +18,7 @@ from repro.dbt.perf import speedup
 from repro.learning.cache import VerificationCache
 from repro.learning.pipeline import (
     LearningOutcome,
+    LearningReport,
     learn_corpus,
     learn_rules,
     leave_one_out,
@@ -116,6 +117,10 @@ class ExperimentContext:
             name: self._learning[(name, opt_level, style)]
             for name in self.benchmarks
         }
+
+    def learning_reports(self) -> list[LearningReport]:
+        """The report of every learning run this context holds."""
+        return [outcome.report for outcome in self._learning.values()]
 
     def rule_store_excluding(self, excluded: str) -> RuleStore:
         """Leave-one-out store, the paper's evaluation protocol.

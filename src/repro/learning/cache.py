@@ -32,7 +32,6 @@ from repro.faults.plan import get_fault_plan
 from repro.learning.canon import CandidateOutcome
 from repro.learning.serialize import rule_from_json, rule_to_json
 from repro.learning.verify import VerifyFailure
-from repro.obs.metrics import get_metrics
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -210,7 +209,6 @@ class VerificationCache:
         """Move an unreadable cache file aside and start empty."""
         quarantine_corrupt(self.path)
         self.stats.corrupt += 1
-        get_metrics().inc("learning.cache.corrupt")
         self._dirty = True
 
     def save(self) -> None:

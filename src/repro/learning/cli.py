@@ -19,7 +19,7 @@ import sys
 from repro.faults.deadline import DeadlineBudget
 from repro.learning.cache import VerificationCache
 from repro.learning.journal import OutcomeJournal
-from repro.learning.pipeline import learn_corpus
+from repro.learning.pipeline import LearningReport, learn_corpus
 from repro.learning.serialize import dump_rules
 from repro.minic import compile_pairs
 from repro.obs.metrics import format_metrics, get_metrics, set_metrics
@@ -34,22 +34,27 @@ from repro.obs.trace import tracing
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Metric-name prefixes of the verification-economy counters every CLI
-#: prints through the one shared formatter.
-ECONOMY_PREFIXES = (
-    "learning.verify.", "learning.cache.",
-    "learning.worker.", "learning.pool.",
-)
 
-
-def record_cache_metrics(cache: VerificationCache | None) -> None:
-    """Route the persistent-cache summary into the metrics registry
-    (hit/miss counters are already recorded by the pipeline)."""
-    if cache is None:
-        return
-    metrics = get_metrics()
-    metrics.inc("learning.cache.stale", cache.stats.stale)
-    metrics.inc("learning.cache.entries", len(cache))
+def economy_block(reports, cache: VerificationCache | None) -> str:
+    """The verification-economy block both learning CLIs print, read
+    from the run's learning reports and the cache's own stats."""
+    total = LearningReport()
+    for report in reports:
+        total.merge(report)
+    counts = {
+        "learning.verify.calls": total.verify_calls,
+        "learning.verify.deduped": total.dedup_saved_calls,
+    }
+    if cache is not None:
+        counts.update({
+            "learning.cache.hits": total.cache_hits,
+            "learning.cache.misses": total.cache_misses,
+            "learning.cache.entries": len(cache),
+            "learning.cache.stale": cache.stats.stale,
+            "learning.cache.corrupt": cache.stats.corrupt,
+        })
+    return format_metrics({"counters": counts},
+                          title="verification economy")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,7 +164,6 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump(snapshot, fp, sort_keys=True)
             print(f"wrote profile to {args.profile}", file=sys.stderr)
 
-    record_cache_metrics(cache)
     report = outcome.report
     print(
         f"{report.total_sequences} snippet pairs -> {report.rules} rules "
@@ -181,11 +185,7 @@ def main(argv: list[str] | None = None) -> int:
         f"TO={report.verify_to} EC={report.verify_ec}",
         file=sys.stderr,
     )
-    print(
-        format_metrics(get_metrics(), title="verification economy",
-                       prefix=ECONOMY_PREFIXES),
-        file=sys.stderr,
-    )
+    print(economy_block([report], cache), file=sys.stderr)
     if args.metrics:
         print(format_metrics(get_metrics()), file=sys.stderr)
     if args.trace:

@@ -71,6 +71,12 @@ VERIFY_CODES = {
     VerifyFailure.ENGINE_CRASH: "EC",
 }
 VERIFY_FALLBACK_CODE = "Other"
+#: Table 1 code -> the :class:`LearningReport` field that counts it.
+FAILURE_FIELDS = {
+    "Num": "param_num", "Name": "param_name", "FailG": "param_failg",
+    "Rg": "verify_rg", "Mm": "verify_mm", "Br": "verify_br",
+    "Other": "verify_other", "TO": "verify_to", "EC": "verify_ec",
+}
 
 
 @dataclass
@@ -191,19 +197,7 @@ def _extract_stage(
     report.prep_pi = extraction.prep_failures[PrepFailure.PREDICATED]
     report.prep_mb = extraction.prep_failures[PrepFailure.MULTI_BLOCK]
     report.extract_seconds = time.perf_counter() - start
-    if not trace:
-        return extraction.pairs
-    metrics = get_metrics()
-    metrics.inc("learning.sequences", extraction.total_sequences)
-    metrics.inc("learning.pairs", len(extraction.pairs))
-    for failure, code in PREP_CODES.items():
-        count = extraction.prep_failures[failure]
-        if count:
-            metrics.inc(f"learning.prep_fail.{code}", count)
-    if extraction.empty_after_prep:
-        metrics.inc("learning.empty_after_prep",
-                    extraction.empty_after_prep)
-    if tracer.enabled:
+    if trace and tracer.enabled:
         for pair in extraction.pairs:
             tracer.event("learn.pair", benchmark=report.benchmark,
                          line=pair.line)
@@ -226,7 +220,6 @@ def _paramize_stage(
     trace: bool = True,
 ) -> list[Candidate]:
     tracer = get_tracer()
-    metrics = get_metrics()
     start = time.perf_counter()
     candidates: list[Candidate] = []
     span = tracer.span("learn.paramize", benchmark=report.benchmark) \
@@ -236,21 +229,18 @@ def _paramize_stage(
             context = analyze_pair(pair, direction)
             mappings, failure = generate_mappings(context)
             if failure is not None:
-                code = _count_param_failure(report, failure)
-                if trace:
-                    metrics.inc(f"learning.param_fail.{code}")
-                    if tracer.enabled:
-                        tracer.event("learn.param_fail",
-                                     benchmark=report.benchmark,
-                                     line=pair.line, reason=code)
+                code = _count_failure(
+                    report, PARAM_CODES.get(failure, PARAM_FALLBACK_CODE))
+                if trace and tracer.enabled:
+                    tracer.event("learn.param_fail",
+                                 benchmark=report.benchmark,
+                                 line=pair.line, reason=code)
                 continue
             candidates.append(
                 Candidate(pair, context, mappings,
                           candidate_digest(context, mappings))
             )
     report.paramize_seconds = time.perf_counter() - start
-    if trace:
-        metrics.inc("learning.candidates", len(candidates))
     return candidates
 
 
@@ -267,8 +257,9 @@ def stage_candidates(guest: CompiledProgram, host: CompiledProgram,
                      name: str, direction: Direction = ARM_TO_X86
                      ) -> list[Candidate]:
     """Extract + paramize one build pair for corpus/service staging,
-    trace- and metrics-silent: learn.* events here would double-count a
-    program later fed, or orphan with no ``learn.report`` following."""
+    trace-silent: learn.* events here would double-count a program
+    later fed, or orphan with no ``learn.report`` following.  (Staging
+    records no metrics in any mode.)"""
     return _stage(guest, host, name, direction, trace=False)[1]
 
 
@@ -392,8 +383,8 @@ def _verify_stage(
     """
     benchmark = report.benchmark
     tracer = get_tracer()
-    metrics = get_metrics()
     rules: list[Rule] = []
+    replayed = 0  # verdicts settled before a killed run
     start = time.perf_counter()
     with tracer.span("learn.verify", benchmark=benchmark), \
             phase("learn.verify"):
@@ -401,20 +392,14 @@ def _verify_stage(
                 candidates, cache, memo, live, journal, benchmark):
             if source == "memo":
                 report.dedup_saved_calls += outcome.calls
-                metrics.inc("learning.verify.deduped", outcome.calls)
             elif source == "cache":
                 report.cache_hits += 1
-                metrics.inc("learning.cache.hits")
             else:
                 if source == "journal":
-                    metrics.inc("learning.journal.replayed")
+                    replayed += 1
                 report.verify_calls += outcome.calls
-                metrics.inc("learning.verify.calls", outcome.calls)
-                metrics.observe("learning.verify.calls_per_candidate",
-                                outcome.calls)
                 if cache is not None:
                     report.cache_misses += 1
-                    metrics.inc("learning.cache.misses")
             if outcome.rule is not None:
                 result, reason = "rule", None
                 rules.append(replace(outcome.rule, origin=benchmark,
@@ -422,8 +407,8 @@ def _verify_stage(
             else:
                 # Only the last verification attempt counts (Section 6.1).
                 result = "fail"
-                reason = _count_verify_failure(report, outcome.failure)
-                metrics.inc(f"learning.verify_fail.{reason}")
+                reason = _count_failure(report, VERIFY_CODES.get(
+                    outcome.failure, VERIFY_FALLBACK_CODE))
             if tracer.enabled:
                 tracer.event(
                     "learn.verdict", benchmark=benchmark,
@@ -434,6 +419,8 @@ def _verify_stage(
                     result=result, reason=reason,
                 )
     report.verify_seconds += time.perf_counter() - start
+    if replayed:
+        get_metrics().inc("learning.journal.replayed", replayed)
     return rules
 
 
@@ -501,15 +488,14 @@ def learn_rules(
 
 def finish_outcome(rules: list[Rule],
                    report: LearningReport) -> LearningOutcome:
-    """Seal one benchmark's outcome: final metrics plus the
-    ``learn.rule`` / ``learn.report`` trace records.
+    """Seal one benchmark's outcome: the ``learn.rule`` /
+    ``learn.report`` trace records.
 
     The ``learn.report`` event is the :class:`LearningReport`
     accounting path embedded verbatim in the trace, so the report CLI
     can cross-check it against its own per-event aggregation.
     """
     report.rules = len(rules)
-    get_metrics().inc("learning.rules", len(rules))
     tracer = get_tracer()
     if tracer.enabled:
         for index, rule in enumerate(rules):
@@ -574,33 +560,8 @@ def leave_one_out(
     return dedup_rules(rules)
 
 
-def _count_param_failure(report: LearningReport,
-                         failure: ParamFailure) -> str:
-    """Count one parameterization failure; returns its Table 1 code."""
-    code = PARAM_CODES.get(failure, PARAM_FALLBACK_CODE)
-    if code == "Num":
-        report.param_num += 1
-    elif code == "Name":
-        report.param_name += 1
-    else:
-        report.param_failg += 1
-    return code
-
-
-def _count_verify_failure(report: LearningReport,
-                          failure: VerifyFailure | None) -> str:
-    """Count one verification failure; returns its Table 1 code."""
-    code = VERIFY_CODES.get(failure, VERIFY_FALLBACK_CODE)
-    if code == "Rg":
-        report.verify_rg += 1
-    elif code == "Mm":
-        report.verify_mm += 1
-    elif code == "Br":
-        report.verify_br += 1
-    elif code == "TO":
-        report.verify_to += 1
-    elif code == "EC":
-        report.verify_ec += 1
-    else:
-        report.verify_other += 1
+def _count_failure(report: LearningReport, code: str) -> str:
+    """Count one Table 1 failure in ``report``; returns ``code``."""
+    name = FAILURE_FIELDS[code]
+    setattr(report, name, getattr(report, name) + 1)
     return code

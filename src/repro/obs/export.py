@@ -22,8 +22,9 @@ Three entry points:
 Mapping conventions (the standard ones):
 
 * counters  -> ``<ns>_<name>_total`` with ``# TYPE ... counter``;
-* sparse histograms and sketches -> summaries: ``<ns>_<name>``
-  samples labelled ``{quantile="0.5"}`` plus ``_sum``/``_count``;
+* sparse histograms and per-op latency sketches -> summaries:
+  ``<ns>_<name>`` samples labelled ``{quantile="0.5"}`` plus
+  ``_sum``/``_count``;
 * telemetry rates and gauges -> ``# TYPE ... gauge``;
 * SLO state -> ``<ns>_slo_breach{objective="..."} 0|1`` plus
   per-window ``<ns>_slo_burn_rate{objective,window}``;
@@ -42,7 +43,6 @@ import re
 import sys
 
 from repro.obs.metrics import MetricsRegistry, get_metrics
-from repro.obs.sketch import QuantileSketch
 
 #: Default namespace every exported metric is prefixed with.
 NAMESPACE = "repro"
@@ -116,20 +116,10 @@ class _Writer:
         return "\n".join(self.lines) + "\n" if self.lines else ""
 
 
-def _render_summary(writer: _Writer, family: str, sketch,
-                    help_text: str) -> None:
-    name = writer.family(family, "summary", help_text)
-    for q in (0.5, 0.95, 0.99):
-        writer.sample(name, sketch.quantile(q),
-                      labels={"quantile": str(q)})
-    writer.sample(name, sketch.sum, suffix="_sum")
-    writer.sample(name, sketch.count, suffix="_count")
-
-
 def render_metrics(snapshot: dict, writer: _Writer,
                    namespace: str = NAMESPACE) -> None:
-    """Counters, sparse histograms, and sketches from a
-    MetricsRegistry snapshot."""
+    """Counters and sparse histograms from a MetricsRegistry
+    snapshot."""
     for name in sorted(snapshot.get("counters", {})):
         value = snapshot["counters"][name]
         family = writer.family(
@@ -157,15 +147,6 @@ def render_metrics(snapshot: dict, writer: _Writer,
                               labels={"quantile": label})
         writer.sample(family, weighted, suffix="_sum")
         writer.sample(family, total, suffix="_count")
-    for name in sorted(snapshot.get("sketches", {})):
-        sketch = QuantileSketch.from_snapshot(
-            snapshot["sketches"][name]
-        )
-        _render_summary(
-            writer, f"{namespace}_{sanitize_name(name)}", sketch,
-            f"repro sketch {name} (relative error "
-            f"{sketch.relative_error})",
-        )
 
 
 def render_telemetry(snapshot: dict, writer: _Writer,

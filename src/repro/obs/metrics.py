@@ -3,8 +3,15 @@
 A :class:`MetricsRegistry` is a plain in-process accumulator: counters
 are ``name -> number`` and histograms are ``name -> {value: count}``
 (sparse — exact observed values, not pre-binned buckets, which is the
-right shape for small-integer distributions like rule lengths or
-solver calls per candidate).
+right shape for small-integer distributions like solver calls per
+candidate).
+
+The registry holds only what no run record does: the verification
+pool's own accounting (``learning.worker.*``, ``learning.pool.*``),
+which crosses the process boundary in worker snapshots, and the
+journal replay count.  Everything a run record already counts
+(:class:`~repro.learning.pipeline.LearningReport`, ``DBTStats``,
+``FeedResult``, ``SyncResult``, ...) is read from that record.
 
 ``snapshot()`` returns a picklable plain-dict view and ``merge()``
 adds one registry/snapshot into another, which is how worker processes
@@ -13,15 +20,13 @@ each worker fills a fresh registry, ships ``snapshot()`` back with its
 results, and the parent merges.
 
 :func:`format_metrics` is the one formatter every CLI routes metric
-dumps through, so cache/dedup/engine stats render identically
-everywhere.
+dumps through, so the learning CLIs' economy block and every
+``--metrics`` dump render alike.
 """
 
 from __future__ import annotations
 
 import threading
-
-from repro.obs.sketch import QuantileSketch
 
 #: The quantiles every summary view reports.
 SUMMARY_QUANTILES = (0.50, 0.95, 0.99)
@@ -68,7 +73,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: dict[str, float] = {}
         self._histograms: dict[str, dict] = {}
-        self._sketches: dict[str, QuantileSketch] = {}
         self._lock = threading.Lock()
 
     # -- recording -----------------------------------------------------------
@@ -82,17 +86,6 @@ class MetricsRegistry:
             bucket = self._histograms.setdefault(name, {})
             bucket[value] = bucket.get(value, 0) + count
 
-    def observe_sketch(self, name: str, value: float,
-                       count: int = 1) -> None:
-        """Record into a named bounded-error quantile sketch — the
-        shape for continuous latencies (unbounded distinct values),
-        where the sparse exact histograms would grow without limit."""
-        with self._lock:
-            sketch = self._sketches.get(name)
-            if sketch is None:
-                sketch = self._sketches[name] = QuantileSketch()
-        sketch.observe(value, count)
-
     # -- reading -------------------------------------------------------------
 
     def counter(self, name: str) -> float:
@@ -101,13 +94,8 @@ class MetricsRegistry:
     def histogram(self, name: str) -> dict:
         return dict(self._histograms.get(name, {}))
 
-    def sketch(self, name: str) -> QuantileSketch | None:
-        """The live named sketch, or None if nothing was recorded."""
-        return self._sketches.get(name)
-
     def __len__(self) -> int:
-        return (len(self._counters) + len(self._histograms)
-                + len(self._sketches))
+        return len(self._counters) + len(self._histograms)
 
     def snapshot(self) -> dict:
         """A plain-dict (picklable, JSON-able for string keys) view.
@@ -122,11 +110,7 @@ class MetricsRegistry:
                 for name, bucket in self._histograms.items()
             }
             counters = dict(self._counters)
-            sketches = {
-                name: sketch.snapshot()
-                for name, sketch in self._sketches.items()
-            }
-        snapshot = {
+        return {
             "counters": counters,
             "histograms": histograms,
             "quantiles": {
@@ -134,11 +118,6 @@ class MetricsRegistry:
                 for name, bucket in histograms.items()
             },
         }
-        if sketches:
-            # Only present when used, so sketch-free snapshots keep
-            # their pre-sketch shape (replay byte-compatibility).
-            snapshot["sketches"] = sketches
-        return snapshot
 
     # -- combining -----------------------------------------------------------
 
@@ -152,20 +131,10 @@ class MetricsRegistry:
         for name, bucket in snapshot.get("histograms", {}).items():
             for value, count in bucket.items():
                 self.observe(name, value, count)
-        for name, data in snapshot.get("sketches", {}).items():
-            with self._lock:
-                sketch = self._sketches.get(name)
-                if sketch is None:
-                    sketch = self._sketches[name] = QuantileSketch(
-                        relative_error=data.get("relative_error", 0.01)
-                        if isinstance(data, dict) else 0.01
-                    )
-            sketch.merge(data)
 
     def clear(self) -> None:
         self._counters.clear()
         self._histograms.clear()
-        self._sketches.clear()
 
 
 def format_metrics(source: MetricsRegistry | dict, title: str = "metrics",
@@ -203,18 +172,6 @@ def format_metrics(source: MetricsRegistry | dict, title: str = "metrics",
         if summary:
             text = " ".join(f"{q}={v}" for q, v in summary.items())
             rows.append((name + ".quantiles", text))
-    for name in sorted(snapshot.get("sketches", {})):
-        if not name.startswith(prefix):
-            continue
-        sketch = QuantileSketch.from_snapshot(
-            snapshot["sketches"][name]
-        )
-        summary = sketch.summary()
-        text = " ".join(
-            [f"count={summary['count']}"]
-            + [f"{q}={v:.3f}" for q, v in summary["quantiles"].items()]
-        )
-        rows.append((name + ".sketch", text))
     if not rows:
         return f"{title}: (none)"
     width = max(len(name) for name, _ in rows)

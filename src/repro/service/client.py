@@ -45,7 +45,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.learning.cache import SEMANTICS_VERSION
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.service.gaps import GapRecorder
 from repro.service.protocol import (
@@ -197,7 +196,6 @@ class RuleServiceClient:
                 self._teardown()
                 if attempt == attempts - 1:
                     raise
-                get_metrics().inc("service.client.retries")
                 tracer = get_tracer()
                 if tracer.enabled:
                     tracer.event(
@@ -266,9 +264,6 @@ class RuleServiceClient:
             return 0
         with get_tracer().span("service.report_gaps", gaps=len(report)):
             response = self.request("report_gaps", gaps=report)
-        metrics = get_metrics()
-        metrics.inc("service.client.gap_reports")
-        metrics.inc("service.client.gaps_reported", len(report))
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -297,12 +292,7 @@ class RuleServiceClient:
         if origin is not None:
             fields["origin"] = origin
         with get_tracer().span("service.ingest_source"):
-            response = self.request("ingest_source", **fields)
-        metrics = get_metrics()
-        metrics.inc("service.client.programs_ingested")
-        metrics.inc("service.client.ingest_gaps",
-                    int(response.get("new_gaps", 0)))
-        return response
+            return self.request("ingest_source", **fields)
 
     # -- sync + hot-install --------------------------------------------------
 
@@ -356,11 +346,6 @@ class RuleServiceClient:
             result.rules_fetched = fetched
             result.rules_installed = installed
             result.blocks_invalidated = invalidated
-        metrics = get_metrics()
-        metrics.inc("service.client.syncs")
-        metrics.inc("service.client.bundles_installed", result.bundles)
-        metrics.inc("service.client.rules_installed",
-                    result.rules_installed)
         if tracer.enabled:
             tracer.event(
                 "service.sync_result",
@@ -389,8 +374,8 @@ class RuleServiceClient:
         Graceful degradation: a tick that cannot reach the service
         (even after the client's retry budget) never raises into the
         dispatch loop — the engine keeps translating with its
-        last-synced rules, ``degraded`` flips on (gauge metric
-        ``service.client.degraded``), and a later successful tick
+        last-synced rules, ``degraded`` flips on (traced as a
+        ``service.client.degraded`` event), and a later successful tick
         flips it back off.
         """
         engine.gap_sink = self.recorder
@@ -414,12 +399,8 @@ class RuleServiceClient:
         engine.tick = tick
 
     def _enter_degraded(self, exc: Exception) -> None:
-        metrics = get_metrics()
-        metrics.inc("service.client.tick_failures")
         if not self.degraded:
             self.degraded = True
-            metrics.inc("service.client.degraded_entries")
-            metrics.observe("service.client.degraded", 1)
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.event(
@@ -429,9 +410,6 @@ class RuleServiceClient:
 
     def _leave_degraded(self) -> None:
         self.degraded = False
-        metrics = get_metrics()
-        metrics.inc("service.client.degraded_exits")
-        metrics.observe("service.client.degraded", 0)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event("service.client.degraded", entered=False)

@@ -53,7 +53,7 @@ import contextlib
 import hashlib
 import sys
 
-from repro.obs.metrics import get_metrics, set_metrics
+from repro.obs.metrics import set_metrics
 from repro.obs.slo import SloEngine
 from repro.obs.trace import get_tracer
 from repro.service.protocol import (
@@ -415,7 +415,6 @@ class FleetCoordinator(AsyncEndpoint):
         link.last_generation = 0
         await link.request("catchup_done")
         self.catchups += 1
-        get_metrics().inc("fleet.catchups")
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event("fleet.catchup", shard=link.shard_id,
@@ -475,8 +474,6 @@ class FleetCoordinator(AsyncEndpoint):
                     link.last_generation = max(
                         link.last_generation, generation
                     )
-        if published:
-            get_metrics().inc("fleet.bundles_folded", published)
         return published
 
     async def _replicate(self, ref, exclude: str) -> None:
@@ -542,10 +539,6 @@ class FleetCoordinator(AsyncEndpoint):
             queued += link.queue_gaps(gaps)
             accepted += len(gaps)
         self.gaps_queued_total += queued
-        metrics = get_metrics()
-        metrics.inc("fleet.gaps_routed", accepted - queued)
-        if queued:
-            metrics.inc("fleet.gaps_queued", queued)
         return ok_response(accepted=accepted, new=new,
                            pending=pending, queued=queued)
 

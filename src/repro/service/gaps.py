@@ -30,7 +30,6 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 from repro.learning.canon import snippet_text
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import extract_context, get_tracer
 
 
@@ -111,7 +110,6 @@ class GapRecorder:
         if not instrs:
             return
         self.captured += 1
-        get_metrics().inc("service.gaps.captured")
         gap = canonical_gap(instrs, self.direction)
         if gap.digest in self._reported or gap.digest in self._pending:
             self._counts[gap.digest] = \
@@ -179,9 +177,6 @@ class GapAggregator:
                     "service.gap_received", context=gap.context,
                     digest=gap.digest,
                 )
-        metrics = get_metrics()
-        metrics.inc("service.gaps.reported", len(report))
-        metrics.inc("service.gaps.new", new)
         return new
 
     @property

@@ -26,7 +26,6 @@ plan.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 from repro.learning.cache import VerificationCache
@@ -40,7 +39,6 @@ from repro.learning.pipeline import (
 )
 from repro.learning.rule import Rule, dedup_rules, windows_in
 from repro.minic.compile import CompiledProgram
-from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.service.gaps import Gap
 
@@ -100,7 +98,6 @@ class OnlineLearner:
         on first use and reused for the server's lifetime."""
         if self._staged is None:
             tracer = get_tracer()
-            start = time.perf_counter()
             staged: list[tuple[str, Candidate]] = []
             with tracer.span("service.stage", corpus=len(self.builds)):
                 for name, pair in self.builds.items():
@@ -109,10 +106,6 @@ class OnlineLearner:
                     staged.extend(self._stage_build(name, pair))
             self._staged = []
             self._extend_staged(staged)
-            metrics = get_metrics()
-            metrics.inc("service.learner.staged_candidates", len(staged))
-            metrics.inc("service.learner.stage_seconds",
-                        time.perf_counter() - start)
         return self._staged
 
     def add_build(
@@ -132,7 +125,6 @@ class OnlineLearner:
             return 0
         fresh = self._stage_build(name, pair)
         self._extend_staged(fresh)
-        get_metrics().inc("service.learner.staged_candidates", len(fresh))
         return len(fresh)
 
     def _extend_staged(self, fresh: list[tuple[str, Candidate]]) -> None:
@@ -193,7 +185,6 @@ class OnlineLearner:
         selected = self.match_candidates(gaps)
         round_.matched_candidates = len(selected)
         candidates = [candidate for _, candidate in selected]
-        metrics = get_metrics()
         with get_tracer().span("service.learn", gaps=len(gaps),
                                candidates=len(selected)):
             live = settle(candidates, self.cache, self.memo,
@@ -202,9 +193,7 @@ class OnlineLearner:
             for (name, _), (candidate, source, outcome) in zip(
                     selected, replay(candidates, self.cache, self.memo,
                                      live)):
-                if source == "cache":
-                    metrics.inc("service.learner.cache_hits")
-                elif source == "live":
+                if source == "live":
                     round_.resolved += 1
                     round_.verify_calls += outcome.calls
                 if outcome.rule is not None:
@@ -215,6 +204,4 @@ class OnlineLearner:
             round_.rules = dedup_rules(rules)
         if live and self.cache is not None:
             self.cache.save()
-        metrics.inc("service.learner.rounds")
-        metrics.inc("service.learner.rules", len(round_.rules))
         return round_

@@ -42,7 +42,6 @@ from pathlib import Path
 from repro.learning.cache import SEMANTICS_VERSION, atomic_write_text
 from repro.learning.rule import Rule, dedup_rules
 from repro.learning.serialize import rule_from_json, rule_to_json
-from repro.obs.metrics import get_metrics
 
 BUNDLE_FORMAT = "repro-dbt-rule-bundle"
 MANIFEST_FORMAT = "repro-dbt-rule-manifest"
@@ -291,7 +290,4 @@ class RuleRepository:
         self._entries.append(ref)
         known.update(fresh)
         self._save_manifest()
-        metrics = get_metrics()
-        metrics.inc("service.repo.bundles_published")
-        metrics.inc("service.repo.rules_published", len(fresh))
         return ref

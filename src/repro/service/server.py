@@ -352,7 +352,6 @@ class RuleService:
         self.corpus_stats["programs"] += 1
         self.corpus_stats["gaps"] += new
         self.telemetry.gaps.add(len(gaps))
-        get_metrics().inc("service.corpus.programs")
         return ok_response(
             origin=origin,
             staged_candidates=staged,
@@ -639,7 +638,6 @@ class AsyncRuleServer(AsyncEndpoint):
             return
         detail = f"{type(exc).__name__}: {exc}"
         self.service.learn_errors += 1
-        get_metrics().inc("service.learn.errors")
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event("service.learn.error", error=detail)

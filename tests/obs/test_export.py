@@ -13,7 +13,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SamplingProfiler, phase
-from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import SloEngine
 from repro.obs.timeseries import ServiceTelemetry
 
@@ -39,8 +38,6 @@ def full_exposition():
     registry = MetricsRegistry()
     registry.inc("dbt.blocks.translated", 42)
     registry.observe("dbt.rule.hit_length", 3, count=5)
-    registry.observe_sketch("dbt.translate.ms", 1.5)
-    registry.observe_sketch("dbt.translate.ms", 12.0)
 
     telemetry = ServiceTelemetry(window=60)
     telemetry.gaps.add(3)
@@ -71,7 +68,7 @@ class TestRendering:
         assert samples, "exposition rendered no samples"
         names = {name for name, _, _ in samples}
         assert "repro_dbt_blocks_translated_total" in names
-        assert "repro_dbt_translate_ms" in names
+        assert "repro_dbt_rule_hit_length" in names
         assert "repro_service_op_latency_ms" in names
         assert "repro_slo_breach" in names
         assert "repro_profile_samples_total" in names
@@ -87,7 +84,7 @@ class TestRendering:
     def test_summary_has_quantiles_sum_count(self):
         registry = MetricsRegistry()
         for ms in (1.0, 2.0, 3.0, 4.0):
-            registry.observe_sketch("lat.ms", ms)
+            registry.observe("lat.ms", ms)
         text = render_exposition(metrics=registry.snapshot())
         samples = parse_exposition(text)
         by_name = {}
@@ -209,15 +206,15 @@ class TestCli:
 
 class TestSketchSummaryRoundtrip:
     def test_rendered_quantiles_match_sketch(self):
-        sketch = QuantileSketch()
-        for v in (10.0, 20.0, 30.0):
-            sketch.observe(v)
-        registry = MetricsRegistry()
-        registry.merge({"sketches": {"lat": sketch.snapshot()}})
-        text = render_exposition(metrics=registry.snapshot())
+        telemetry = ServiceTelemetry(window=60)
+        for seconds in (0.010, 0.020, 0.030):
+            telemetry.observe_op("sync", seconds)
+        text = render_exposition(telemetry=telemetry.snapshot())
         samples = parse_exposition(text)
         p50 = next(
             value for name, labels, value in samples
-            if name == "repro_lat" and labels.get("quantile") == "0.5"
+            if name == "repro_service_op_latency_ms"
+            and labels.get("quantile") == "0.5"
         )
+        sketch = telemetry.op_sketches()["sync"]
         assert p50 == pytest.approx(sketch.quantile(0.5))

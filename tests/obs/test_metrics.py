@@ -116,53 +116,6 @@ class TestRegistry:
         assert registry.counter("a") == 0
 
 
-class TestSketchSupport:
-    def test_observe_sketch_and_accessor(self):
-        registry = MetricsRegistry()
-        registry.observe_sketch("dbt.translate.ms", 5.0)
-        registry.observe_sketch("dbt.translate.ms", 15.0, count=3)
-        sketch = registry.sketch("dbt.translate.ms")
-        assert sketch is not None
-        assert sketch.count == 4
-        assert registry.sketch("missing") is None
-        assert len(registry) == 1
-
-    def test_snapshot_carries_sketches_only_when_used(self):
-        registry = MetricsRegistry()
-        registry.inc("a")
-        assert "sketches" not in registry.snapshot()
-        registry.observe_sketch("lat", 2.5)
-        snapshot = registry.snapshot()
-        assert snapshot["sketches"]["lat"]["count"] == 1
-        assert pickle.loads(pickle.dumps(snapshot)) == snapshot
-
-    def test_merge_folds_sketches_across_process_boundary(self):
-        worker = MetricsRegistry()
-        for ms in (1.0, 2.0, 100.0):
-            worker.observe_sketch("lat", ms)
-        parent = MetricsRegistry()
-        parent.observe_sketch("lat", 50.0)
-        parent.merge(pickle.loads(pickle.dumps(worker.snapshot())))
-        assert parent.sketch("lat").count == 4
-        # A sketch the parent has never seen materialises on merge.
-        assert parent.sketch("lat").quantile(0.99) \
-            == pytest.approx(100.0, rel=0.02)
-
-    def test_clear_drops_sketches(self):
-        registry = MetricsRegistry()
-        registry.observe_sketch("lat", 1.0)
-        registry.clear()
-        assert registry.sketch("lat") is None
-
-    def test_formatter_renders_sketch_summary(self):
-        registry = MetricsRegistry()
-        registry.observe_sketch("dbt.translate.ms", 10.0)
-        text = format_metrics(registry)
-        assert "dbt.translate.ms.sketch" in text
-        assert "count=1" in text
-        assert "p99=" in text
-
-
 class TestGlobalRegistry:
     def test_set_metrics_swaps_and_returns_previous(self):
         fresh = MetricsRegistry()
@@ -302,7 +255,7 @@ class TestParallelMerge:
 
     def test_pool_metrics_merge_with_parent_side_counters(self, merged):
         _, registry = merged
-        # Parent-side pipeline counters land in the same registry as
-        # the merged worker snapshots.
-        assert registry.counter("learning.sequences") > 0
-        assert registry.counter("learning.rules") > 0
+        # The parent's pool counters land in the same registry as the
+        # merged worker snapshots: one chunk per verified candidate.
+        assert registry.counter("learning.pool.chunks") \
+            == registry.counter("learning.worker.resolved") > 0

@@ -1,9 +1,8 @@
 """Cross-process observability merge under the crash-isolated pool.
 
-Satellite coverage for the observability PR: worker-side profiles and
-sketches ride home inside the metrics snapshot the pool already ships,
-and the parent-side merge is associative, commutative, and
-byte-identical on same-order replay — so a profile assembled from N
+Worker-side profiles ride home inside the metrics snapshot the pool
+already ships, and the parent-side merge is associative, commutative,
+and byte-identical on same-order replay — so a profile assembled from N
 workers does not depend on chunk completion order for its counts, and
 replaying the same worker snapshots reproduces the same bytes.
 """
@@ -21,7 +20,6 @@ from repro.obs.profiler import (
     phase,
     set_profiler,
 )
-from repro.obs.sketch import QuantileSketch
 
 
 @pytest.fixture(autouse=True)
@@ -33,15 +31,14 @@ def fresh_globals():
     set_profiler(None)
 
 
-def worker_snapshot(phase_name: str, samples: int,
-                    sketch_values=()) -> dict:
+def worker_snapshot(phase_name: str, samples: int, calls=()) -> dict:
     """Build what a pool worker returns: a metrics snapshot with an
     embedded profile, then force it across a process boundary the same
     way ProcessPoolExecutor does (pickle roundtrip)."""
     registry = MetricsRegistry()
     registry.inc("learning.worker.resolved", samples)
-    for value in sketch_values:
-        registry.observe_sketch("learning.worker.verify_ms", value)
+    for value in calls:
+        registry.observe("learning.worker.calls_per_candidate", value)
     profiler = SamplingProfiler(hz=50, include_idle=False)
     with phase(phase_name):
         for _ in range(samples):
@@ -76,18 +73,13 @@ class TestParentAbsorb:
 
     def test_absorb_merges_profile_and_metrics(self):
         scheduler = self.make_scheduler()
-        snapshot = worker_snapshot("learn.verify", 3,
-                                   sketch_values=(1.0, 2.0))
+        snapshot = worker_snapshot("learn.verify", 3)
         scheduler._absorb([], snapshot)
         merged = get_profiler().snapshot()
         assert merged["phases"]["learn.verify"]["self_samples"] == 3
         metrics = scheduler.metrics.snapshot()
         assert metrics["counters"]["learning.worker.resolved"] == 3
         assert "profile" not in metrics
-        sketch = QuantileSketch.from_snapshot(
-            metrics["sketches"]["learning.worker.verify_ms"]
-        )
-        assert sketch.count == 2
 
     def test_absorb_without_profile_key_is_harmless(self):
         scheduler = self.make_scheduler()
@@ -98,8 +90,8 @@ class TestParentAbsorb:
 class TestMergeAlgebra:
     def snapshots(self):
         return [
-            worker_snapshot("learn.verify", 4, sketch_values=(1.0,)),
-            worker_snapshot("learn.verify", 2, sketch_values=(8.0, 2.0)),
+            worker_snapshot("learn.verify", 4, calls=(1,)),
+            worker_snapshot("learn.verify", 2, calls=(8, 2)),
             worker_snapshot("dbt.exec", 3),
         ]
 
@@ -117,8 +109,7 @@ class TestMergeAlgebra:
         forward_prof, forward_metrics = self.merge_all(snaps)
         reverse_prof, reverse_metrics = self.merge_all(snaps[::-1])
         assert forward_prof == reverse_prof
-        # Counter/bucket counts are exact; float sums are dyadic here
-        # so even the sketch sums compare equal.
+        # Counter and bucket counts are exact.
         assert forward_metrics == reverse_metrics
 
     def test_associative_grouping(self):
