@@ -2,10 +2,11 @@
 
 Two interchangeable feeds:
 
-* :class:`LocalFeed` — in-process, through the offline learning
-  pipeline (:func:`repro.learning.pipeline.learn_rules`) with a shared
-  pre-verification memo and the persistent verification cache.  Fully
-  deterministic — the ingest gate's path.
+* :class:`LocalFeed` — in-process: the offline schedule's settle and
+  replay steps (:func:`repro.learning.pipeline.learn_staged`) over the
+  builds ingestion already staged, with a shared pre-verification memo
+  and the persistent verification cache.  Fully deterministic — the
+  ingest gate's path.
 * :class:`RemoteFeed` — against a running ``repro-serve`` /
   ``repro-fleet`` endpoint through the existing
   :class:`~repro.service.client.RuleServiceClient`: the server stages
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from repro.corpus.pipeline import CorpusProgram
 from repro.learning.cache import VerificationCache
 from repro.learning.canon import CandidateOutcome
-from repro.learning.pipeline import LearningReport, learn_rules
+from repro.learning.pipeline import LearningReport, learn_staged
 from repro.learning.rule import Rule
 from repro.learning.verify import query_scope
 from repro.obs.trace import get_tracer
@@ -82,10 +83,12 @@ def _trace_fed(result: FeedResult) -> None:
 
 
 class LocalFeed:
-    """In-process feed through the offline learning pipeline.
+    """In-process feed through the offline learning schedule.
 
-    Shares one pre-verification memo across all fed programs (like
-    :func:`~repro.learning.pipeline.learn_corpus`) and settles verdicts
+    Learns each program from its staged builds, one batch per style
+    (like :func:`~repro.learning.pipeline.learn_corpus` at ``jobs=1``),
+    so nothing is extracted or paramized twice.  Shares one
+    pre-verification memo across all fed programs and settles verdicts
     into ``cache``, so the dedup layer sees every window this feed has
     ever paid for.
     """
@@ -105,11 +108,8 @@ class LocalFeed:
         )
         rules: list[Rule] = []
         with query_scope():
-            for style, (guest, host) in program.builds.items():
-                outcome = learn_rules(
-                    guest, host, benchmark=program.origin,
-                    cache=self.cache, _memo=self.memo,
-                )
+            for staged in program.staged.values():
+                outcome, = learn_staged([staged], self.cache, self.memo)
                 rules.extend(outcome.rules)
                 merged.merge(outcome.report)
                 result.verify_calls += outcome.report.verify_calls

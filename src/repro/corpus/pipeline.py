@@ -6,15 +6,17 @@ One generated MiniC program flows through:
    (``corpus:<digest12>`` becomes its learning origin);
 2. **compile** — one front end, then both codegen styles (``llvm``
    and ``gcc``) for both targets, like the benchsuite's learning pairs;
-3. **stage** — the cheap pipeline stages (``stage_candidates``) produce
-   the program's canonical candidate windows;
+3. **stage** — :func:`~repro.learning.pipeline.stage_build` extracts
+   and paramizes each build once, into the program's per-style staged
+   records (canonical candidate windows plus prep/param accounting);
 4. **classify** — the seen-digest store + verification cache decide
    whether any window could still yield a new verdict
    (:meth:`repro.corpus.dedup.SeenStore.classify`).
 
 Programs classified ``dup_program`` short-circuit before compilation;
 ``all_settled`` programs are dropped after staging but before any
-verification; only ``fresh`` programs reach the feeder.
+verification; only ``fresh`` programs reach the feeder, which learns
+from the staged records without staging again.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.corpus.dedup import DedupDecision, SeenStore
 from repro.learning.cache import VerificationCache
 from repro.learning.direction import ARM_TO_X86, Direction
-from repro.learning.pipeline import Candidate, stage_candidates
+from repro.learning.pipeline import StagedBuild, stage_build
 from repro.minic.compile import CompiledProgram, compile_pairs
 from repro.obs.trace import get_tracer
 
@@ -46,7 +48,7 @@ def corpus_origin(digest: str) -> str:
 
 @dataclass
 class CorpusProgram:
-    """One staged program: source, builds, candidate windows."""
+    """One staged program: source, builds, staged records."""
 
     region: str
     seed: int
@@ -56,8 +58,8 @@ class CorpusProgram:
     #: style -> (guest ARM build, host x86 build)
     builds: dict[str, tuple[CompiledProgram, CompiledProgram]] = \
         field(default_factory=dict)
-    #: style -> staged verify-stage work items
-    candidates: dict[str, list[Candidate]] = field(default_factory=dict)
+    #: style -> the build's staged record (what the feed learns from)
+    staged: dict[str, StagedBuild] = field(default_factory=dict)
     decision: DedupDecision | None = None
 
     @property
@@ -67,8 +69,8 @@ class CorpusProgram:
     def candidate_digests(self) -> list[str]:
         """Unique canonical window digests across both styles."""
         seen: dict[str, None] = {}
-        for style_candidates in self.candidates.values():
-            for candidate in style_candidates:
+        for staged in self.staged.values():
+            for candidate in staged.candidates:
                 seen.setdefault(candidate.digest, None)
         return list(seen)
 
@@ -92,7 +94,7 @@ class IngestPipeline:
 
     def stage(self, source: str, region: str = "", seed: int = 0,
               index: int = 0) -> CorpusProgram:
-        """Compile both styles and stage candidate windows."""
+        """Compile both styles and stage each build once."""
         digest = program_digest(source)
         program = CorpusProgram(region=region, seed=seed, index=index,
                                 source=source, digest=digest)
@@ -102,7 +104,7 @@ class IngestPipeline:
             program.builds = compile_pairs(source, self.opt_level,
                                            self.styles)
             for style, (guest, host) in program.builds.items():
-                program.candidates[style] = stage_candidates(
+                program.staged[style] = stage_build(
                     guest, host, program.origin, self.direction)
         return program
 

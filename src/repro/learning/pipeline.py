@@ -2,8 +2,9 @@
 
 Every learner runs one schedule of three steps:
 
-* **stage** — extract + paramize one build into canonical candidates
-  (:mod:`repro.learning.canon`);
+* **stage** — :func:`stage_build` extracts + paramizes one build into
+  a :class:`StagedBuild`: its canonical candidates
+  (:mod:`repro.learning.canon`) and its prep/param accounting;
 * **settle** — :func:`settle` picks the unique candidates no earlier
   source has decided (the run's memo, the persistent
   :class:`~repro.learning.cache.VerificationCache`, the resume journal)
@@ -11,6 +12,10 @@ Every learner runs one schedule of three steps:
   (:mod:`repro.learning.parallel`);
 * **replay** — :func:`replay` walks the candidates in order over the
   settled verdicts, and the verify stage counts each one for Table 1.
+
+:func:`learn_staged` settles and replays staged builds;
+:func:`learn_rules`, :func:`learn_corpus` and the corpus feed are
+staging plus that one function.
 
 The verify stage is the wall-clock sink, so textually identical
 pair+mapping work items are deduplicated **before** any solver call.
@@ -21,7 +26,6 @@ still classified individually; duplicates simply share the
 
 from __future__ import annotations
 
-import contextlib
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -178,89 +182,90 @@ class Candidate:
     digest: str
 
 
-def _extract_stage(
-    guest_program: CompiledProgram,
-    host_program: CompiledProgram,
-    direction: Direction,
-    report: LearningReport,
-    trace: bool = True,
-) -> list[SnippetPair]:
-    """``trace=False`` is :func:`stage_candidates`' silent mode."""
-    tracer = get_tracer()
+@dataclass
+class StagedBuild:
+    """One build after the stage step: its report so far (the prep and
+    param failure columns, extract and paramize seconds), its
+    candidates, and what its per-pair trace records say."""
+
+    report: LearningReport
+    candidates: list[Candidate] = field(default_factory=list)
+    #: Source line of every extracted pair, in order.
+    lines: list[str] = field(default_factory=list)
+    #: Sequences prep left empty (counted, never paired).
+    empty_after_prep: int = 0
+    #: (source line, Table 1 code) of every pair paramize rejected.
+    param_failures: list[tuple[str, str]] = field(default_factory=list)
+
+
+def stage_build(guest: CompiledProgram, host: CompiledProgram, name: str,
+                direction: Direction = ARM_TO_X86) -> StagedBuild:
+    """The stage step: extract + paramize one build pair.
+
+    Staging writes no trace record: :func:`trace_staged` writes the
+    build's records when the schedule learns it, so a build staged but
+    never learned (an ingest-skipped program, the online learner's
+    corpus) leaves nothing in the trace.
+    """
+    staged = StagedBuild(LearningReport(benchmark=name))
+    report = staged.report
     start = time.perf_counter()
-    span = tracer.span("learn.extract", benchmark=report.benchmark) \
-        if trace else contextlib.nullcontext()
-    with span, phase("learn.extract"):
-        extraction = extract_pairs(guest_program, host_program, direction)
+    with phase("learn.extract"):
+        extraction = extract_pairs(guest, host, direction)
     report.total_sequences = extraction.total_sequences
     report.prep_ci = extraction.prep_failures[PrepFailure.CALL_OR_INDIRECT]
     report.prep_pi = extraction.prep_failures[PrepFailure.PREDICATED]
     report.prep_mb = extraction.prep_failures[PrepFailure.MULTI_BLOCK]
     report.extract_seconds = time.perf_counter() - start
-    if trace and tracer.enabled:
-        for pair in extraction.pairs:
-            tracer.event("learn.pair", benchmark=report.benchmark,
-                         line=pair.line)
-        for failure, code in PREP_CODES.items():
-            count = extraction.prep_failures[failure]
-            if count:
-                tracer.event("learn.prep_fail",
-                             benchmark=report.benchmark,
-                             reason=code, count=count)
-        if extraction.empty_after_prep:
-            tracer.event("learn.empty", benchmark=report.benchmark,
-                         count=extraction.empty_after_prep)
-    return extraction.pairs
+    staged.lines = [pair.line for pair in extraction.pairs]
+    staged.empty_after_prep = extraction.empty_after_prep
 
-
-def _paramize_stage(
-    pairs: list[SnippetPair],
-    direction: Direction,
-    report: LearningReport,
-    trace: bool = True,
-) -> list[Candidate]:
-    tracer = get_tracer()
     start = time.perf_counter()
-    candidates: list[Candidate] = []
-    span = tracer.span("learn.paramize", benchmark=report.benchmark) \
-        if trace else contextlib.nullcontext()
-    with span, phase("learn.paramize"):
-        for pair in pairs:
+    with phase("learn.paramize"):
+        for pair in extraction.pairs:
             context = analyze_pair(pair, direction)
             mappings, failure = generate_mappings(context)
             if failure is not None:
                 code = _count_failure(
                     report, PARAM_CODES.get(failure, PARAM_FALLBACK_CODE))
-                if trace and tracer.enabled:
-                    tracer.event("learn.param_fail",
-                                 benchmark=report.benchmark,
-                                 line=pair.line, reason=code)
+                staged.param_failures.append((pair.line, code))
                 continue
-            candidates.append(
+            staged.candidates.append(
                 Candidate(pair, context, mappings,
                           candidate_digest(context, mappings))
             )
     report.paramize_seconds = time.perf_counter() - start
-    return candidates
+    return staged
 
 
-def _stage(guest: CompiledProgram, host: CompiledProgram, name: str,
-           direction: Direction = ARM_TO_X86, trace: bool = True
-           ) -> tuple[LearningReport, list[Candidate]]:
-    """The stage step: extract + paramize one build pair."""
-    report = LearningReport(benchmark=name)
-    pairs = _extract_stage(guest, host, direction, report, trace)
-    return report, _paramize_stage(pairs, direction, report, trace)
-
-
-def stage_candidates(guest: CompiledProgram, host: CompiledProgram,
-                     name: str, direction: Direction = ARM_TO_X86
-                     ) -> list[Candidate]:
-    """Extract + paramize one build pair for corpus/service staging,
-    trace-silent: learn.* events here would double-count a program
-    later fed, or orphan with no ``learn.report`` following.  (Staging
-    records no metrics in any mode.)"""
-    return _stage(guest, host, name, direction, trace=False)[1]
+def trace_staged(staged: StagedBuild) -> None:
+    """Write a staged build's trace records: a ``learn.extract`` span
+    holding its ``learn.pair``, ``learn.prep_fail`` and ``learn.empty``
+    events, and a ``learn.paramize`` span holding its
+    ``learn.param_fail`` events.  Each span carries the seconds staging
+    measured."""
+    tracer = get_tracer()
+    if not tracer.enabled:
+        return
+    report = staged.report
+    benchmark = report.benchmark
+    with tracer.span("learn.extract", benchmark=benchmark,
+                     seconds=report.extract_seconds):
+        for line in staged.lines:
+            tracer.event("learn.pair", benchmark=benchmark, line=line)
+        for code in PREP_CODES.values():
+            count = getattr(report, "prep_" + code.lower())
+            if count:
+                tracer.event("learn.prep_fail", benchmark=benchmark,
+                             reason=code, count=count)
+        if staged.empty_after_prep:
+            tracer.event("learn.empty", benchmark=benchmark,
+                         count=staged.empty_after_prep)
+    with tracer.span("learn.paramize", benchmark=benchmark,
+                     seconds=report.paramize_seconds):
+        for line, code in staged.param_failures:
+            tracer.event("learn.param_fail", benchmark=benchmark,
+                         line=line, reason=code)
 
 
 class ResolutionGapError(RuntimeError):
@@ -424,33 +429,40 @@ def _verify_stage(
     return rules
 
 
-def _learn_batch(
-    staged: list[tuple[LearningReport, list[Candidate]]],
+def learn_staged(
+    staged: list[StagedBuild],
     cache: VerificationCache | None,
     memo: dict[str, CandidateOutcome],
-    budget: DeadlineBudget | None,
-    journal: OutcomeJournal | None,
-    jobs: int,
+    budget: DeadlineBudget | None = None,
+    journal: OutcomeJournal | None = None,
+    jobs: int = 1,
 ) -> list[LearningOutcome]:
     """Settle a batch of staged builds at once, then replay each build.
 
-    The settle wall-clock is charged to the builds in proportion to the
-    solver calls each replays, so per-benchmark verify times mean the
-    same whatever the batch size.
+    ``memo`` is the run's pre-verification dedup, shared by every batch
+    of one run.  Each build's per-pair records are written as it enters
+    the batch, and each is learned on a copy of its staged report, so a
+    staged build can be learned again.  The settle wall-clock is
+    charged to the builds in proportion to the solver calls each
+    replays, so per-benchmark verify times mean the same whatever the
+    batch size.
     """
-    names = ",".join(report.benchmark for report, _ in staged)
+    reports = [replace(build.report) for build in staged]
+    for build in staged:
+        trace_staged(build)
+    names = ",".join(report.benchmark for report in reports)
     start = time.perf_counter()
     with get_tracer().span("learn.verify", benchmark=names):
-        live = settle([candidate for _, candidates in staged
-                       for candidate in candidates],
+        live = settle([candidate for build in staged
+                       for candidate in build.candidates],
                       cache, memo, journal, budget, jobs)
     settle_seconds = time.perf_counter() - start
     replayed = [
-        (report, dedup_rules(_verify_stage(candidates, report, cache, memo,
-                                           live, journal)))
-        for report, candidates in staged
+        (report, dedup_rules(_verify_stage(build.candidates, report, cache,
+                                           memo, live, journal)))
+        for build, report in zip(staged, reports)
     ]
-    total_calls = sum(report.verify_calls for report, _ in replayed)
+    total_calls = sum(report.verify_calls for report in reports)
     outcomes = []
     for report, rules in replayed:
         if total_calls:
@@ -471,19 +483,16 @@ def learn_rules(
     cache: VerificationCache | None = None,
     budget: DeadlineBudget | None = None,
     journal: OutcomeJournal | None = None,
-    _memo: dict[str, CandidateOutcome] | None = None,
 ) -> LearningOutcome:
     """Learn translation rules from one dual-compiled program.
 
     ``cache`` (optional) settles candidates verified in earlier runs;
     ``budget`` bounds each candidate's verification cost (hangs become
     ``TO`` outcomes); ``journal`` checkpoints verdicts incrementally so
-    a killed run can resume; ``_memo`` lets a caller share
-    pre-verification dedup across programs.
+    a killed run can resume.
     """
-    staged = _stage(guest_program, host_program, benchmark, direction)
-    memo = _memo if _memo is not None else {}
-    return _learn_batch([staged], cache, memo, budget, journal, jobs=1)[0]
+    staged = stage_build(guest_program, host_program, benchmark, direction)
+    return learn_staged([staged], cache, {}, budget, journal)[0]
 
 
 def finish_outcome(rules: list[Rule],
@@ -533,14 +542,14 @@ def learn_corpus(
     corpus is staged and settled as one batch, so the pool's workers
     have work to share.
     """
-    staged = (_stage(guest, host, name)
+    staged = (stage_build(guest, host, name)
               for name, (guest, host) in builds.items())
     batches = [list(staged)] if jobs > 1 else ([build] for build in staged)
     memo: dict[str, CandidateOutcome] = {}
     outcomes: dict[str, LearningOutcome] = {}
     with query_scope():
         for batch in batches:
-            for outcome in _learn_batch(batch, cache, memo, budget,
+            for outcome in learn_staged(batch, cache, memo, budget,
                                         journal, jobs):
                 outcomes[outcome.report.benchmark] = outcome
     if cache is not None:

@@ -198,7 +198,8 @@ class NullTracer:
 
     @contextmanager
     def span(self, name: str, context: SpanContext | None = None,
-             root: bool = False, **fields) -> Iterator[SpanContext | None]:
+             root: bool = False, seconds: float | None = None,
+             **fields) -> Iterator[SpanContext | None]:
         yield None
 
     def current_context(self) -> SpanContext | None:
@@ -327,10 +328,16 @@ class Tracer(NullTracer):
 
     @contextmanager
     def span(self, name: str, context: SpanContext | None = None,
-             root: bool = False, **fields) -> Iterator[SpanContext]:
+             root: bool = False, seconds: float | None = None,
+             **fields) -> Iterator[SpanContext]:
         """A begin/end pair sharing one span id, pushed on the ambient
         stack for its dynamic extent.  Spans always carry ids: with no
-        ambient context they root a fresh trace."""
+        ambient context they root a fresh trace.
+
+        ``seconds`` states the duration the end record carries instead
+        of measuring the extent: the span then stands for work timed
+        earlier, whose records are written now.
+        """
         trace_id, parent_id = self._resolve_ids(context, root)
         if trace_id is None:
             trace_id = new_id()
@@ -345,9 +352,10 @@ class Tracer(NullTracer):
             yield own
         finally:
             stack.pop()
+            if seconds is None:
+                seconds = time.perf_counter() - start
             self._emit(
-                "end", name,
-                dict(fields, seconds=time.perf_counter() - start),
+                "end", name, dict(fields, seconds=seconds),
                 trace_id=trace_id, span_id=span_id, parent_id=parent_id,
             )
 

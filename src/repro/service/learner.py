@@ -35,7 +35,7 @@ from repro.learning.pipeline import (
     Candidate,
     replay,
     settle,
-    stage_candidates,
+    stage_build,
 )
 from repro.learning.rule import Rule, dedup_rules, windows_in
 from repro.minic.compile import CompiledProgram
@@ -91,7 +91,7 @@ class OnlineLearner:
         pair: tuple[CompiledProgram, CompiledProgram],
     ) -> list[tuple[str, Candidate]]:
         return [(name, candidate) for candidate
-                in stage_candidates(*pair, name, self.direction)]
+                in stage_build(*pair, name, self.direction).candidates]
 
     def staged_candidates(self) -> list[tuple[str, Candidate]]:
         """(benchmark, candidate) pairs, extracted + paramized lazily

@@ -1,11 +1,13 @@
 """Feeds: novelty accounting, provenance, and the service ingest op."""
 
 from repro.benchsuite import build_learning_pair
+from repro.corpus.cli import run_ingest
 from repro.corpus.dedup import SeenStore
 from repro.corpus.feed import LocalFeed
 from repro.corpus.generate import generate_program
 from repro.corpus.grammar import REGIONS
 from repro.corpus.pipeline import IngestPipeline
+from repro.learning import pipeline
 from repro.learning.pipeline import learn_rules
 from repro.service.learner import OnlineLearner
 from repro.service.repo import RuleRepository
@@ -57,6 +59,22 @@ class TestLocalFeed:
         guest, host = program.builds["llvm"]
         solo = learn_rules(guest, host, benchmark=program.origin)
         assert merged.total_sequences >= solo.report.total_sequences
+
+
+    def test_each_build_is_extracted_once(self, monkeypatch):
+        """The feed learns from the builds ingestion staged: one
+        ``extract_pairs`` call per staged build, none when feeding."""
+        calls = []
+        extract = pipeline.extract_pairs
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "extract_pairs", counting)
+        summary = run_ingest(seed=3, programs=4, feed=LocalFeed())
+        assert summary.fed == summary.programs == 4
+        assert len(calls) == 2 * summary.programs
 
 
 class TestServiceIngest:

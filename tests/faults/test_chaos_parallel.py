@@ -136,19 +136,11 @@ class TestEcOutcomesStayOutOfTheCache:
 
 class TestReplayResolver:
     def test_resolution_gap_is_diagnostic(self, chaos_builds):
-        from repro.learning.direction import ARM_TO_X86
-        from repro.learning.pipeline import (
-            LearningReport,
-            _extract_stage,
-            _paramize_stage,
-            replay,
-        )
+        from repro.learning.pipeline import replay, stage_build
 
         name = next(iter(chaos_builds))
         guest, host = chaos_builds[name]
-        report = LearningReport(benchmark=name)
-        pairs = _extract_stage(guest, host, ARM_TO_X86, report)
-        candidates = _paramize_stage(pairs, ARM_TO_X86, report)
+        candidates = stage_build(guest, host, name).candidates
         assert candidates
         with pytest.raises(ResolutionGapError) as excinfo:
             next(replay(candidates, None, {}, {}, benchmark=name))

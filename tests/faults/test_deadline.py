@@ -16,13 +16,7 @@ from repro.faults.deadline import (
 from repro.faults.plan import simulated_hang
 from repro.learning import parallel, pipeline
 from repro.learning.canon import resolve_candidate
-from repro.learning.direction import ARM_TO_X86
-from repro.learning.pipeline import (
-    LearningReport,
-    _extract_stage,
-    _paramize_stage,
-    learn_corpus,
-)
+from repro.learning.pipeline import learn_corpus, stage_build
 from repro.learning.verify import VerifyFailure
 from repro.service.gaps import canonical_gap
 from repro.service.learner import OnlineLearner
@@ -77,9 +71,7 @@ class TestDeadline:
 class TestTimeoutOutcome:
     def test_zero_step_budget_times_out_real_candidates(self, chaos_builds):
         guest, host = chaos_builds[CHAOS_BENCHMARKS[0]]
-        report = LearningReport(benchmark="t")
-        pairs = _extract_stage(guest, host, ARM_TO_X86, report)
-        candidates = _paramize_stage(pairs, ARM_TO_X86, report)
+        candidates = stage_build(guest, host, "t").candidates
         assert candidates
         budget = DeadlineBudget(max_steps=0)
         outcomes = [
@@ -96,9 +88,7 @@ class TestTimeoutOutcome:
 
     def test_generous_budget_changes_nothing(self, chaos_builds):
         guest, host = chaos_builds[CHAOS_BENCHMARKS[0]]
-        report = LearningReport(benchmark="t")
-        pairs = _extract_stage(guest, host, ARM_TO_X86, report)
-        candidates = _paramize_stage(pairs, ARM_TO_X86, report)
+        candidates = stage_build(guest, host, "t").candidates
         budget = DeadlineBudget(max_steps=10_000_000)
         for candidate in candidates[:5]:
             bounded = resolve_candidate(candidate.context,
