@@ -106,16 +106,14 @@ class LocalFeed:
         merged = self.reports.setdefault(
             program.origin, LearningReport(benchmark=program.origin)
         )
-        rules: list[Rule] = []
         with query_scope():
             for staged in program.staged.values():
                 outcome, = learn_staged([staged], self.cache, self.memo)
-                rules.extend(outcome.rules)
+                result.rules.extend(outcome.rules)
                 merged.merge(outcome.report)
                 result.verify_calls += outcome.report.verify_calls
                 result.cache_hits += outcome.report.cache_hits
-        result.rules = rules
-        result.novel_rules = self.novelty.split(rules)
+        result.novel_rules = self.novelty.split(result.rules)
         if self.cache is not None:
             self.cache.save()
         _trace_fed(result)

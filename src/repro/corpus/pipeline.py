@@ -116,10 +116,9 @@ class IngestPipeline:
         if self.store.seen_program(digest):
             program = CorpusProgram(region=region, seed=seed, index=index,
                                     source=source, digest=digest)
-            program.decision = self.store.classify(digest, [], self.cache)
-            self._trace_decision(program)
-            return program
-        program = self.stage(source, region=region, seed=seed, index=index)
+        else:
+            program = self.stage(source, region=region, seed=seed,
+                                 index=index)
         program.decision = self.store.classify(
             digest, program.candidate_digests(), self.cache
         )

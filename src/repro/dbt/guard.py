@@ -93,15 +93,6 @@ class GuardStats:
     blocks_invalidated: int = 0
     retranslations: int = 0
 
-    def count_fields(self) -> dict:
-        return {
-            "checks": self.checks,
-            "divergences": self.divergences,
-            "rules_quarantined": self.rules_quarantined,
-            "blocks_invalidated": self.blocks_invalidated,
-            "retranslations": self.retranslations,
-        }
-
 
 def copy_state(state: ConcreteState) -> ConcreteState:
     """Independent copy for a trial execution."""

@@ -186,14 +186,12 @@ class Candidate:
 class StagedBuild:
     """One build after the stage step: its report so far (the prep and
     param failure columns, extract and paramize seconds), its
-    candidates, and what its per-pair trace records say."""
+    candidates, and the lines its per-pair trace records name."""
 
     report: LearningReport
     candidates: list[Candidate] = field(default_factory=list)
     #: Source line of every extracted pair, in order.
     lines: list[str] = field(default_factory=list)
-    #: Sequences prep left empty (counted, never paired).
-    empty_after_prep: int = 0
     #: (source line, Table 1 code) of every pair paramize rejected.
     param_failures: list[tuple[str, str]] = field(default_factory=list)
 
@@ -218,7 +216,6 @@ def stage_build(guest: CompiledProgram, host: CompiledProgram, name: str,
     report.prep_mb = extraction.prep_failures[PrepFailure.MULTI_BLOCK]
     report.extract_seconds = time.perf_counter() - start
     staged.lines = [pair.line for pair in extraction.pairs]
-    staged.empty_after_prep = extraction.empty_after_prep
 
     start = time.perf_counter()
     with phase("learn.paramize"):
@@ -258,9 +255,11 @@ def trace_staged(staged: StagedBuild) -> None:
             if count:
                 tracer.event("learn.prep_fail", benchmark=benchmark,
                              reason=code, count=count)
-        if staged.empty_after_prep:
-            tracer.event("learn.empty", benchmark=benchmark,
-                         count=staged.empty_after_prep)
+        # Every sequence is a pair, a prep failure or empty after prep.
+        empty = (report.total_sequences - len(staged.lines)
+                 - report.prep_failures)
+        if empty:
+            tracer.event("learn.empty", benchmark=benchmark, count=empty)
     with tracer.span("learn.paramize", benchmark=benchmark,
                      seconds=report.paramize_seconds):
         for line, code in staged.param_failures:
@@ -440,9 +439,9 @@ def learn_staged(
     """Settle a batch of staged builds at once, then replay each build.
 
     ``memo`` is the run's pre-verification dedup, shared by every batch
-    of one run.  Each build's per-pair records are written as it enters
-    the batch, and each is learned on a copy of its staged report, so a
-    staged build can be learned again.  The settle wall-clock is
+    of one run.  Each build's staging records (:func:`trace_staged`)
+    are written as it enters the batch, and each is learned on a copy
+    of its staged report, so a staged build can be learned again.  The settle wall-clock is
     charged to the builds in proportion to the solver calls each
     replays, so per-benchmark verify times mean the same whatever the
     batch size.

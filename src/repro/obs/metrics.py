@@ -137,12 +137,10 @@ class MetricsRegistry:
         self._histograms.clear()
 
 
-def format_metrics(source: MetricsRegistry | dict, title: str = "metrics",
-                   prefix: str | tuple[str, ...] = "") -> str:
+def format_metrics(source: MetricsRegistry | dict,
+                   title: str = "metrics") -> str:
     """Render counters/histograms as aligned ``name = value`` lines.
 
-    ``prefix`` filters to names starting with it (a tuple matches any
-    of several prefixes, e.g. ``("learning.cache.", "learning.verify.")``).
     Counters print as integers when whole; histograms print their
     value/count pairs sorted by value, followed by a p50/p95/p99
     summary row.
@@ -151,16 +149,12 @@ def format_metrics(source: MetricsRegistry | dict, title: str = "metrics",
         else source
     rows: list[tuple[str, str]] = []
     for name in sorted(snapshot.get("counters", {})):
-        if not name.startswith(prefix):
-            continue
         value = snapshot["counters"][name]
         if isinstance(value, float) and value.is_integer():
             value = int(value)
         text = f"{value:.3f}" if isinstance(value, float) else str(value)
         rows.append((name, text))
     for name in sorted(snapshot.get("histograms", {})):
-        if not name.startswith(prefix):
-            continue
         bucket = snapshot["histograms"][name]
         text = ", ".join(
             f"{value}:{count}"

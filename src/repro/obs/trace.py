@@ -332,12 +332,9 @@ class Tracer(NullTracer):
              **fields) -> Iterator[SpanContext]:
         """A begin/end pair sharing one span id, pushed on the ambient
         stack for its dynamic extent.  Spans always carry ids: with no
-        ambient context they root a fresh trace.
-
-        ``seconds`` states the duration the end record carries instead
-        of measuring the extent: the span then stands for work timed
-        earlier, whose records are written now.
-        """
+        ambient context they root a fresh trace.  A given ``seconds``
+        is the end record's duration instead of the measured extent:
+        the span stands for work timed earlier, written now."""
         trace_id, parent_id = self._resolve_ids(context, root)
         if trace_id is None:
             trace_id = new_id()

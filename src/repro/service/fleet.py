@@ -353,13 +353,15 @@ class FleetCoordinator(AsyncEndpoint):
             link.state = "catching-up"
             self._check_identity(link, info)
             await self._catch_up(link)
-            link.state = "ready"
-            link.take_queued()
             for fields in list(link.routed_sources.values()):
                 # A shard restarted without a learner refuses; that
                 # must not keep it from serving.
                 with contextlib.suppress(BundleError):
                     await link.request("ingest_source", **fields)
+            # Ready only once its programs are back; gaps queued during
+            # the replay are in the backlog below.
+            link.state = "ready"
+            link.take_queued()
             # Redeliver the full routed backlog, not just the queue: a
             # restarted shard lost its aggregator, and clients never
             # re-report a drained digest.  Shards that kept their

@@ -82,13 +82,14 @@ class TestHelpers:
 
 
 class TestCli:
-    def test_cli_runs_one_experiment(self, capsys, monkeypatch):
+    def test_cli_runs_one_experiment(self, capsys, monkeypatch, tmp_path):
         import repro.experiments.cli as cli
         import repro.experiments.common as common
 
         monkeypatch.setattr(
             common, "_SHARED", ExperimentContext(benchmarks=("mcf",))
         )
-        assert cli.main(["table1"]) == 0
+        assert cli.main(["table1", "--cache-dir",
+                         str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out

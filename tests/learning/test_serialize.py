@@ -91,7 +91,8 @@ class TestCli:
         source_file = tmp_path / "p.c"
         source_file.write_text(SOURCE)
         output = tmp_path / "rules.json"
-        assert main([str(source_file), "-o", str(output), "--print"]) == 0
+        assert main([str(source_file), "-o", str(output), "--print",
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
         assert output.exists()
         restored = loads_rules(output.read_text())
         assert restored

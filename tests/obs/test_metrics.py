@@ -159,28 +159,8 @@ class TestFormatter:
         assert "dbt.rule.hit_length{}" in text
         assert "{1:2, 3:1}" in text
 
-    def test_prefix_filters_string_and_tuple(self):
-        registry = MetricsRegistry()
-        registry.inc("learning.cache.hits", 1)
-        registry.inc("learning.verify.calls", 2)
-        registry.inc("dbt.runs", 3)
-        only_cache = format_metrics(registry, prefix="learning.cache.")
-        assert "learning.cache.hits" in only_cache
-        assert "learning.verify.calls" not in only_cache
-        assert "dbt.runs" not in only_cache
-        both = format_metrics(
-            registry, prefix=("learning.cache.", "learning.verify.")
-        )
-        assert "learning.cache.hits" in both
-        assert "learning.verify.calls" in both
-        assert "dbt.runs" not in both
-
     def test_empty_selection_renders_none(self):
         assert format_metrics(MetricsRegistry()) == "metrics: (none)"
-        registry = MetricsRegistry()
-        registry.inc("a")
-        assert format_metrics(registry, title="t", prefix="zzz.") \
-            == "t: (none)"
 
     def test_accepts_snapshot_dict(self):
         registry = MetricsRegistry()
