@@ -38,6 +38,11 @@ BENCHMARK_BUILD_SHA256 = (
 POOL_BUILD_SHA256 = (
     "d2bb4fe20632ca17ad88d421e5e25b820e8935fdd8d6f25a7d7adfbeaed194c9"
 )
+#: sha256 of every pool program's optimized TAC at O0-O3, hashed as
+#: ``TAC_SHA256`` is.
+POOL_TAC_SHA256 = (
+    "39c7a834db2476a02db77be0536ef4c614b0a27d37ddf4051db45dbeae794b7a"
+)
 
 
 def _update_tac(digest, tac) -> None:
@@ -84,6 +89,15 @@ def test_optimized_tac():
             _update_tac(digest, compile_frontend(benchmark_source(name),
                                                  level))
     assert digest.hexdigest() == TAC_SHA256
+
+
+def test_pool_optimized_tac():
+    digest = hashlib.sha256()
+    for name, source in pool_sources().items():
+        for level in LEVELS:
+            digest.update(f"{name} O{level}\n".encode())
+            _update_tac(digest, compile_frontend(source, level))
+    assert digest.hexdigest() == POOL_TAC_SHA256
 
 
 def test_benchmark_builds():
