@@ -95,11 +95,14 @@ class Binary(Expr):
 
 @dataclass
 class Assign(Expr):
-    """``target = value`` or compound ``target op= value``."""
+    """``target = value`` or compound ``target op= value``; ``x++`` and
+    ``x--`` are compound with ``postfix`` set: their value is the old
+    ``x``."""
 
     target: Expr  # Name, Index, or Unary("*")
     value: Expr
     op: str | None = None  # "+" for "+=", etc.
+    postfix: bool = False
 
 
 @dataclass

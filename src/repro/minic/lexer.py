@@ -26,24 +26,25 @@ _OPERATORS = (
     "(", ")", "{", "}", "[", "]", ";", ",",
 )
 
-# One alternative per token kind, tried in order; ``error`` catches
-# any character no other alternative starts with.
+# One match per token: the whitespace and comments before it (group 1),
+# then one group per token kind.  The kinds start with disjoint
+# characters, except that hex must be tried before decimal; the last
+# catches any character no other kind starts with.  Only the matches at
+# the end of the source hold no token.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<line_comment>//[^\n]*)
-  | (?P<block_comment>/\*.*?\*/)
-  | (?P<hex>0[xX][0-9a-fA-F]+)
-  | (?P<num>\d+)
-  | (?P<char>'(?:\\.|[^'\\])')
-  | (?P<ident>[A-Za-z_]\w*)
-  | (?P<op>""" + "|".join(re.escape(op) for op in _OPERATORS) + r""")
-  | (?P<error>.)
+    ((?:\s+|//[^\n]*|/\*.*?\*/)*)
+    (?:
+        ([A-Za-z_]\w*)
+      | (""" + "|".join(re.escape(op) for op in _OPERATORS) + r""")
+      | (0[xX][0-9a-fA-F]+)
+      | (\d+)
+      | ('(?:\\.|[^'\\])')
+      | (.)
+    )?
     """,
     re.VERBOSE | re.DOTALL,
 )
-
-_SKIPPED = frozenset(("ws", "line_comment", "block_comment"))
 
 _ESCAPES = {"n": 10, "t": 9, "0": 0, "\\": 92, "'": 39, '"': 34, "r": 13}
 
@@ -61,25 +62,26 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize MiniC source into a token list ending with EOF."""
     tokens: list[Token] = []
     append = tokens.append
+    new = tuple.__new__  # Token(...) without its Python-level __new__
     line = 1
-    for match in _TOKEN_RE.finditer(source):
-        kind = match.lastgroup
-        text = match.group()
-        if kind in _SKIPPED:
-            line += text.count("\n")
-        elif kind == "ident":
-            append(Token("kw" if text in KEYWORDS else "ident", text, line))
-        elif kind == "op":
-            append(Token("op", text, line))
-        elif kind == "num":
-            append(Token("num", text, line, int(text)))
-        elif kind == "hex":
-            append(Token("num", text, line, int(text, 16)))
-        elif kind == "char":
-            append(Token("char", text, line, _char_value(text, line)))
-            line += text.count("\n")
-        else:
-            raise ParseError(f"unexpected character {text!r}", line)
+    for skipped, ident, op, hexa, num, char, error in \
+            _TOKEN_RE.findall(source):
+        if skipped:
+            line += skipped.count("\n")
+        if ident:
+            append(new(Token, ("kw" if ident in KEYWORDS else "ident",
+                               ident, line, None)))
+        elif op:
+            append(new(Token, ("op", op, line, None)))
+        elif num:
+            append(new(Token, ("num", num, line, int(num))))
+        elif hexa:
+            append(new(Token, ("num", hexa, line, int(hexa, 16))))
+        elif char:
+            append(new(Token, ("char", char, line, _char_value(char, line))))
+            line += char.count("\n")
+        elif error:
+            raise ParseError(f"unexpected character {error!r}", line)
     append(Token("eof", "", line))
     return tokens
 

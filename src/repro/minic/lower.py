@@ -438,15 +438,21 @@ class _FunctionLowerer:
                 a=left, b=right, tval=1, fval=0,
             )
             return dest
-        left_type = self.type_of(expr.left).decayed()
-        right_type = self.type_of(expr.right).decayed()
+        # Pointer arithmetic scales the integer side of ``+``/``-`` by the
+        # element size; no other operator needs the operands' types.
+        left_scale = right_scale = 1
+        if expr.op in ("+", "-"):
+            left_type = self.type_of(expr.left).decayed()
+            right_type = self.type_of(expr.right).decayed()
+            if left_type.pointer and not right_type.pointer:
+                right_scale = left_type.element_size
+            elif right_type.pointer and expr.op == "+" and \
+                    not left_type.pointer:
+                left_scale = right_type.element_size
         left = self.lower_expr(expr.left)
         right = self.lower_expr(expr.right)
-        # Pointer arithmetic: scale the integer side by the element size.
-        if left_type.pointer and expr.op in ("+", "-") and not right_type.pointer:
-            right = self._scale(right, left_type.element_size, expr.line)
-        elif right_type.pointer and expr.op == "+" and not left_type.pointer:
-            left = self._scale(left, right_type.element_size, expr.line)
+        right = self._scale(right, right_scale, expr.line)
+        left = self._scale(left, left_scale, expr.line)
         dest = self.tac.new_temp()
         self.emit(op="bin", line=expr.line, dest=dest, bin_op=expr.op,
                   a=left, b=right)
@@ -490,6 +496,8 @@ class _FunctionLowerer:
             self.emit(op="bin", line=expr.line, dest=value, bin_op=expr.op,
                       a=old, b=rhs)
         self.emit(op="store", line=expr.line, a=value, addr=addr, size=size)
+        if expr.postfix and want_value:
+            return old
         return value
 
     def lower_call(self, expr: ast.Call, want_value: bool) -> Value:

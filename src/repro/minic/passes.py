@@ -23,7 +23,15 @@ from repro.minic.tac import Instr, TacFunction, TacProgram
 
 _MASK = 0xFFFFFFFF
 
-_PURE_OPS = ("const", "copy", "bin", "un", "load", "la", "select")
+_PURE_OPS = frozenset(("const", "copy", "bin", "un", "load", "la",
+                       "select"))
+#: Ops after which a new basic block starts.
+_BLOCK_ENDS = frozenset(("jmp", "cbr", "ret"))
+#: Ops at which a basic block starts or ends.
+_BLOCK_BOUNDS = _BLOCK_ENDS | {"label"}
+#: Ops whose result ``coalesce_copies`` may redirect.
+_COALESCIBLE = frozenset(("const", "copy", "bin", "un", "load", "la",
+                          "select", "call"))
 
 
 def optimize_program(program: TacProgram, level: int) -> None:
@@ -40,25 +48,37 @@ def optimize_function(func: TacFunction, level: int) -> None:
     # At most three rounds; each is a deterministic function of the
     # snapshot, so a round that changes nothing ends the loop early.
     before = _snapshot(func)
-    for _ in range(3):
+    for round_ in range(3):
         fold_and_propagate(func)
         if level >= 2:
             local_cse(func)
             strength_reduce(func, aggressive=level >= 3)
+        # A later round starts from code ``dead_code_elim`` left: if the
+        # round has changed nothing so far, that pass would not either.
+        if round_ and _snapshot(func) == before:
+            break
         dead_code_elim(func)
         after = _snapshot(func)
         if after == before:
             break
         before = after
-    coalesce_copies(func)
-    dead_code_elim(func)
+    _coalesce_then_dce(func)
     if level >= 2:
         if_convert(func)
         fold_and_propagate(func)
         dead_code_elim(func)
-        coalesce_copies(func)
-        dead_code_elim(func)
+        _coalesce_then_dce(func)
     cleanup_cfg(func)
+
+
+def _coalesce_then_dce(func: TacFunction) -> None:
+    """``coalesce_copies`` then ``dead_code_elim``, which runs only if a
+    copy was coalesced: every coalesced copy is deleted, and the code
+    coalescing starts from has just been through ``dead_code_elim``."""
+    count = len(func.instrs)
+    coalesce_copies(func)
+    if len(func.instrs) != count:
+        dead_code_elim(func)
 
 
 def _snapshot(func: TacFunction) -> tuple:
@@ -95,23 +115,20 @@ def mem2reg(func: TacFunction) -> None:
     }
     if not promoted:
         return
-    new_instrs: list[Instr] = []
+    # Each load or store of a promoted slot becomes a copy in place: the
+    # fields a copy does not use are back at their defaults.
     for instr in func.instrs:
         addr = instr.addr
         if addr is not None and addr.symbol in promoted:
-            vreg = promoted[addr.symbol]
             if instr.op == "load":
-                new_instrs.append(
-                    Instr(op="copy", line=instr.line, dest=instr.dest, a=vreg)
-                )
+                instr.a = promoted[addr.symbol]
+            elif instr.op == "store":
+                instr.dest = promoted[addr.symbol]
+            else:
                 continue
-            if instr.op == "store":
-                new_instrs.append(
-                    Instr(op="copy", line=instr.line, dest=vreg, a=instr.a)
-                )
-                continue
-        new_instrs.append(instr)
-    func.instrs = new_instrs
+            instr.op = "copy"
+            instr.addr = None
+            instr.size = 4
     for name in promoted:
         del func.slots[name]
 
@@ -119,82 +136,89 @@ def mem2reg(func: TacFunction) -> None:
 # -- folding / propagation ---------------------------------------------------
 
 
-def _block_boundaries(func: TacFunction) -> list[tuple[int, int]]:
-    """(start, end) index ranges of basic blocks."""
-    leaders = {0}
-    for index, instr in enumerate(func.instrs):
-        if instr.op == "label":
-            leaders.add(index)
-        if instr.op in ("jmp", "cbr", "ret") and index + 1 < len(func.instrs):
-            leaders.add(index + 1)
-    ordered = sorted(leaders)
-    return [
-        (start, ordered[i + 1] if i + 1 < len(ordered) else len(func.instrs))
-        for i, start in enumerate(ordered)
-    ]
-
-
 def fold_and_propagate(func: TacFunction) -> None:
-    """Block-local constant folding + copy propagation."""
-    for start, end in _block_boundaries(func):
-        consts: dict[str, int] = {}
-        copies: dict[str, str] = {}
-        copied: dict[str, set[str]] = {}  # source -> its keys in copies
-        for instr in func.instrs[start:end]:
+    """Block-local constant folding + copy propagation.
+
+    One walk over the function; the maps reset where a block starts (a
+    label) or ends (a jump, branch or return).
+    """
+    consts: dict[str, int] = {}
+    copies: dict[str, str] = {}
+    copied: dict[str, set[str]] = {}  # source -> its keys in copies
+    for instr in func.instrs:
+        op = instr.op
+        if op == "label":
             if consts or copies:
-                mapping: dict[str, object] = {}
-                for use in instr.uses():
-                    if use in consts:
-                        mapping[use] = consts[use]
-                    elif use in copies:
-                        mapping[use] = copies[use]
-                if mapping:
-                    instr.replace_uses(mapping)
-            if instr.op == "bin" and isinstance(instr.a, int) and isinstance(
-                instr.b, int
-            ):
+                consts, copies, copied = {}, {}, {}
+            continue
+        if consts or copies:
+            mapping: dict[str, object] | None = None
+            for use in instr.uses():
+                value = consts.get(use)
+                if value is None:
+                    value = copies.get(use)
+                    if value is None:
+                        continue
+                if mapping is None:
+                    mapping = {}
+                mapping[use] = value
+            if mapping:
+                instr.replace_uses(mapping)
+        if op in _BLOCK_ENDS:
+            if consts or copies:
+                consts, copies, copied = {}, {}, {}
+            continue
+        if op == "bin":
+            a = instr.a
+            b = instr.b
+            if isinstance(a, int) and isinstance(b, int):
                 try:
-                    folded = binop(instr.bin_op, instr.a, instr.b)
+                    folded = binop(instr.bin_op, a, b)
                 except TacRuntimeError:
                     pass  # division by zero: left for run time
                 else:
-                    instr.op = "const"
+                    instr.op = op = "const"
                     instr.a = folded
                     instr.b = None
                     instr.bin_op = None
-            if instr.op == "un" and isinstance(instr.a, int):
-                value = -instr.a if instr.bin_op == "neg" else ~instr.a
-                instr.op = "const"
-                instr.a = value & _MASK
-                instr.bin_op = None
-            if instr.op == "bin":
+            if op == "bin":
                 _fold_identities(instr)
-            if instr.op == "select" and isinstance(instr.a, int) and isinstance(
-                instr.b, int
-            ):
-                value = instr.tval if compare(instr.bin_op, instr.a, instr.b) \
-                    else instr.fval
-                instr.op = "copy" if isinstance(value, str) else "const"
-                instr.a = value
-                instr.b = instr.tval = instr.fval = None
-                instr.bin_op = None
-            dest = instr.dest
-            if dest is not None:
-                # Forget what ``dest`` held and every copy of it.
+                op = instr.op
+        elif op == "un" and isinstance(instr.a, int):
+            value = -instr.a if instr.bin_op == "neg" else ~instr.a
+            instr.op = op = "const"
+            instr.a = value & _MASK
+            instr.bin_op = None
+        elif op == "select" and isinstance(instr.a, int) and isinstance(
+            instr.b, int
+        ):
+            value = instr.tval if compare(instr.bin_op, instr.a, instr.b) \
+                else instr.fval
+            instr.op = op = "copy" if isinstance(value, str) else "const"
+            instr.a = value
+            instr.b = instr.tval = instr.fval = None
+            instr.bin_op = None
+        dest = instr.dest
+        if dest is not None:
+            # Forget what ``dest`` held and every copy of it.
+            if consts:
                 consts.pop(dest, None)
+            if copies:
                 source = copies.pop(dest, None)
                 if source is not None:
                     copied[source].discard(dest)
                 for key in copied.pop(dest, ()):
                     del copies[key]
-                if instr.op == "const" and isinstance(instr.a, int):
-                    consts[dest] = instr.a
-                elif instr.op == "copy" and isinstance(instr.a, str):
-                    copies[dest] = instr.a
-                    copied.setdefault(instr.a, set()).add(dest)
-                elif instr.op == "copy" and isinstance(instr.a, int):
+            if op == "const" and isinstance(instr.a, int):
+                consts[dest] = instr.a
+            elif op == "copy":
+                a = instr.a
+                if isinstance(a, str):
+                    copies[dest] = a
+                    copied.setdefault(a, set()).add(dest)
+                elif isinstance(a, int):
                     instr.op = "const"
-                    consts[dest] = instr.a
+                    consts[dest] = a
 
 
 def _fold_identities(instr: Instr) -> None:
@@ -240,36 +264,54 @@ def _to_const(instr: Instr, value: int) -> None:
 
 
 def local_cse(func: TacFunction) -> None:
-    """Block-local common-subexpression elimination for pure ALU ops."""
-    for start, end in _block_boundaries(func):
-        available: dict[tuple, str] = {}
-        for instr in func.instrs[start:end]:
-            if instr.dest is None:
-                continue
-            key = None
-            if instr.op == "bin":
-                key = ("bin", instr.bin_op, instr.a, instr.b)
-            elif instr.op == "un":
-                key = ("un", instr.bin_op, instr.a)
-            elif instr.op == "la" and instr.addr is not None:
-                key = ("la", instr.addr.symbol, instr.addr.base,
-                       instr.addr.index, instr.addr.scale, instr.addr.disp)
-            if key is not None and key in available:
-                source = available[key]
-                instr.op = "copy"
-                instr.a = source
-                instr.b = None
-                instr.bin_op = None
-                instr.addr = None
-            dest = instr.dest
+    """Block-local common-subexpression elimination for pure ALU ops.
+
+    One walk over the function, resetting at block boundaries.  Writing
+    a register kills every expression that reads it or is held in it;
+    ``mentions`` finds those without scanning ``available``.
+    """
+    available: dict[tuple, str] = {}
+    # register -> keys that named it (as operand or holder) when added;
+    # an entry may be stale, so each is rechecked before it is dropped.
+    mentions: dict[str, list[tuple]] = {}
+    for instr in func.instrs:
+        dest = instr.dest
+        if dest is None:
+            if available and instr.op in _BLOCK_BOUNDS:
+                available = {}
+                mentions = {}
+            continue
+        op = instr.op
+        key = None
+        if op == "bin":
+            key = ("bin", instr.bin_op, instr.a, instr.b)
+        elif op == "un":
+            key = ("un", instr.bin_op, instr.a)
+        elif op == "la" and instr.addr is not None:
+            addr = instr.addr
+            key = ("la", addr.symbol, addr.base, addr.index, addr.scale,
+                   addr.disp)
+        if key is not None and key in available:
+            instr.op = "copy"
+            instr.a = available[key]
+            instr.b = None
+            instr.bin_op = None
+            instr.addr = None
+            key = None  # a copy makes no new expression available
+        if available:
             # Invalidate expressions that used the overwritten register.
-            available = {
-                k: v
-                for k, v in available.items()
-                if v != dest and dest not in k
-            }
-            if key is not None and instr.op in ("bin", "un", "la"):
-                available[key] = dest
+            # Registers start with ``%``, so ``dest`` can only match a
+            # key's register fields.
+            for stale in mentions.pop(dest, ()):
+                if stale in available and (
+                        available[stale] == dest or dest in stale):
+                    del available[stale]
+        if key is not None:
+            available[key] = dest
+            mentions.setdefault(dest, []).append(key)
+            for value in key[2:4]:
+                if isinstance(value, str) and value != dest:
+                    mentions.setdefault(value, []).append(key)
 
 
 # -- strength reduction ------------------------------------------------------------
@@ -309,7 +351,9 @@ def strength_reduce(func: TacFunction, aggressive: bool = False) -> None:
                 continue
         if instr.op == "bin" and instr.bin_op == "/" and isinstance(instr.b, int):
             shift = _log2(instr.b)
-            if shift is not None and shift > 0 and isinstance(instr.a, str):
+            # 2**31 is INT_MIN to a signed division, not a power of two.
+            if shift is not None and 0 < shift <= 30 and \
+                    isinstance(instr.a, str):
                 # Signed division by 2**k with rounding toward zero:
                 #   bias = (x >> 31) u>> (32 - k);  (x + bias) >> k
                 sign = func.new_temp()
@@ -337,55 +381,57 @@ def coalesce_copies(func: TacFunction) -> None:
     This removes the temp-then-copy chains lowering produces for every
     assignment, matching the tighter code real compilers emit.
     """
+    instrs = func.instrs
+    uses = [instr.uses() for instr in instrs]  # coalescing keeps them
     use_counts: dict[str, int] = {}
     def_counts: dict[str, int] = {}
-    for instr in func.instrs:
-        for use in instr.uses():
+    for instr, used in zip(instrs, uses):
+        for use in used:
             use_counts[use] = use_counts.get(use, 0) + 1
         if instr.dest is not None:
             def_counts[instr.dest] = def_counts.get(instr.dest, 0) + 1
     dead_positions: set[int] = set()
-    for start, end in _block_boundaries(func):
-        for copy_pos in range(start, end):
-            copy_instr = func.instrs[copy_pos]
-            if copy_instr.op != "copy" or not isinstance(copy_instr.a, str):
-                continue
-            temp = copy_instr.a
-            target = copy_instr.dest
-            if use_counts.get(temp, 0) != 1 or def_counts.get(temp, 0) != 1:
-                continue
-            if target == temp:
-                continue
-            # Find the defining instruction earlier in this block.
-            def_pos = None
-            for pos in range(copy_pos - 1, start - 1, -1):
-                if func.instrs[pos].dest == temp:
-                    def_pos = pos
-                    break
-            if def_pos is None or def_pos in dead_positions or \
-                    func.instrs[def_pos].op not in (
-                        "const", "copy", "bin", "un", "load", "la", "select",
-                        "call",
-                    ):
-                continue
+    # One walk; both maps reset at block boundaries.  A coalesced temp
+    # is used nowhere else and a copy's target is defined at least twice
+    # afterwards, so neither is looked up again: the maps need no update
+    # when a definition is redirected.
+    last_def: dict[str, int] = {}  # register -> position of its last def
+    last_touch: dict[str, int] = {}  # register -> last read or write
+    for copy_pos, instr in enumerate(instrs):
+        op = instr.op
+        if op == "label":
+            if last_touch:
+                last_def, last_touch = {}, {}
+            continue
+        temp = instr.a
+        target = instr.dest
+        if op == "copy" and isinstance(temp, str) and temp != target and \
+                use_counts.get(temp, 0) == 1 and def_counts.get(temp, 0) == 1:
+            def_pos = last_def.get(temp)
             # Safety: ``target`` must not be read or written strictly
             # between the def and the copy.  (The defining instruction
             # itself may read ``target`` — its reads happen before the
             # redirected write, as in ``d = 0 - d``.)
-            window = func.instrs[def_pos + 1 : copy_pos]
-            if any(target in instr.uses() or instr.dest == target
-                   for instr in window):
-                continue
-            if func.instrs[def_pos].dest == target:
-                continue
-            func.instrs[def_pos].dest = target
-            dead_positions.add(copy_pos)
-            use_counts[temp] = 0
-            def_counts[target] = def_counts.get(target, 0) + 1
-    func.instrs = [
-        instr for pos, instr in enumerate(func.instrs)
-        if pos not in dead_positions
-    ]
+            if def_pos is not None and instrs[def_pos].op in _COALESCIBLE and \
+                    last_touch.get(target, -1) <= def_pos:
+                instrs[def_pos].dest = target
+                dead_positions.add(copy_pos)
+                use_counts[temp] = 0
+                def_counts[target] = def_counts.get(target, 0) + 1
+        if op in _BLOCK_ENDS:
+            if last_touch:
+                last_def, last_touch = {}, {}
+            continue
+        for use in uses[copy_pos]:
+            last_touch[use] = copy_pos
+        if target is not None:
+            last_def[target] = copy_pos
+            last_touch[target] = copy_pos
+    if dead_positions:
+        func.instrs = [
+            instr for pos, instr in enumerate(instrs)
+            if pos not in dead_positions
+        ]
 
 
 # -- dead code elimination -----------------------------------------------------------
@@ -395,28 +441,27 @@ def dead_code_elim(func: TacFunction) -> None:
     """Remove pure instructions whose results are never used, and then
     those that only fed removed ones, until nothing more dies."""
     instrs = func.instrs
-    uses = [instr.uses() for instr in instrs]
     use_counts: dict[str, int] = {}
-    for used in uses:
-        for name in used:
-            use_counts[name] = use_counts.get(name, 0) + 1
     pure_defs: dict[str, list[int]] = {}
     for pos, instr in enumerate(instrs):
+        for name in instr.uses():
+            use_counts[name] = use_counts.get(name, 0) + 1
         if instr.op in _PURE_OPS and instr.dest is not None:
             pure_defs.setdefault(instr.dest, []).append(pos)
     worklist = [pos for name, positions in pure_defs.items()
                 if name not in use_counts for pos in positions]
+    if not worklist:
+        return
     dead: set[int] = set()
     while worklist:
         pos = worklist.pop()
         dead.add(pos)
-        for name in uses[pos]:
+        for name in instrs[pos].uses():
             use_counts[name] -= 1
             if not use_counts[name]:
                 worklist.extend(pure_defs.get(name, ()))
-    if dead:
-        func.instrs = [instr for pos, instr in enumerate(instrs)
-                       if pos not in dead]
+    func.instrs = [instr for pos, instr in enumerate(instrs)
+                   if pos not in dead]
 
 
 # -- if-conversion --------------------------------------------------------------------
@@ -446,18 +491,20 @@ def if_convert(func: TacFunction) -> None:
     index = 0
     result: list[Instr] = []
     while index < len(instrs):
-        converted = _match_diamond(instrs[index : index + 7], refcounts)
-        if converted is not None:
-            result.extend(converted)
-            index += 7
-            continue
-        speculated = _match_one_sided(func, instrs[index : index + 4],
-                                      refcounts)
-        if speculated is not None:
-            result.extend(speculated)
-            index += 4
-            continue
-        result.append(instrs[index])
+        instr = instrs[index]
+        if instr.op == "cbr":  # both shapes start with a branch
+            converted = _match_diamond(instrs[index : index + 7], refcounts)
+            if converted is not None:
+                result.extend(converted)
+                index += 7
+                continue
+            speculated = _match_one_sided(func, instrs[index : index + 4],
+                                          refcounts)
+            if speculated is not None:
+                result.extend(speculated)
+                index += 4
+                continue
+        result.append(instr)
         index += 1
     func.instrs = result
 

@@ -105,9 +105,23 @@ class Instr:
     fval: Value | None = None
 
     def uses(self) -> tuple[str, ...]:
-        """Virtual registers this instruction reads."""
+        """Virtual registers this instruction reads, each once, in
+        operand order (``a``, ``b``, ``tval``, ``fval``, ``args``, then
+        the address's base and index)."""
+        a = self.a
+        b = self.b
+        if (not self.args and self.addr is None and self.tval is None
+                and self.fval is None):
+            # Most instructions read at most ``a`` and ``b``.
+            if isinstance(a, str):
+                if isinstance(b, str) and b != a:
+                    return a, b
+                return (a,)
+            if isinstance(b, str):
+                return (b,)
+            return ()
         used: list[str] = []
-        for value in (self.a, self.b, self.tval, self.fval, *self.args):
+        for value in (a, b, self.tval, self.fval, *self.args):
             if isinstance(value, str) and value not in used:
                 used.append(value)
         addr = self.addr
@@ -119,22 +133,27 @@ class Instr:
 
     def replace_uses(self, mapping: dict[str, Value]) -> None:
         """Rewrite register uses in place via ``mapping``."""
-
-        def sub(value):
-            if isinstance(value, str):
-                return mapping.get(value, value)
-            return value
-
-        self.a = sub(self.a)
-        self.b = sub(self.b)
-        self.tval = sub(self.tval)
-        self.fval = sub(self.fval)
-        self.args = tuple(sub(arg) for arg in self.args)
+        get = mapping.get
+        a = self.a
+        if isinstance(a, str):
+            self.a = get(a, a)
+        b = self.b
+        if isinstance(b, str):
+            self.b = get(b, b)
+        tval = self.tval
+        if isinstance(tval, str):
+            self.tval = get(tval, tval)
+        fval = self.fval
+        if isinstance(fval, str):
+            self.fval = get(fval, fval)
+        if self.args:
+            self.args = tuple([get(arg, arg) if isinstance(arg, str) else arg
+                               for arg in self.args])
         if self.addr is not None:
             base = self.addr.base
             index = self.addr.index
-            new_base = mapping.get(base, base) if base else base
-            new_index = mapping.get(index, index) if index else index
+            new_base = get(base, base) if base else base
+            new_index = get(index, index) if index else index
             if new_base is not base or new_index is not index:
                 # Addresses can only hold registers; constant folds into
                 # disp when possible.
